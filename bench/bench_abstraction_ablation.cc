@@ -28,7 +28,7 @@ const char* HeuristicName(core::AbstractionHeuristic h) {
 }
 
 void RegisterAll() {
-  for (Algo algo : {Algo::kStreamer, Algo::kIDrips}) {
+  for (OrdererKind algo : {OrdererKind::kStreamer, OrdererKind::kIDrips}) {
     for (core::AbstractionHeuristic h :
          {core::AbstractionHeuristic::kByCardinality,
           core::AbstractionHeuristic::kByMaskSimilarity,
@@ -41,7 +41,7 @@ void RegisterAll() {
         options.overlap_rate = 0.3;
         options.seed = 2013;
         std::string name = std::string("abstraction-ablation/") +
-                           AlgoName(algo) + "/" + HeuristicName(h) +
+                           OrdererKindName(algo) + "/" + HeuristicName(h) +
                            "/size:" + std::to_string(size) + "/k:10";
         benchmark::RegisterBenchmark(
             name.c_str(),
@@ -49,8 +49,8 @@ void RegisterAll() {
               const stats::Workload& workload = CachedWorkload(options);
               EpisodeResult last;
               for (auto _ : state) {
-                last = RunEpisode(algo, utility::MeasureKind::kCoverage,
-                                  workload, 10, h);
+                last = RunEpisode({algo, h}, utility::MeasureKind::kCoverage,
+                                  workload, 10);
               }
               state.counters["evals"] = double(last.evaluations);
             })

@@ -122,7 +122,7 @@ DriftRun DrainAdaptive(const stats::Workload& workload, double factor) {
   }
   adaptive::ObservedStats observed;
   adaptive::AdaptiveOptions options;
-  options.inner = adaptive::InnerOrderer::kIDrips;
+  options.inner = core::OrdererKind::kIDrips;
   options.measure = utility::MeasureKind::kCost2;
   options.drift.band = 2.0;
   options.drift.min_calls = 1;

@@ -43,8 +43,8 @@ anyk::RankedAnswerStream OpenStream(const exec::SyntheticDomain& domain,
   auto model = utility::MakeMeasure(utility::MeasureKind::kCoverage,
                                     &domain.workload);
   PLANORDER_CHECK(model.ok()) << model.status();
-  auto orderer = core::IDripsOrderer::Create(
-      &domain.workload, model->get(),
+  auto orderer = core::MakeOrderer(
+      {core::OrdererKind::kIDrips}, &domain.workload, model->get(),
       {core::PlanSpace::FullSpace(domain.workload)});
   PLANORDER_CHECK(orderer.ok()) << orderer.status();
   anyk::RankedAnswerStream::Options options;

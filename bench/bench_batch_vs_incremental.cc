@@ -47,15 +47,15 @@ void RegisterAll() {
           })
           ->Unit(benchmark::kMillisecond)
           ->MinTime(0.02);
-      for (Algo algo : {Algo::kStreamer, Algo::kPi}) {
+      for (OrdererKind algo : {OrdererKind::kStreamer, OrdererKind::kPi}) {
         benchmark::RegisterBenchmark(
-            ("batch-vs-incremental/" + std::string(AlgoName(algo)) + suffix)
+            ("batch-vs-incremental/" + OrdererKindName(algo) + suffix)
                 .c_str(),
             [algo, options, k](benchmark::State& state) {
               const stats::Workload& workload = CachedWorkload(options);
               EpisodeResult last;
               for (auto _ : state) {
-                last = RunEpisode(algo, utility::MeasureKind::kFailureNoCache,
+                last = RunEpisode({algo}, utility::MeasureKind::kFailureNoCache,
                                   workload, k);
               }
               state.counters["evals"] = double(last.evaluations);

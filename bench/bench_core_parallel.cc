@@ -43,17 +43,12 @@ RunResult RunIDrips(const stats::Workload& workload, bool persistent,
                     runtime::ThreadPool* pool) {
   auto model = utility::MakeMeasure(utility::MeasureKind::kCoverage, &workload);
   PLANORDER_CHECK(model.ok()) << model.status();
-  core::IDripsOptions options;
-  options.persistent_frontier = persistent;
-  // Wide refinement rounds: more abstract candidates split per round means
-  // bigger evaluation batches for the pool. Fixed across thread counts, so
-  // every configuration performs the identical evaluation sequence.
-  options.refine_width = 32;
   RunResult result;
   const double start_ms = NowWallMs();
-  auto orderer = core::IDripsOrderer::Create(
-      &workload, model->get(), {core::PlanSpace::FullSpace(workload)},
-      options);
+  auto orderer = core::MakeOrderer(
+      {persistent ? core::OrdererKind::kIDrips
+                  : core::OrdererKind::kIDripsRebuild},
+      &workload, model->get(), {core::PlanSpace::FullSpace(workload)});
   PLANORDER_CHECK(orderer.ok()) << orderer.status();
   if (pool != nullptr) (*orderer)->set_eval_pool(pool);
   while (true) {

@@ -15,7 +15,7 @@ void RegisterAll() {
   base.regions_per_bucket = 16;
   base.seed = 2006;
   RegisterGrid("cost2", utility::MeasureKind::kCost2,
-               {Algo::kStreamer, Algo::kIDrips, Algo::kPi},
+               {OrdererKind::kStreamer, OrdererKind::kIDrips, OrdererKind::kPi},
                /*sizes=*/{4, 8, 12, 16, 20},
                /*ks=*/{1, 10, 100}, base);
 }

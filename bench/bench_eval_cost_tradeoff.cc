@@ -63,41 +63,11 @@ class CostlyStatisticsModel : public utility::UtilityModel {
   int spin_;
 };
 
-EpisodeResult RunCostlyEpisode(Algo algo, const stats::Workload& workload,
-                               int spin, int k) {
-  utility::CoverageModel coverage(&workload);
-  CostlyStatisticsModel model(&workload, &coverage, spin);
-  std::vector<core::PlanSpace> spaces = {core::PlanSpace::FullSpace(workload)};
-  std::unique_ptr<core::Orderer> orderer;
-  if (algo == Algo::kStreamer) {
-    auto o = core::StreamerOrderer::Create(&workload, &model,
-                                           std::move(spaces));
-    PLANORDER_CHECK(o.ok()) << o.status();
-    orderer = std::move(*o);
-  } else if (algo == Algo::kIDrips) {
-    auto o =
-        core::IDripsOrderer::Create(&workload, &model, std::move(spaces));
-    PLANORDER_CHECK(o.ok()) << o.status();
-    orderer = std::move(*o);
-  } else {
-    auto o = core::PiOrderer::Create(&workload, &model, std::move(spaces));
-    PLANORDER_CHECK(o.ok()) << o.status();
-    orderer = std::move(*o);
-  }
-  EpisodeResult result;
-  for (int i = 0; i < k; ++i) {
-    auto next = orderer->Next();
-    if (!next.ok()) break;
-    ++result.plans_emitted;
-  }
-  result.evaluations = orderer->plan_evaluations();
-  return result;
-}
-
 void RegisterAll() {
   // spin ~ extra FLOPs per evaluation; 3000 is roughly 1 microsecond.
   for (int spin : {0, 3000, 30000}) {
-    for (Algo algo : {Algo::kStreamer, Algo::kIDrips, Algo::kPi}) {
+    for (OrdererKind algo :
+         {OrdererKind::kStreamer, OrdererKind::kIDrips, OrdererKind::kPi}) {
       for (int k : {10, 100}) {
         stats::WorkloadOptions options;
         options.query_length = 3;
@@ -105,8 +75,8 @@ void RegisterAll() {
         options.regions_per_bucket = 16;
         options.overlap_rate = 0.3;
         options.seed = 2014;
-        std::string name = std::string("eval-cost-tradeoff/") +
-                           AlgoName(algo) + "/spin:" + std::to_string(spin) +
+        std::string name = "eval-cost-tradeoff/" + OrdererKindName(algo) +
+                           "/spin:" + std::to_string(spin) +
                            "/k:" + std::to_string(k);
         benchmark::RegisterBenchmark(
             name.c_str(),
@@ -114,7 +84,9 @@ void RegisterAll() {
               const stats::Workload& workload = CachedWorkload(options);
               EpisodeResult last;
               for (auto _ : state) {
-                last = RunCostlyEpisode(algo, workload, spin, k);
+                utility::CoverageModel coverage(&workload);
+                CostlyStatisticsModel model(&workload, &coverage, spin);
+                last = RunEpisode({algo}, &model, workload, k);
               }
               state.counters["evals"] = double(last.evaluations);
             })

@@ -31,9 +31,9 @@ void RegisterAll() {
           const stats::Workload& workload = CachedWorkload(options);
           EpisodeResult streamer, pi;
           for (auto _ : state) {
-            streamer = RunEpisode(Algo::kStreamer,
+            streamer = RunEpisode({OrdererKind::kStreamer},
                                   utility::MeasureKind::kCoverage, workload, 1);
-            pi = RunEpisode(Algo::kPi, utility::MeasureKind::kCoverage,
+            pi = RunEpisode({OrdererKind::kPi}, utility::MeasureKind::kCoverage,
                             workload, 1);
           }
           state.counters["streamer_evals"] = double(streamer.evaluations);
@@ -57,8 +57,8 @@ void RegisterAll() {
         const stats::Workload& workload = CachedWorkload(options);
         EpisodeResult last;
         for (auto _ : state) {
-          last = RunEpisode(Algo::kIDrips, utility::MeasureKind::kCoverage,
-                            workload, 1);
+          last = RunEpisode({OrdererKind::kIDrips},
+                            utility::MeasureKind::kCoverage, workload, 1);
         }
         state.counters["evals"] = double(last.evaluations);
         state.counters["brute_force_evals"] = 9.0;

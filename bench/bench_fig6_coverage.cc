@@ -20,7 +20,7 @@ void RegisterAll() {
   base.regions_per_bucket = 16;
   base.seed = 2002;
   RegisterGrid("fig6.coverage", utility::MeasureKind::kCoverage,
-               {Algo::kStreamer, Algo::kIDrips, Algo::kPi},
+               {OrdererKind::kStreamer, OrdererKind::kIDrips, OrdererKind::kPi},
                /*sizes=*/{4, 8, 12, 16, 20},
                /*ks=*/{1, 10, 100}, base);
 }

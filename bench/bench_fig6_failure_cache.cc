@@ -22,7 +22,7 @@ void RegisterAll() {
   base.failure_max = 0.5;
   base.seed = 2004;
   RegisterGrid("fig6.failure-cache", utility::MeasureKind::kFailureCache,
-               {Algo::kIDrips, Algo::kPi},
+               {OrdererKind::kIDrips, OrdererKind::kPi},
                /*sizes=*/{4, 8, 12, 16, 20},
                /*ks=*/{1, 10, 100}, base);
 }

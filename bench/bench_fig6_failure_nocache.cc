@@ -21,7 +21,7 @@ void RegisterAll() {
   base.failure_max = 0.5;
   base.seed = 2003;
   RegisterGrid("fig6.failure-nocache", utility::MeasureKind::kFailureNoCache,
-               {Algo::kStreamer, Algo::kIDrips, Algo::kPi},
+               {OrdererKind::kStreamer, OrdererKind::kIDrips, OrdererKind::kPi},
                /*sizes=*/{4, 8, 12, 16, 20},
                /*ks=*/{1, 10, 100}, base);
 }

@@ -20,11 +20,11 @@ void RegisterAll() {
   base.regions_per_bucket = 16;
   base.seed = 2005;
   RegisterGrid("fig6.monetary", utility::MeasureKind::kMonetary,
-               {Algo::kStreamer, Algo::kIDrips, Algo::kPi},
+               {OrdererKind::kStreamer, OrdererKind::kIDrips, OrdererKind::kPi},
                /*sizes=*/{4, 8, 12, 16},
                /*ks=*/{1, 10, 100}, base);
   RegisterGrid("fig6.monetary-cache", utility::MeasureKind::kMonetaryCache,
-               {Algo::kIDrips, Algo::kPi},
+               {OrdererKind::kIDrips, OrdererKind::kPi},
                /*sizes=*/{4, 8, 12, 16},
                /*ks=*/{1, 10, 100}, base);
 }

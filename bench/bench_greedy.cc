@@ -21,7 +21,7 @@ void RegisterAll() {
   base.regions_per_bucket = 16;
   base.seed = 2007;
   RegisterGrid("greedy.additive", utility::MeasureKind::kAdditive,
-               {Algo::kGreedy, Algo::kPi, Algo::kNaive},
+               {OrdererKind::kGreedy, OrdererKind::kPi, OrdererKind::kNaive},
                /*sizes=*/{8, 16, 32, 48, 64},
                /*ks=*/{1, 10, 100}, base);
 
@@ -31,7 +31,7 @@ void RegisterAll() {
   uniform.seed = 2008;
   RegisterGrid("greedy.cost2-uniform-alpha",
                utility::MeasureKind::kCost2UniformAlpha,
-               {Algo::kGreedy, Algo::kPi},
+               {OrdererKind::kGreedy, OrdererKind::kPi},
                /*sizes=*/{8, 16, 32, 48, 64},
                /*ks=*/{1, 10, 100}, uniform);
 }

@@ -15,7 +15,7 @@ namespace {
 
 void RegisterAll() {
   for (double overlap : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-    for (Algo algo : {Algo::kStreamer, Algo::kPi}) {
+    for (OrdererKind algo : {OrdererKind::kStreamer, OrdererKind::kPi}) {
       for (int k : {10, 50}) {
         stats::WorkloadOptions options;
         options.query_length = 3;
@@ -23,7 +23,7 @@ void RegisterAll() {
         options.regions_per_bucket = 16;
         options.overlap_rate = overlap;
         options.seed = 2009;
-        std::string name = std::string("overlap-sweep/") + AlgoName(algo) +
+        std::string name = "overlap-sweep/" + OrdererKindName(algo) +
                            "/overlap:" + std::to_string(overlap).substr(0, 3) +
                            "/k:" + std::to_string(k);
         benchmark::RegisterBenchmark(
@@ -32,7 +32,7 @@ void RegisterAll() {
               const stats::Workload& workload = CachedWorkload(options);
               EpisodeResult last;
               for (auto _ : state) {
-                last = RunEpisode(algo, utility::MeasureKind::kCoverage,
+                last = RunEpisode({algo}, utility::MeasureKind::kCoverage,
                                   workload, k);
               }
               state.counters["evals"] = double(last.evaluations);

@@ -18,40 +18,10 @@
 namespace planorder::bench {
 namespace {
 
-EpisodeResult RunAblated(Algo algo, utility::MeasureKind measure,
-                         const stats::Workload& workload, int k,
-                         bool probes) {
-  auto model = utility::MakeMeasure(measure, &workload);
-  PLANORDER_CHECK(model.ok()) << model.status();
-  std::vector<core::PlanSpace> spaces = {core::PlanSpace::FullSpace(workload)};
-  std::unique_ptr<core::Orderer> orderer;
-  if (algo == Algo::kStreamer) {
-    auto o = core::StreamerOrderer::Create(
-        &workload, model->get(), std::move(spaces),
-        core::AbstractionHeuristic::kByCardinality, probes);
-    PLANORDER_CHECK(o.ok()) << o.status();
-    orderer = std::move(*o);
-  } else {
-    auto o = core::IDripsOrderer::Create(
-        &workload, model->get(), std::move(spaces),
-        core::AbstractionHeuristic::kByCardinality, probes);
-    PLANORDER_CHECK(o.ok()) << o.status();
-    orderer = std::move(*o);
-  }
-  EpisodeResult result;
-  for (int i = 0; i < k; ++i) {
-    auto next = orderer->Next();
-    if (!next.ok()) break;
-    ++result.plans_emitted;
-  }
-  result.evaluations = orderer->plan_evaluations();
-  return result;
-}
-
 void RegisterAll() {
   for (utility::MeasureKind measure :
        {utility::MeasureKind::kCoverage, utility::MeasureKind::kMonetary}) {
-    for (Algo algo : {Algo::kStreamer, Algo::kIDrips}) {
+    for (OrdererKind algo : {OrdererKind::kStreamer, OrdererKind::kIDrips}) {
       for (bool probes : {true, false}) {
         for (int k : {1, 10}) {
           stats::WorkloadOptions options;
@@ -62,7 +32,7 @@ void RegisterAll() {
           options.seed = 2015;
           std::string name = std::string("probe-ablation/") +
                              utility::MeasureKindName(measure) + "/" +
-                             AlgoName(algo) + "/probes:" +
+                             OrdererKindName(algo) + "/probes:" +
                              (probes ? "on" : "off") +
                              "/k:" + std::to_string(k);
           benchmark::RegisterBenchmark(
@@ -71,7 +41,10 @@ void RegisterAll() {
                 const stats::Workload& workload = CachedWorkload(options);
                 EpisodeResult last;
                 for (auto _ : state) {
-                  last = RunAblated(algo, measure, workload, k, probes);
+                  last = RunEpisode({algo,
+                                     core::AbstractionHeuristic::kByCardinality,
+                                     probes},
+                                    measure, workload, k);
                 }
                 state.counters["evals"] = double(last.evaluations);
               })

@@ -15,22 +15,23 @@ namespace {
 void RegisterLengths(const std::string& label,
                      utility::MeasureKind measure) {
   for (int m = 1; m <= 7; ++m) {
-    for (Algo algo : {Algo::kStreamer, Algo::kIDrips, Algo::kPi}) {
+    for (OrdererKind algo :
+         {OrdererKind::kStreamer, OrdererKind::kIDrips, OrdererKind::kPi}) {
       stats::WorkloadOptions options;
       options.query_length = m;
       options.bucket_size = 4;
       options.regions_per_bucket = 8;
       options.overlap_rate = 0.3;
       options.seed = 2010;
-      std::string name =
-          label + "/" + AlgoName(algo) + "/m:" + std::to_string(m) + "/k:10";
+      std::string name = label + "/" + OrdererKindName(algo) +
+                         "/m:" + std::to_string(m) + "/k:10";
       benchmark::RegisterBenchmark(
           name.c_str(),
           [algo, measure, options](benchmark::State& state) {
             const stats::Workload& workload = CachedWorkload(options);
             EpisodeResult last;
             for (auto _ : state) {
-              last = RunEpisode(algo, measure, workload, 10);
+              last = RunEpisode({algo}, measure, workload, 10);
             }
             state.counters["evals"] = double(last.evaluations);
           })

@@ -59,9 +59,8 @@ void RegisterAll() {
             state.SkipWithError("measure rejected workload");
             return;
           }
-          auto orderer = sim::MakeOrderer(sim::AlgoKind::kPi, &workload,
-                                          model->get(),
-                                          /*probe_lower_bounds=*/false);
+          auto orderer = core::MakeOrderer({core::OrdererKind::kPi},
+                                           &workload, model->get(), spaces);
           if (!orderer.ok()) {
             state.SkipWithError("orderer construction failed");
             return;

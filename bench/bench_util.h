@@ -11,10 +11,7 @@
 
 #include "base/logging.h"
 #include "bench_flags.h"
-#include "core/greedy.h"
-#include "core/idrips.h"
-#include "core/pi.h"
-#include "core/streamer.h"
+#include "core/orderer_factory.h"
 #include "utility/measures.h"
 
 namespace planorder::bench {
@@ -23,26 +20,11 @@ namespace planorder::bench {
 // bench_flags.h (no google-benchmark dependency) so tests/bench_flags_test.cc
 // can exercise the flag parser without linking the benchmark driver.
 
-/// The ordering algorithms under comparison (Section 6): Streamer and iDrips
-/// versus the PI reference, plus Greedy and the naive brute force for the
-/// supplementary experiments.
-enum class Algo { kStreamer, kIDrips, kPi, kNaive, kGreedy };
-
-inline const char* AlgoName(Algo algo) {
-  switch (algo) {
-    case Algo::kStreamer:
-      return "streamer";
-    case Algo::kIDrips:
-      return "idrips";
-    case Algo::kPi:
-      return "pi";
-    case Algo::kNaive:
-      return "naive";
-    case Algo::kGreedy:
-      return "greedy";
-  }
-  return "?";
-}
+/// The ordering algorithms under comparison (Section 6) are named by
+/// core::OrdererKind: Streamer and iDrips versus the PI reference, plus
+/// Greedy and the naive brute force for the supplementary experiments.
+using core::OrdererKind;
+using core::OrdererKindName;
 
 /// Workloads are cached per option signature so that the timed region of a
 /// benchmark covers exactly what the paper measures: from query issue (given
@@ -70,58 +52,31 @@ struct EpisodeResult {
   int plans_emitted = 0;
 };
 
-/// One ordering episode: build the orderer over the full plan space and emit
-/// the first k plans (fewer if the space is smaller).
-inline EpisodeResult RunEpisode(
-    Algo algo, utility::MeasureKind measure, const stats::Workload& workload,
-    int k,
-    core::AbstractionHeuristic heuristic =
-        core::AbstractionHeuristic::kByCardinality) {
-  auto model = utility::MakeMeasure(measure, &workload);
-  PLANORDER_CHECK(model.ok()) << model.status();
-  std::vector<core::PlanSpace> spaces = {core::PlanSpace::FullSpace(workload)};
-  std::unique_ptr<core::Orderer> orderer;
-  switch (algo) {
-    case Algo::kStreamer: {
-      auto o = core::StreamerOrderer::Create(&workload, model->get(),
-                                             std::move(spaces), heuristic);
-      PLANORDER_CHECK(o.ok()) << o.status();
-      orderer = std::move(*o);
-      break;
-    }
-    case Algo::kIDrips: {
-      auto o = core::IDripsOrderer::Create(&workload, model->get(),
-                                           std::move(spaces), heuristic);
-      PLANORDER_CHECK(o.ok()) << o.status();
-      orderer = std::move(*o);
-      break;
-    }
-    case Algo::kPi:
-    case Algo::kNaive: {
-      auto o = core::PiOrderer::Create(&workload, model->get(),
-                                       std::move(spaces),
-                                       /*use_independence=*/algo == Algo::kPi);
-      PLANORDER_CHECK(o.ok()) << o.status();
-      orderer = std::move(*o);
-      break;
-    }
-    case Algo::kGreedy: {
-      auto o = core::GreedyOrderer::Create(&workload, model->get(),
-                                           std::move(spaces));
-      PLANORDER_CHECK(o.ok()) << o.status();
-      orderer = std::move(*o);
-      break;
-    }
-  }
+/// One ordering episode: build the orderer `spec` names over the full plan
+/// space and emit the first k plans (fewer if the space is smaller).
+inline EpisodeResult RunEpisode(const core::OrdererSpec& spec,
+                                utility::UtilityModel* model,
+                                const stats::Workload& workload, int k) {
+  auto orderer = core::MakeOrderer(spec, &workload, model,
+                                   {core::PlanSpace::FullSpace(workload)});
+  PLANORDER_CHECK(orderer.ok()) << orderer.status();
   EpisodeResult result;
   for (int i = 0; i < k; ++i) {
-    auto next = orderer->Next();
+    auto next = (*orderer)->Next();
     if (!next.ok()) break;
     benchmark::DoNotOptimize(next->utility);
     ++result.plans_emitted;
   }
-  result.evaluations = orderer->plan_evaluations();
+  result.evaluations = (*orderer)->plan_evaluations();
   return result;
+}
+
+inline EpisodeResult RunEpisode(const core::OrdererSpec& spec,
+                                utility::MeasureKind measure,
+                                const stats::Workload& workload, int k) {
+  auto model = utility::MakeMeasure(measure, &workload);
+  PLANORDER_CHECK(model.ok()) << model.status();
+  return RunEpisode(spec, model->get(), workload, k);
 }
 
 /// Registers the Figure-6 style grid for one measure: time to the first k
@@ -130,16 +85,16 @@ inline EpisodeResult RunEpisode(
 /// and the `evals` counter reports plan evaluations per episode.
 inline void RegisterGrid(const std::string& label,
                          utility::MeasureKind measure,
-                         const std::vector<Algo>& algos,
+                         const std::vector<OrdererKind>& algos,
                          const std::vector<int>& sizes,
                          const std::vector<int>& ks,
                          stats::WorkloadOptions base) {
-  for (Algo algo : algos) {
+  for (OrdererKind algo : algos) {
     for (int size : sizes) {
       for (int k : ks) {
         stats::WorkloadOptions options = base;
         options.bucket_size = size;
-        std::string name = label + "/" + AlgoName(algo) +
+        std::string name = label + "/" + OrdererKindName(algo) +
                            "/size:" + std::to_string(size) +
                            "/k:" + std::to_string(k);
         benchmark::RegisterBenchmark(
@@ -148,7 +103,7 @@ inline void RegisterGrid(const std::string& label,
               const stats::Workload& workload = CachedWorkload(options);
               EpisodeResult last;
               for (auto _ : state) {
-                last = RunEpisode(algo, measure, workload, k);
+                last = RunEpisode({algo}, measure, workload, k);
               }
               state.counters["evals"] = double(last.evaluations);
               state.counters["emitted"] = double(last.plans_emitted);

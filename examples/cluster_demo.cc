@@ -92,7 +92,6 @@ int main() {
   cluster::ClusterOptions copts;
   copts.num_shards = 2;
   copts.source_cache = &cache;
-  copts.shard.orderer = service::ServiceOptions::OrdererKind::kIDrips;
   copts.shard.measure = utility::MeasureKind::kFailureCache;
   cluster::ShardedService cluster_service(&d.catalog, &d.source_facts, copts,
                                           &runtime);

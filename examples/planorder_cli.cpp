@@ -17,6 +17,7 @@
 //                                      | failure-nocache | failure-cache
 //                                      | monetary | monetary-cache | coverage
 //   algorithm <name>                   greedy | streamer | idrips | pi | naive
+//                                      | idrips-rebuild | auto (Section 6)
 //   emit <k>                           how many plans to print (default 10)
 //   query <rule>                       the user query (required, once)
 //   fact <atom>                        a source tuple, e.g. fact v1(ford, m1)
@@ -33,10 +34,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/greedy.h"
-#include "core/idrips.h"
-#include "core/pi.h"
-#include "core/streamer.h"
+#include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "exec/mediator.h"
 #include "reformulation/bucket.h"
@@ -194,38 +192,6 @@ StatusOr<CliConfig> ParseDomainFile(const std::string& path) {
   return config;
 }
 
-StatusOr<std::unique_ptr<core::Orderer>> MakeOrderer(
-    const CliConfig& config, const stats::Workload* workload,
-    utility::UtilityModel* model) {
-  std::vector<core::PlanSpace> spaces = {core::PlanSpace::FullSpace(*workload)};
-  if (config.algorithm == "greedy") {
-    PLANORDER_ASSIGN_OR_RETURN(
-        std::unique_ptr<core::GreedyOrderer> o,
-        core::GreedyOrderer::Create(workload, model, std::move(spaces)));
-    return std::unique_ptr<core::Orderer>(std::move(o));
-  }
-  if (config.algorithm == "streamer") {
-    PLANORDER_ASSIGN_OR_RETURN(
-        std::unique_ptr<core::StreamerOrderer> o,
-        core::StreamerOrderer::Create(workload, model, std::move(spaces)));
-    return std::unique_ptr<core::Orderer>(std::move(o));
-  }
-  if (config.algorithm == "idrips") {
-    PLANORDER_ASSIGN_OR_RETURN(
-        std::unique_ptr<core::IDripsOrderer> o,
-        core::IDripsOrderer::Create(workload, model, std::move(spaces)));
-    return std::unique_ptr<core::Orderer>(std::move(o));
-  }
-  if (config.algorithm == "pi" || config.algorithm == "naive") {
-    PLANORDER_ASSIGN_OR_RETURN(
-        std::unique_ptr<core::PiOrderer> o,
-        core::PiOrderer::Create(workload, model, std::move(spaces),
-                                config.algorithm == "pi"));
-    return std::unique_ptr<core::Orderer>(std::move(o));
-  }
-  return InvalidArgumentError("unknown algorithm '" + config.algorithm + "'");
-}
-
 Status Run(const std::string& path) {
   PLANORDER_ASSIGN_OR_RETURN(CliConfig config, ParseDomainFile(path));
   PLANORDER_ASSIGN_OR_RETURN(
@@ -269,8 +235,12 @@ Status Run(const std::string& path) {
                              ParseMeasure(config.measure));
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<utility::UtilityModel> model,
                              utility::MakeMeasure(kind, &workload));
-  PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<core::Orderer> orderer,
-                             MakeOrderer(config, &workload, model.get()));
+  PLANORDER_ASSIGN_OR_RETURN(core::OrdererKind algorithm,
+                             core::OrdererKindFromName(config.algorithm));
+  PLANORDER_ASSIGN_OR_RETURN(
+      std::unique_ptr<core::Orderer> orderer,
+      core::MakeOrderer({algorithm}, &workload, model.get(),
+                        {core::PlanSpace::FullSpace(workload)}));
 
   if (config.execute) {
     // Full mediation: execute the ordered plans over the declared facts and

@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include "core/idrips.h"
-#include "core/streamer.h"
-
 namespace planorder::adaptive {
 
 StatusOr<std::unique_ptr<AdaptiveOrderer>> AdaptiveOrderer::Create(
@@ -21,6 +18,11 @@ StatusOr<std::unique_ptr<AdaptiveOrderer>> AdaptiveOrderer::Create(
                                   " size mismatch");
     }
   }
+  // The base class compiles an ExecutionContext over the estimates before
+  // the first inner orderer validates them.
+  PLANORDER_RETURN_IF_ERROR(
+      core::ValidateSpaces(*estimates, {core::PlanSpace::FullSpace(*estimates)})
+          .status());
   // Validates measure applicability up front (MakeMeasure may reject the
   // pair) and gives the base class a model that outlives every rebuild.
   PLANORDER_ASSIGN_OR_RETURN(
@@ -83,28 +85,10 @@ Status AdaptiveOrderer::Rebuild() {
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<utility::UtilityModel> model,
                              utility::MakeMeasure(options_.measure,
                                                   blended.get()));
-  std::vector<core::PlanSpace> spaces;
-  spaces.push_back(core::PlanSpace::FullSpace(*blended));
-  std::unique_ptr<core::Orderer> inner;
-  switch (options_.inner) {
-    case InnerOrderer::kIDrips: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::IDripsOrderer> built,
-          core::IDripsOrderer::Create(blended.get(), model.get(),
-                                      std::move(spaces),
-                                      core::IDripsOptions{}));
-      inner = std::move(built);
-      break;
-    }
-    case InnerOrderer::kStreamer: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::StreamerOrderer> built,
-          core::StreamerOrderer::Create(blended.get(), model.get(),
-                                        std::move(spaces)));
-      inner = std::move(built);
-      break;
-    }
-  }
+  PLANORDER_ASSIGN_OR_RETURN(
+      std::unique_ptr<core::Orderer> inner,
+      core::MakeOrderer({options_.inner}, blended.get(), model.get(),
+                        {core::PlanSpace::FullSpace(*blended)}));
   inner->set_eval_pool(pool_);
   // Replay the conditioning state: the executed prefix first, then the
   // cross-session residency bits, so the fresh inner orderer prices every

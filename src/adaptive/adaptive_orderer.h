@@ -11,16 +11,15 @@
 #include "adaptive/observed_stats.h"
 #include "base/status.h"
 #include "core/orderer.h"
+#include "core/orderer_factory.h"
 #include "stats/workload.h"
 #include "utility/measures.h"
 
 namespace planorder::adaptive {
 
-/// Which ordering algorithm ranks plans under the current statistics.
-enum class InnerOrderer { kIDrips, kStreamer };
-
 struct AdaptiveOptions {
-  InnerOrderer inner = InnerOrderer::kIDrips;
+  /// Which ordering algorithm ranks plans under the current statistics.
+  core::OrdererKind inner = core::OrdererKind::kIDrips;
   utility::MeasureKind measure = utility::MeasureKind::kAdditive;
   DriftOptions drift;
 };

@@ -12,6 +12,12 @@ namespace {
 /// stack buffer; lets refinement stage parent rows on the stack.
 constexpr int kMaxBuckets = 16;
 
+/// Abstract candidates refined per persistent-mode round (each contributes
+/// two children to one evaluation batch). Fixed independently of the thread
+/// count so serial and parallel runs perform the same refinements in the
+/// same order.
+constexpr size_t kRefineWidth = 8;
+
 }  // namespace
 
 StatusOr<std::unique_ptr<IDripsOrderer>> IDripsOrderer::Create(
@@ -30,16 +36,6 @@ StatusOr<std::unique_ptr<IDripsOrderer>> IDripsOrderer::Create(
     for (PlanSpace& space : spaces) orderer->AddSpace(std::move(space));
   }
   return orderer;
-}
-
-StatusOr<std::unique_ptr<IDripsOrderer>> IDripsOrderer::Create(
-    const stats::Workload* workload, utility::UtilityModel* model,
-    std::vector<PlanSpace> spaces, AbstractionHeuristic heuristic,
-    bool probe_lower_bounds) {
-  IDripsOptions options;
-  options.heuristic = heuristic;
-  options.probe_lower_bounds = probe_lower_bounds;
-  return Create(workload, model, std::move(spaces), options);
 }
 
 StatusOr<OrderedPlan> IDripsOrderer::ComputeNext() {
@@ -416,11 +412,11 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
                            : best_concrete->key1;
     // Speculative top-K refinement: pop the most promising abstract
     // candidates (highest upper bound first; ties by wider interval, then
-    // lower rank — the legacy index order). K is fixed by options, never by
-    // the thread count, so the refinement sequence — and with it every
+    // lower rank — the legacy index order). K is kRefineWidth, never the
+    // thread count, so the refinement sequence — and with it every
     // emitted plan — is identical in serial and parallel runs.
     targets_.clear();
-    while (targets_.size() < static_cast<size_t>(options_.refine_width)) {
+    while (targets_.size() < kRefineWidth) {
       const FrontierHeap::Entry* top = abstract_heap_.Peek(live);
       if (top == nullptr || !(top->key1 > bar)) break;
       if (lazy && IsStale(top->slot)) {

@@ -27,11 +27,6 @@ struct IDripsOptions {
   /// each emission and re-abstract the split spaces — kept for the
   /// evaluations-per-emission comparison in bench_core_parallel.
   bool persistent_frontier = true;
-  /// Number of abstract candidates refined per round in persistent mode
-  /// (each contributes two children to one evaluation batch). Fixed
-  /// independently of the thread count so serial and parallel runs perform
-  /// the same refinements in the same order.
-  int refine_width = 8;
 };
 
 /// The iDrips algorithm (Section 5.2): run Drips across the current plan
@@ -52,14 +47,7 @@ class IDripsOrderer : public Orderer {
  public:
   static StatusOr<std::unique_ptr<IDripsOrderer>> Create(
       const stats::Workload* workload, utility::UtilityModel* model,
-      std::vector<PlanSpace> spaces, const IDripsOptions& options);
-
-  /// Legacy signature (pre-options); forwards to the options overload.
-  static StatusOr<std::unique_ptr<IDripsOrderer>> Create(
-      const stats::Workload* workload, utility::UtilityModel* model,
-      std::vector<PlanSpace> spaces,
-      AbstractionHeuristic heuristic = AbstractionHeuristic::kByCardinality,
-      bool probe_lower_bounds = false);
+      std::vector<PlanSpace> spaces, const IDripsOptions& options = {});
 
   std::string name() const override { return "idrips"; }
 

@@ -50,6 +50,14 @@ std::string PlanSpace::ToString() const {
 
 StatusOr<std::vector<PlanSpace>> ValidateSpaces(
     const stats::Workload& workload, std::vector<PlanSpace> spaces) {
+  // Every orderer's ExecutionContext compiles the workload's coverage
+  // universe, which has one bitmask dimension per bucket.
+  if (workload.num_buckets() > stats::BitmaskUniverse::kMaxDims) {
+    return InvalidArgumentError(
+        "query has " + std::to_string(workload.num_buckets()) +
+        " relational subgoals; at most " +
+        std::to_string(stats::BitmaskUniverse::kMaxDims) + " are supported");
+  }
   std::vector<PlanSpace> kept;
   kept.reserve(spaces.size());
   for (PlanSpace& space : spaces) {

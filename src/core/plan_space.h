@@ -40,9 +40,10 @@ struct PlanSpace {
   std::string ToString() const;
 };
 
-/// Shared orderer-construction validation: spaces must match the workload's
-/// bucket structure; spaces with an empty bucket hold no plans and are
-/// dropped. Returns the surviving spaces.
+/// Shared orderer-construction validation: the workload must have at most
+/// BitmaskUniverse::kMaxDims buckets and the spaces must match its bucket
+/// structure (kInvalidArgument otherwise); spaces with an empty bucket hold
+/// no plans and are dropped. Returns the surviving spaces.
 StatusOr<std::vector<PlanSpace>> ValidateSpaces(
     const stats::Workload& workload, std::vector<PlanSpace> spaces);
 

@@ -35,8 +35,39 @@ double ExecutionTrace::ModeledCost(
   return cost;
 }
 
+namespace {
+
+/// One plain FetchBatch call per batch against the registry's sources.
+class RegistryFetcher : public BatchFetcher {
+ public:
+  explicit RegistryFetcher(SourceRegistry& sources) : sources_(sources) {}
+
+  const AccessibleSource* Find(const std::string& predicate) const override {
+    return sources_.Find(predicate);
+  }
+
+  StatusOr<std::vector<std::vector<Term>>> Fetch(
+      const std::string& predicate,
+      const std::vector<std::map<int, Term>>& batch, int64_t* calls) override {
+    *calls = 1;
+    return sources_.Find(predicate)->FetchBatch(batch);
+  }
+
+ private:
+  SourceRegistry& sources_;
+};
+
+}  // namespace
+
 StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
     const datalog::ConjunctiveQuery& rewriting, SourceRegistry& sources,
+    ExecutionTrace* trace) {
+  RegistryFetcher fetcher(sources);
+  return ExecutePlanDependent(rewriting, fetcher, trace);
+}
+
+StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
+    const datalog::ConjunctiveQuery& rewriting, BatchFetcher& sources,
     ExecutionTrace* trace) {
   PLANORDER_RETURN_IF_ERROR(rewriting.ValidateSafety());
   for (const Atom& atom : rewriting.body) {
@@ -85,16 +116,11 @@ StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
       if (frontier.empty()) break;
       continue;
     }
-    AccessibleSource& source = *sources.Find(atom.predicate);
-    AtomAccess access;
-    access.source = atom.predicate;
-    const int64_t calls_before = source.stats().calls;
-    const int64_t shipped_before = source.stats().tuples_shipped;
+    const AccessibleSource& source = *sources.Find(atom.predicate);
 
     // Collect the distinct binding combinations the frontier sends to the
-    // source and ship them as ONE batched call — the semi-join of measure
-    // (2): h is paid once per source, alpha per tuple of the joined result.
-    std::vector<Substitution> next;
+    // source and ship them as ONE batch — the semi-join of measure (2): h is
+    // paid per source call, alpha per tuple of the joined result.
     std::vector<std::map<int, Term>> batch;
     std::map<std::string, size_t> combination_index;
     for (const Substitution& partial : frontier) {
@@ -114,11 +140,19 @@ StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
       if (inserted) batch.push_back(std::move(bindings));
     }
 
+    AtomAccess access;
+    access.source = atom.predicate;
+    std::vector<std::vector<Term>> rows;
     if (!batch.empty()) {
       PLANORDER_RETURN_IF_ERROR(source.ValidateBindings(batch.front()));
+      PLANORDER_ASSIGN_OR_RETURN(
+          rows, sources.Fetch(atom.predicate, batch, &access.calls));
     }
-    PLANORDER_ASSIGN_OR_RETURN(const std::vector<std::vector<Term>> rows,
-                               source.FetchBatch(batch));
+    access.tuples_shipped = static_cast<int64_t>(rows.size());
+    if (trace != nullptr) trace->atoms.push_back(std::move(access));
+    PLANORDER_RETURN_IF_ERROR(sources.AfterFetch(atom.predicate));
+
+    std::vector<Substitution> next;
     for (const Substitution& partial : frontier) {
       for (const auto& row : rows) {
         Substitution extended = partial;
@@ -129,9 +163,6 @@ StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
         if (ok) next.push_back(std::move(extended));
       }
     }
-    access.calls = source.stats().calls - calls_before;
-    access.tuples_shipped = source.stats().tuples_shipped - shipped_before;
-    if (trace != nullptr) trace->atoms.push_back(std::move(access));
     frontier = std::move(next);
     if (frontier.empty()) break;
   }

@@ -1,6 +1,8 @@
 #ifndef PLANORDER_EXEC_DEPENDENT_JOIN_H_
 #define PLANORDER_EXEC_DEPENDENT_JOIN_H_
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -33,14 +35,52 @@ struct ExecutionTrace {
                      const std::vector<double>& alpha_per_atom) const;
 };
 
-/// Executes a rewriting p(Y) :- V1(U1), ..., Vn(Un) against the registry by
-/// left-to-right *dependent joins*, the strategy cost measure (2) models:
-/// atom 1 is fetched with its constant bindings, every later atom is called
-/// once per distinct combination of values flowing in from the prefix (the
-/// semi-join "feed the titles into V_j"). Returns the distinct head tuples
-/// and, optionally, the access trace.
+/// The source access behind ExecutePlanDependent: resolves each body atom's
+/// predicate to its source and ships it one batch of binding combinations.
+/// Execution over a SourceRegistry makes one plain call per batch; the
+/// resilient runtime (runtime/parallel_join.h) partitions each batch across
+/// a thread pool, with retries and a plan budget.
+class BatchFetcher {
+ public:
+  virtual ~BatchFetcher() = default;
+
+  /// The source serving `predicate` (its arity and binding pattern), or
+  /// nullptr when none is registered.
+  virtual const AccessibleSource* Find(const std::string& predicate) const = 0;
+
+  /// Ships `batch` (non-empty distinct binding combinations over one
+  /// position set) to `predicate`'s source and returns the deduplicated
+  /// union of the matching rows in first-occurrence order — the row
+  /// sequence of AccessibleSource::FetchBatch. `*calls` receives the number
+  /// of source calls made.
+  virtual StatusOr<std::vector<std::vector<datalog::Term>>> Fetch(
+      const std::string& predicate,
+      const std::vector<std::map<int, datalog::Term>>& batch,
+      int64_t* calls) = 0;
+
+  /// Runs after each source atom's access enters the trace; a non-OK status
+  /// fails the plan at that atom (the runtime's plan budget).
+  virtual Status AfterFetch(const std::string& /*predicate*/) {
+    return OkStatus();
+  }
+};
+
+/// Executes a rewriting p(Y) :- V1(U1), ..., Vn(Un) by left-to-right
+/// *dependent joins*, the strategy cost measure (2) models: atom 1 is
+/// fetched with its constant bindings, every later atom is called with the
+/// distinct combinations of values flowing in from the prefix, shipped as
+/// one batch (the semi-join "feed the titles into V_j"). Returns the
+/// distinct head tuples and, optionally, the access trace — one entry per
+/// body atom, also when the frontier drains early. On a failed fetch the
+/// trace holds the atoms before it; on a failed AfterFetch it includes the
+/// atom itself.
 ///
-/// The rewriting must be safe and every body predicate registered.
+/// The rewriting must be safe and every body predicate served.
+StatusOr<std::vector<std::vector<datalog::Term>>> ExecutePlanDependent(
+    const datalog::ConjunctiveQuery& rewriting, BatchFetcher& sources,
+    ExecutionTrace* trace = nullptr);
+
+/// As above, against the registry's sources: one call per batch.
 StatusOr<std::vector<std::vector<datalog::Term>>> ExecutePlanDependent(
     const datalog::ConjunctiveQuery& rewriting, SourceRegistry& sources,
     ExecutionTrace* trace = nullptr);

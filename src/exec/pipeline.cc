@@ -1,9 +1,5 @@
 #include "exec/pipeline.h"
 
-#include "core/greedy.h"
-#include "core/idrips.h"
-#include "core/pi.h"
-#include "core/streamer.h"
 #include "reformulation/executable_order.h"
 
 namespace planorder::exec {
@@ -32,60 +28,11 @@ StatusOr<std::unique_ptr<OrderingPipeline>> OrderingPipeline::Create(
   PLANORDER_ASSIGN_OR_RETURN(
       pipeline->model_, utility::MakeMeasure(options.measure, workload));
 
-  Algorithm algorithm = options.algorithm;
-  if (algorithm == Algorithm::kAuto) {
-    // Section 6's guidance, encoded: Greedy clearly wins when applicable;
-    // Streamer when it can recycle dominance relations (diminishing
-    // returns); iDrips otherwise (e.g. operation caching).
-    if (pipeline->model_->fully_monotonic()) {
-      algorithm = Algorithm::kGreedy;
-    } else if (pipeline->model_->diminishing_returns()) {
-      algorithm = Algorithm::kStreamer;
-    } else {
-      algorithm = Algorithm::kIDrips;
-    }
-  }
-  std::vector<core::PlanSpace> spaces = {core::PlanSpace::FullSpace(*workload)};
-  switch (algorithm) {
-    case Algorithm::kGreedy: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::GreedyOrderer> orderer,
-          core::GreedyOrderer::Create(workload, pipeline->model_.get(),
-                                      std::move(spaces)));
-      pipeline->orderer_ = std::move(orderer);
-      pipeline->algorithm_name_ = "greedy";
-      break;
-    }
-    case Algorithm::kStreamer: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::StreamerOrderer> orderer,
-          core::StreamerOrderer::Create(workload, pipeline->model_.get(),
-                                        std::move(spaces), options.heuristic));
-      pipeline->orderer_ = std::move(orderer);
-      pipeline->algorithm_name_ = "streamer";
-      break;
-    }
-    case Algorithm::kIDrips: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::IDripsOrderer> orderer,
-          core::IDripsOrderer::Create(workload, pipeline->model_.get(),
-                                      std::move(spaces), options.heuristic));
-      pipeline->orderer_ = std::move(orderer);
-      pipeline->algorithm_name_ = "idrips";
-      break;
-    }
-    case Algorithm::kPi: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::PiOrderer> orderer,
-          core::PiOrderer::Create(workload, pipeline->model_.get(),
-                                  std::move(spaces)));
-      pipeline->orderer_ = std::move(orderer);
-      pipeline->algorithm_name_ = "pi";
-      break;
-    }
-    case Algorithm::kAuto:
-      return InternalError("kAuto must have been resolved");
-  }
+  PLANORDER_ASSIGN_OR_RETURN(
+      pipeline->orderer_,
+      core::MakeOrderer({options.algorithm, options.heuristic},
+                        workload, pipeline->model_.get(),
+                        {core::PlanSpace::FullSpace(*workload)}));
   return pipeline;
 }
 

@@ -9,6 +9,7 @@
 #include "base/status.h"
 #include "core/abstraction.h"
 #include "core/orderer.h"
+#include "core/orderer_factory.h"
 #include "reformulation/bucket.h"
 #include "reformulation/rewriting.h"
 #include "utility/measures.h"
@@ -23,20 +24,9 @@ namespace planorder::exec {
 /// atoms executably under the sources' access patterns.
 class OrderingPipeline {
  public:
-  enum class Algorithm {
-    /// The paper's Section 6 guidance: Greedy when the measure is fully
-    /// monotonic; otherwise Streamer when diminishing returns holds;
-    /// otherwise iDrips.
-    kAuto,
-    kGreedy,
-    kStreamer,
-    kIDrips,
-    kPi,
-  };
-
   struct Options {
     utility::MeasureKind measure = utility::MeasureKind::kCost2;
-    Algorithm algorithm = Algorithm::kAuto;
+    core::OrdererKind algorithm = core::OrdererKind::kAuto;
     core::AbstractionHeuristic heuristic =
         core::AbstractionHeuristic::kByCardinality;
   };
@@ -60,7 +50,7 @@ class OrderingPipeline {
   StatusOr<Emission> Next();
 
   /// Which algorithm kAuto resolved to ("greedy", "streamer", ...).
-  const std::string& algorithm_name() const { return algorithm_name_; }
+  std::string algorithm_name() const { return orderer_->name(); }
 
   const reformulation::BucketResult& buckets() const { return buckets_; }
   int64_t plan_evaluations() const { return orderer_->plan_evaluations(); }
@@ -73,7 +63,6 @@ class OrderingPipeline {
   reformulation::BucketResult buckets_;
   std::unique_ptr<utility::UtilityModel> model_;
   std::unique_ptr<core::Orderer> orderer_;
-  std::string algorithm_name_;
 };
 
 }  // namespace planorder::exec

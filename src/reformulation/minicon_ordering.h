@@ -25,7 +25,8 @@ struct MiniConPlanStream {
 /// masks are not meaningful across structurally different plan spaces, so
 /// the derived workloads carry a single trivial region; use the fully
 /// independent cost measures for ordering (which is also what makes merging
-/// the per-space streams exact — see core/merged.h).
+/// the per-space streams by utility exact: no emission from one stream can
+/// change a utility buffered in another).
 StatusOr<std::vector<MiniConPlanStream>> BuildMiniConStreams(
     const std::vector<Mcd>& mcds,
     const std::vector<GeneralizedBucket>& buckets,

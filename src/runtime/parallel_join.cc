@@ -6,13 +6,8 @@
 #include <unordered_set>
 #include <utility>
 
-#include "datalog/builtins.h"
-#include "datalog/unify.h"
-
 namespace planorder::runtime {
 
-using datalog::Atom;
-using datalog::Substitution;
 using datalog::Term;
 
 namespace {
@@ -24,18 +19,14 @@ struct PartitionResult {
   exec::RuntimeAccounting accounting;
 };
 
-/// Fetches `batch` split into at most `max_partitions` contiguous chunks run
-/// concurrently on `pool`, merging chunk results in chunk order with
-/// first-occurrence dedup (the serial FetchBatch row order). Returns the
-/// slowest partition's simulated time via `*elapsed_ms`.
+/// Fetches the non-empty `batch` split into at most `max_partitions`
+/// contiguous chunks run concurrently on `pool`, merging chunk results in
+/// chunk order with first-occurrence dedup (the serial FetchBatch row order).
+/// Adds the slowest partition's simulated time to `*elapsed_ms`.
 StatusOr<std::vector<std::vector<Term>>> FetchBatchPartitioned(
     RemoteSource& source, const std::vector<std::map<int, Term>>& batch,
     ThreadPool& pool, const ParallelJoinOptions& options, double* elapsed_ms,
     int64_t* partition_calls, exec::RuntimeAccounting* accounting) {
-  if (batch.empty()) {
-    *partition_calls = 0;
-    return std::vector<std::vector<Term>>{};
-  }
   const int min_size = std::max(1, options.min_partition_size);
   int partitions = std::min(
       {options.max_partitions, pool.num_threads(),
@@ -93,137 +84,59 @@ StatusOr<std::vector<std::vector<Term>>> FetchBatchPartitioned(
   return merged;
 }
 
+/// The runtime's side of the dependent-join kernel: every batch goes out
+/// partitioned over the pool with retries, the plan's simulated critical
+/// path is metered against its budget, and every call's accounting lands in
+/// the plan-local `accounting`.
+class PartitionedFetcher : public exec::BatchFetcher {
+ public:
+  PartitionedFetcher(RemoteRegistry& sources, ThreadPool& pool,
+                     const ParallelJoinOptions& options,
+                     exec::RuntimeAccounting* accounting)
+      : sources_(sources),
+        pool_(pool),
+        options_(options),
+        accounting_(accounting) {}
+
+  const exec::AccessibleSource* Find(
+      const std::string& predicate) const override {
+    const RemoteSource* source = sources_.Find(predicate);
+    return source == nullptr ? nullptr : &source->underlying();
+  }
+
+  StatusOr<std::vector<std::vector<Term>>> Fetch(
+      const std::string& predicate,
+      const std::vector<std::map<int, Term>>& batch, int64_t* calls) override {
+    return FetchBatchPartitioned(*sources_.Find(predicate), batch, pool_,
+                                 options_, &elapsed_ms_, calls, accounting_);
+  }
+
+  Status AfterFetch(const std::string& predicate) override {
+    if (options_.plan_budget_ms > 0.0 &&
+        elapsed_ms_ > options_.plan_budget_ms) {
+      return DeadlineExceededError(
+          "plan budget of " + std::to_string(options_.plan_budget_ms) +
+          "ms exhausted at '" + predicate + "'");
+    }
+    return OkStatus();
+  }
+
+ private:
+  RemoteRegistry& sources_;
+  ThreadPool& pool_;
+  const ParallelJoinOptions& options_;
+  exec::RuntimeAccounting* accounting_;
+  double elapsed_ms_ = 0.0;  // simulated critical path across the plan
+};
+
 }  // namespace
 
 StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependentParallel(
     const datalog::ConjunctiveQuery& rewriting, RemoteRegistry& sources,
     ThreadPool& pool, const ParallelJoinOptions& options,
-    exec::ExecutionTrace* trace, double* simulated_ms,
-    exec::RuntimeAccounting* accounting) {
-  PLANORDER_RETURN_IF_ERROR(rewriting.ValidateSafety());
-  for (const Atom& atom : rewriting.body) {
-    if (datalog::IsComparisonAtom(atom)) continue;
-    const RemoteSource* source = sources.Find(atom.predicate);
-    if (source == nullptr) {
-      return NotFoundError("no remote source for '" + atom.predicate + "'");
-    }
-    if (source->underlying().arity() != atom.arity()) {
-      return InvalidArgumentError("arity mismatch for '" + atom.predicate +
-                                  "'");
-    }
-    for (const Term& arg : atom.args) {
-      if (arg.is_function()) {
-        return InvalidArgumentError(
-            "function terms cannot be executed against sources");
-      }
-    }
-  }
-  if (trace != nullptr) trace->atoms.clear();
-
-  double elapsed_ms = 0.0;  // simulated critical path across the plan
-  // Partial bindings flowing left to right — identical to the serial
-  // dependent join; only the per-atom batched fetch is parallelized.
-  std::vector<Substitution> frontier = {Substitution{}};
-  for (const Atom& atom : rewriting.body) {
-    if (datalog::IsComparisonAtom(atom)) {
-      std::vector<Substitution> kept;
-      for (const Substitution& partial : frontier) {
-        const Atom resolved = datalog::ApplySubstitution(atom, partial);
-        if (!resolved.IsGround()) {
-          return InvalidArgumentError(
-              "comparison over unbound variables in execution order: " +
-              atom.ToString());
-        }
-        PLANORDER_ASSIGN_OR_RETURN(bool holds,
-                                   datalog::EvaluateComparison(resolved));
-        if (holds) kept.push_back(partial);
-      }
-      frontier = std::move(kept);
-      if (trace != nullptr) {
-        exec::AtomAccess filter;
-        filter.source = atom.predicate;
-        trace->atoms.push_back(std::move(filter));
-      }
-      if (frontier.empty()) break;
-      continue;
-    }
-    RemoteSource& source = *sources.Find(atom.predicate);
-
-    // Distinct binding combinations the frontier sends to the source, in
-    // first-seen order (matches the serial path exactly).
-    std::vector<std::map<int, Term>> batch;
-    std::map<std::string, size_t> combination_index;
-    for (const Substitution& partial : frontier) {
-      std::map<int, Term> bindings;
-      std::string key;
-      for (size_t pos = 0; pos < atom.args.size(); ++pos) {
-        const Term resolved =
-            datalog::ApplySubstitution(atom.args[pos], partial);
-        if (resolved.IsGround()) {
-          bindings[static_cast<int>(pos)] = resolved;
-          key += resolved.ToString();
-        }
-        key += '\x1f';
-      }
-      auto [it, inserted] =
-          combination_index.try_emplace(std::move(key), batch.size());
-      if (inserted) batch.push_back(std::move(bindings));
-    }
-    if (!batch.empty()) {
-      PLANORDER_RETURN_IF_ERROR(
-          source.underlying().ValidateBindings(batch.front()));
-    }
-
-    exec::AtomAccess access;
-    access.source = atom.predicate;
-    std::vector<std::vector<Term>> rows;
-    if (!batch.empty()) {
-      PLANORDER_ASSIGN_OR_RETURN(
-          rows, FetchBatchPartitioned(source, batch, pool, options,
-                                      &elapsed_ms, &access.calls, accounting));
-    }
-    access.tuples_shipped = static_cast<int64_t>(rows.size());
-    if (trace != nullptr) trace->atoms.push_back(std::move(access));
-    if (options.plan_budget_ms > 0.0 && elapsed_ms > options.plan_budget_ms) {
-      return DeadlineExceededError(
-          "plan budget of " + std::to_string(options.plan_budget_ms) +
-          "ms exhausted at '" + atom.predicate + "'");
-    }
-
-    std::vector<Substitution> next;
-    for (const Substitution& partial : frontier) {
-      for (const auto& row : rows) {
-        Substitution extended = partial;
-        bool ok = true;
-        for (size_t pos = 0; pos < atom.args.size() && ok; ++pos) {
-          ok = datalog::MatchTerm(atom.args[pos], row[pos], extended);
-        }
-        if (ok) next.push_back(std::move(extended));
-      }
-    }
-    frontier = std::move(next);
-    if (frontier.empty()) break;
-  }
-
-  std::unordered_set<std::vector<Term>, datalog::TermVectorHash> seen;
-  std::vector<std::vector<Term>> answers;
-  for (const Substitution& subst : frontier) {
-    Atom head = datalog::ApplySubstitution(rewriting.head, subst);
-    if (!head.IsGround()) {
-      return InternalError("unbound head after safe execution");
-    }
-    if (seen.insert(head.args).second) answers.push_back(std::move(head.args));
-  }
-  // Keep trace length equal to the body even when the frontier drained.
-  if (trace != nullptr) {
-    while (trace->atoms.size() < rewriting.body.size()) {
-      exec::AtomAccess empty;
-      empty.source = rewriting.body[trace->atoms.size()].predicate;
-      trace->atoms.push_back(std::move(empty));
-    }
-  }
-  if (simulated_ms != nullptr) *simulated_ms = elapsed_ms;
-  return answers;
+    exec::ExecutionTrace* trace, exec::RuntimeAccounting* accounting) {
+  PartitionedFetcher fetcher(sources, pool, options, accounting);
+  return exec::ExecutePlanDependent(rewriting, fetcher, trace);
 }
 
 }  // namespace planorder::runtime

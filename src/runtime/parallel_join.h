@@ -28,22 +28,20 @@ struct ParallelJoinOptions {
   double plan_budget_ms = 0.0;
 };
 
-/// Executes a rewriting by left-to-right dependent joins like
-/// exec::ExecutePlanDependent, but against resilient RemoteSources with each
-/// atom's batched semi-join *partitioned across the thread pool*: the
-/// distinct binding combinations flowing in from the prefix are split into
-/// contiguous chunks fetched concurrently, and the chunk results are merged
-/// back in chunk order with first-occurrence deduplication — bit-identical to
-/// the serial batch's row sequence, so with faults disabled this path returns
-/// exactly the serial path's answers in the same order.
+/// Executes a rewriting with exec::ExecutePlanDependent against resilient
+/// RemoteSources, each atom's batched semi-join *partitioned across the
+/// thread pool*: the distinct binding combinations flowing in from the
+/// prefix are split into contiguous chunks fetched concurrently, and the
+/// chunk results are merged back in chunk order with first-occurrence
+/// deduplication — bit-identical to the serial batch's row sequence, so with
+/// faults disabled this path returns exactly the serial path's answers in
+/// the same order. A trace entry's `calls` counts the partitions.
 ///
 /// Failure semantics: a source outage that survives retries, or an exhausted
-/// plan budget, fails the WHOLE PLAN with kUnavailable / kDeadlineExceeded —
-/// the mediator degrades gracefully by discarding the plan (see
+/// plan budget (the sum over atoms of the slowest partition of each batched
+/// call), fails the WHOLE PLAN with kUnavailable / kDeadlineExceeded — the
+/// mediator degrades gracefully by discarding the plan (see
 /// exec::PlanExecution::failed). Other statuses indicate real errors.
-///
-/// On success `*simulated_ms` (if non-null) holds the plan's simulated
-/// elapsed time as defined above.
 ///
 /// `*accounting` (if non-null) accumulates the runtime accounting of every
 /// source call this plan made — populated on failure paths too (the work a
@@ -54,7 +52,7 @@ struct ParallelJoinOptions {
 StatusOr<std::vector<std::vector<datalog::Term>>> ExecutePlanDependentParallel(
     const datalog::ConjunctiveQuery& rewriting, RemoteRegistry& sources,
     ThreadPool& pool, const ParallelJoinOptions& options,
-    exec::ExecutionTrace* trace = nullptr, double* simulated_ms = nullptr,
+    exec::ExecutionTrace* trace = nullptr,
     exec::RuntimeAccounting* accounting = nullptr);
 
 }  // namespace planorder::runtime

@@ -36,10 +36,8 @@ StatusOr<exec::PlanExecution> SourceRuntime::ExecutePlan(
   // counts come from the plan's own execution trace for the same reason.
   exec::PlanExecution exec;
   exec::ExecutionTrace trace;
-  auto tuples =
-      ExecutePlanDependentParallel(rewriting, remotes_, pool_, join_options_,
-                                   &trace, /*simulated_ms=*/nullptr,
-                                   &exec.runtime);
+  auto tuples = ExecutePlanDependentParallel(
+      rewriting, remotes_, pool_, join_options_, &trace, &exec.runtime);
   exec.source_calls = trace.TotalCalls();
   exec.tuples_shipped = trace.TotalTuplesShipped();
   if (!tuples.ok()) {

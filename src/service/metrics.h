@@ -81,6 +81,9 @@ struct ServiceMetricsSnapshot {
   /// one is a survived cold start, not a crash.
   int64_t plan_store_load_failures = 0;
   int64_t plan_store_saves = 0;
+  /// Store writes that failed (e.g. an unwritable directory). The service
+  /// keeps serving; the next cold miss retries the write.
+  int64_t plan_store_save_failures = 0;
 
   // Mediation totals across completed sessions.
   int64_t total_answers = 0;
@@ -119,6 +122,7 @@ struct ServiceMetricsSnapshot {
     plan_store_entries_loaded += other.plan_store_entries_loaded;
     plan_store_load_failures += other.plan_store_load_failures;
     plan_store_saves += other.plan_store_saves;
+    plan_store_save_failures += other.plan_store_save_failures;
     total_answers += other.total_answers;
     total_steps += other.total_steps;
     runtime.Merge(other.runtime);

@@ -4,9 +4,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/idrips.h"
+#include "core/orderer_factory.h"
 #include "core/plan_space.h"
-#include "core/streamer.h"
 #include "datalog/canonicalize.h"
 #include "datalog/containment.h"
 #include "datalog/parser.h"
@@ -123,9 +122,11 @@ Status QueryService::PersistPlanStore() {
     MutexLock lock(store_mu_);
     saved = options_.plan_store->Save(contents);
   }
+  MutexLock lock(mu_);
   if (saved.ok()) {
-    MutexLock lock(mu_);
     ++plan_store_saves_;
+  } else {
+    ++plan_store_save_failures_;
   }
   return saved;
 }
@@ -224,7 +225,7 @@ StatusOr<QueryService::ReformulationOutcome> QueryService::Reformulate(
   cache_.Insert(fresh);
   if (options_.plan_store != nullptr) {
     // Best-effort: a failed persist leaves the service fully functional
-    // (the next cold miss retries); Metrics counts successful saves.
+    // (the next cold miss retries); Metrics counts saves and failures.
     (void)PersistPlanStore();
   }
   return ReformulationOutcome{std::move(fresh), false};
@@ -248,10 +249,7 @@ Status QueryService::SetUpOrdering(Session& session) {
     // The adaptive wrapper owns its per-generation models and inner orderer;
     // the session's reformulation workload serves as the estimate baseline.
     adaptive::AdaptiveOptions adaptive_options;
-    adaptive_options.inner =
-        options_.orderer == ServiceOptions::OrdererKind::kIDrips
-            ? adaptive::InnerOrderer::kIDrips
-            : adaptive::InnerOrderer::kStreamer;
+    adaptive_options.inner = core::OrdererKind::kAuto;
     adaptive_options.measure = options_.measure;
     adaptive_options.drift = options_.drift;
     PLANORDER_ASSIGN_OR_RETURN(
@@ -260,29 +258,13 @@ Status QueryService::SetUpOrdering(Session& session) {
             workload,
             ResolveSourceNames(session.reformulation_->buckets.buckets),
             options_.observed_stats, adaptive_options));
-    if (eval_pool_ != nullptr) {
-      session.orderer_->set_eval_pool(eval_pool_.get());
-    }
-    return OkStatus();
-  }
-  PLANORDER_ASSIGN_OR_RETURN(
-      session.model_, utility::MakeMeasure(options_.measure, workload));
-  std::vector<core::PlanSpace> spaces = {core::PlanSpace::FullSpace(*workload)};
-  switch (options_.orderer) {
-    case ServiceOptions::OrdererKind::kStreamer: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          session.orderer_,
-          core::StreamerOrderer::Create(workload, session.model_.get(),
-                                        std::move(spaces)));
-      break;
-    }
-    case ServiceOptions::OrdererKind::kIDrips: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          session.orderer_,
-          core::IDripsOrderer::Create(workload, session.model_.get(),
-                                      std::move(spaces)));
-      break;
-    }
+  } else {
+    PLANORDER_ASSIGN_OR_RETURN(
+        session.model_, utility::MakeMeasure(options_.measure, workload));
+    PLANORDER_ASSIGN_OR_RETURN(
+        session.orderer_,
+        core::MakeOrderer({}, workload, session.model_.get(),
+                          {core::PlanSpace::FullSpace(*workload)}));
   }
   if (eval_pool_ != nullptr) session.orderer_->set_eval_pool(eval_pool_.get());
   return OkStatus();
@@ -382,6 +364,7 @@ ServiceMetricsSnapshot QueryService::Metrics() const {
     snapshot.plan_store_entries_loaded = plan_store_entries_loaded_;
     snapshot.plan_store_load_failures = plan_store_load_failures_;
     snapshot.plan_store_saves = plan_store_saves_;
+    snapshot.plan_store_save_failures = plan_store_save_failures_;
     snapshot.runtime = runtime_total_;
   }
   snapshot.cache = cache_.stats();

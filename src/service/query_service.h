@@ -40,12 +40,10 @@ struct ServiceOptions {
   /// never waits (full = shed).
   double admission_timeout_ms = 1000.0;
 
-  enum class OrdererKind { kStreamer, kIDrips };
-  OrdererKind orderer = OrdererKind::kStreamer;
-
-  /// Utility measure every session's orderer optimizes. Non-diminishing
-  /// measures (the caching variants) require OrdererKind::kIDrips —
-  /// Streamer::Create rejects them, and OpenSession surfaces that error.
+  /// Utility measure every session's orderer optimizes. The orderer is
+  /// chosen from it by the Section 6 rule (core::OrdererKind::kAuto):
+  /// Greedy for fully monotonic measures, Streamer under diminishing
+  /// returns (coverage), iDrips otherwise (the caching variants).
   utility::MeasureKind measure = utility::MeasureKind::kCoverage;
 
   /// Read-only residency view of a cross-session source-operation cache
@@ -203,7 +201,7 @@ class QueryService {
       const datalog::ConjunctiveQuery& query);
 
   /// Builds `session`'s utility model and orderer over its (cached, shared)
-  /// reformulation, per options_.orderer, and wires in the shared eval pool.
+  /// reformulation, and wires in the shared eval pool.
   Status SetUpOrdering(Session& session);
 
   /// Admission + reformulation + ordering — everything shared between plan
@@ -247,6 +245,7 @@ class QueryService {
   int64_t plan_store_entries_loaded_ GUARDED_BY(mu_) = 0;
   int64_t plan_store_load_failures_ GUARDED_BY(mu_) = 0;
   int64_t plan_store_saves_ GUARDED_BY(mu_) = 0;
+  int64_t plan_store_save_failures_ GUARDED_BY(mu_) = 0;
   exec::RuntimeAccounting runtime_total_ GUARDED_BY(mu_);
   /// Serializes whole-store rewrites (Save is atomic per call; this orders
   /// concurrent cold-miss persists).

@@ -4,72 +4,13 @@
 #include <sstream>
 #include <utility>
 
-#include "core/greedy.h"
-#include "core/idrips.h"
-#include "core/pi.h"
+#include "core/orderer_factory.h"
 #include "core/plan_space.h"
-#include "core/streamer.h"
 #include "runtime/retry_policy.h"
 #include "sim/oracle.h"
 #include "sim/properties.h"
 
 namespace planorder::sim {
-
-bool Applicable(AlgoKind algo, const utility::UtilityModel& model) {
-  switch (algo) {
-    case AlgoKind::kGreedy:
-      return model.fully_monotonic();
-    case AlgoKind::kStreamer:
-      return model.diminishing_returns();
-    case AlgoKind::kIDrips:
-    case AlgoKind::kIDripsRebuild:
-    case AlgoKind::kPi:
-      return true;
-  }
-  return false;
-}
-
-StatusOr<std::unique_ptr<core::Orderer>> MakeOrderer(
-    AlgoKind algo, const stats::Workload* workload,
-    utility::UtilityModel* model, bool probe_lower_bounds) {
-  std::vector<core::PlanSpace> spaces = {
-      core::PlanSpace::FullSpace(*workload)};
-  switch (algo) {
-    case AlgoKind::kGreedy: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::GreedyOrderer> orderer,
-          core::GreedyOrderer::Create(workload, model, std::move(spaces)));
-      return std::unique_ptr<core::Orderer>(std::move(orderer));
-    }
-    case AlgoKind::kIDrips:
-    case AlgoKind::kIDripsRebuild: {
-      core::IDripsOptions options;
-      options.probe_lower_bounds = probe_lower_bounds;
-      options.persistent_frontier = algo == AlgoKind::kIDrips;
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::IDripsOrderer> orderer,
-          core::IDripsOrderer::Create(workload, model, std::move(spaces),
-                                      options));
-      return std::unique_ptr<core::Orderer>(std::move(orderer));
-    }
-    case AlgoKind::kStreamer: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::StreamerOrderer> orderer,
-          core::StreamerOrderer::Create(
-              workload, model, std::move(spaces),
-              core::AbstractionHeuristic::kByCardinality,
-              probe_lower_bounds));
-      return std::unique_ptr<core::Orderer>(std::move(orderer));
-    }
-    case AlgoKind::kPi: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::PiOrderer> orderer,
-          core::PiOrderer::Create(workload, model, std::move(spaces)));
-      return std::unique_ptr<core::Orderer>(std::move(orderer));
-    }
-  }
-  return InvalidArgumentError("unknown algorithm kind");
-}
 
 StatusOr<std::vector<core::OrderedPlan>> Drain(core::Orderer& orderer,
                                                runtime::ThreadPool* pool) {
@@ -91,10 +32,11 @@ namespace {
 /// Prefixes a check failure with its full coordinates, so the sweep's
 /// failure line alone pinpoints the (check, measure, algo) cell.
 Status Contextualize(const Status& status, const std::string& check,
-                     utility::MeasureKind kind, AlgoKind algo) {
+                     utility::MeasureKind kind, const core::OrdererSpec& algo) {
   std::ostringstream out;
   out << "check=" << check << " measure=" << utility::MeasureKindName(kind)
-      << " algo=" << AlgoKindName(algo) << ": " << status.message();
+      << " algo=" << core::OrdererKindName(algo.kind) << ": "
+      << status.message();
   return Status(status.code(), out.str());
 }
 
@@ -118,17 +60,19 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
       ++local.skipped;
       continue;
     }
-    for (AlgoKind algo : scenario.algos) {
-      if (!Applicable(algo, **model)) {
+    for (core::OrdererKind algo_kind : scenario.algos) {
+      if (!core::Applicable(algo_kind, **model)) {
         ++local.skipped;
         continue;
       }
+      const core::OrdererSpec algo{algo_kind,
+                                   core::AbstractionHeuristic::kByCardinality,
+                                   scenario.probe_lower_bounds};
 
       // Serial baseline: every other check is differential against it.
       PLANORDER_ASSIGN_OR_RETURN(
           std::unique_ptr<core::Orderer> orderer,
-          MakeOrderer(algo, &workload, model->get(),
-                      scenario.probe_lower_bounds));
+          core::MakeOrderer(algo, &workload, model->get(), {full}));
       StatusOr<std::vector<core::OrderedPlan>> serial =
           Drain(*orderer, /*pool=*/nullptr);
       if (!serial.ok()) {
@@ -148,8 +92,8 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
 
       for (int threads : scenario.thread_counts) {
         Status status = CheckParallelAgreement(
-            workload, kind, algo, scenario.probe_lower_bounds, *serial,
-            orderer->plan_evaluations(), threads);
+            workload, kind, algo, *serial, orderer->plan_evaluations(),
+            threads);
         if (!status.ok()) {
           return Contextualize(status, "parallel", kind, algo);
         }
@@ -159,7 +103,6 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
       if (scenario.check_monotone) {
         // Exact transform (power-of-two scale): bit-identical sequence.
         Status status = CheckMonotoneTransform(workload, kind, algo,
-                                               scenario.probe_lower_bounds,
                                                /*scale=*/4.0, /*shift=*/0.0,
                                                options.tolerance);
         if (!status.ok()) {
@@ -167,7 +110,6 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
         }
         // Inexact shift: utility sequences match after the inverse map.
         status = CheckMonotoneTransform(workload, kind, algo,
-                                        scenario.probe_lower_bounds,
                                         /*scale=*/1.0, /*shift=*/8.0,
                                         options.tolerance);
         if (!status.ok()) {
@@ -178,7 +120,7 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
 
       if (scenario.check_relabel) {
         Status status = CheckRelabelInvariance(
-            workload, kind, algo, scenario.probe_lower_bounds,
+            workload, kind, algo,
             runtime::CombineHash(scenario.workload_seed,
                                  uint64_t(scenario.step)),
             options.tolerance,

@@ -32,15 +32,6 @@ struct SimReport {
   }
 };
 
-/// True when `algo` can order under `model` (Greedy needs full monotonicity,
-/// Streamer diminishing returns; the rest are universal).
-bool Applicable(AlgoKind algo, const utility::UtilityModel& model);
-
-/// Instantiates `algo` over the full plan space of `workload`.
-StatusOr<std::unique_ptr<core::Orderer>> MakeOrderer(
-    AlgoKind algo, const stats::Workload* workload,
-    utility::UtilityModel* model, bool probe_lower_bounds);
-
 /// Pulls every emission out of `orderer` (kNotFound terminates; any other
 /// status propagates). `pool`, if non-null, is injected for batched utility
 /// evaluation before the first Next().

@@ -16,10 +16,9 @@
 #include "anyk/brute_force.h"
 #include "anyk/ranked_stream.h"
 #include "base/rng.h"
-#include "core/idrips.h"
 #include "cluster/sharded_service.h"
 #include "cluster/source_cache.h"
-#include "core/pi.h"
+#include "core/orderer_factory.h"
 #include "core/plan_space.h"
 #include "exec/mediator.h"
 #include "exec/source_access.h"
@@ -54,10 +53,11 @@ bool IsPowerOfTwo(double x) {
 
 StatusOr<std::vector<core::OrderedPlan>> RunAlgo(
     const stats::Workload& workload, utility::UtilityModel* model,
-    AlgoKind algo, bool probe_lower_bounds) {
+    const core::OrdererSpec& algo) {
   PLANORDER_ASSIGN_OR_RETURN(
       std::unique_ptr<core::Orderer> orderer,
-      MakeOrderer(algo, &workload, model, probe_lower_bounds));
+      core::MakeOrderer(algo, &workload, model,
+                        {core::PlanSpace::FullSpace(workload)}));
   return Drain(*orderer, /*pool=*/nullptr);
 }
 
@@ -84,21 +84,21 @@ Interval AffineModel::Evaluate(utility::NodeSpan nodes,
 }
 
 Status CheckMonotoneTransform(const stats::Workload& workload,
-                              utility::MeasureKind kind, AlgoKind algo,
-                              bool probe_lower_bounds, double scale,
+                              utility::MeasureKind kind,
+                              const core::OrdererSpec& algo, double scale,
                               double shift, double tolerance) {
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<utility::UtilityModel> base,
                              utility::MakeMeasure(kind, &workload));
   PLANORDER_ASSIGN_OR_RETURN(
       std::vector<core::OrderedPlan> reference,
-      RunAlgo(workload, base.get(), algo, probe_lower_bounds));
+      RunAlgo(workload, base.get(), algo));
 
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<utility::UtilityModel> inner,
                              utility::MakeMeasure(kind, &workload));
   AffineModel transformed(inner.get(), &workload, scale, shift);
   PLANORDER_ASSIGN_OR_RETURN(
       std::vector<core::OrderedPlan> emissions,
-      RunAlgo(workload, &transformed, algo, probe_lower_bounds));
+      RunAlgo(workload, &transformed, algo));
 
   if (emissions.size() != reference.size()) {
     std::ostringstream out;
@@ -140,14 +140,14 @@ Status CheckMonotoneTransform(const stats::Workload& workload,
 }
 
 Status CheckRelabelInvariance(const stats::Workload& workload,
-                              utility::MeasureKind kind, AlgoKind algo,
-                              bool probe_lower_bounds, uint64_t perm_seed,
+                              utility::MeasureKind kind,
+                              const core::OrdererSpec& algo, uint64_t perm_seed,
                               double tolerance, uint64_t max_oracle_plans) {
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<utility::UtilityModel> base,
                              utility::MakeMeasure(kind, &workload));
   PLANORDER_ASSIGN_OR_RETURN(
       std::vector<core::OrderedPlan> reference,
-      RunAlgo(workload, base.get(), algo, probe_lower_bounds));
+      RunAlgo(workload, base.get(), algo));
 
   // Seeded Fisher-Yates per bucket: permuted[b][i] = original source index
   // now sitting at position i.
@@ -176,7 +176,7 @@ Status CheckRelabelInvariance(const stats::Workload& workload,
                              utility::MakeMeasure(kind, &relabeled));
   PLANORDER_ASSIGN_OR_RETURN(
       std::vector<core::OrderedPlan> emissions,
-      RunAlgo(relabeled, model.get(), algo, probe_lower_bounds));
+      RunAlgo(relabeled, model.get(), algo));
 
   if (emissions.size() != reference.size()) {
     std::ostringstream out;
@@ -210,15 +210,16 @@ Status CheckRelabelInvariance(const stats::Workload& workload,
 }
 
 Status CheckParallelAgreement(const stats::Workload& workload,
-                              utility::MeasureKind kind, AlgoKind algo,
-                              bool probe_lower_bounds,
+                              utility::MeasureKind kind,
+                              const core::OrdererSpec& algo,
                               const std::vector<core::OrderedPlan>& serial,
                               int64_t serial_evaluations, int threads) {
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<utility::UtilityModel> model,
                              utility::MakeMeasure(kind, &workload));
   PLANORDER_ASSIGN_OR_RETURN(
       std::unique_ptr<core::Orderer> orderer,
-      MakeOrderer(algo, &workload, model.get(), probe_lower_bounds));
+      core::MakeOrderer(algo, &workload, model.get(),
+                        {core::PlanSpace::FullSpace(workload)}));
   runtime::ThreadPool pool(threads);
   PLANORDER_ASSIGN_OR_RETURN(std::vector<core::OrderedPlan> emissions,
                              Drain(*orderer, &pool));
@@ -329,9 +330,10 @@ Status CheckRuntimeEquivalence(const Scenario& scenario) {
         utility::MakeMeasure(utility::MeasureKind::kCoverage,
                              &domain->workload));
     PLANORDER_ASSIGN_OR_RETURN(
-        std::unique_ptr<core::PiOrderer> orderer,
-        core::PiOrderer::Create(&domain->workload, model.get(),
-                                {core::PlanSpace::FullSpace(domain->workload)}));
+        std::unique_ptr<core::Orderer> orderer,
+        core::MakeOrderer({core::OrdererKind::kPi}, &domain->workload,
+                          model.get(),
+                          {core::PlanSpace::FullSpace(domain->workload)}));
     exec::Mediator::RunLimits limits;
     limits.max_plans = max_plans;
     if (executor != nullptr) {
@@ -523,8 +525,9 @@ Status CheckRankedEmission(const Scenario& scenario,
                              &domain->workload));
     PLANORDER_ASSIGN_OR_RETURN(
         std::unique_ptr<core::Orderer> orderer,
-        MakeOrderer(AlgoKind::kIDrips, &domain->workload, model.get(),
-                    /*probe_lower_bounds=*/false));
+        core::MakeOrderer({core::OrdererKind::kIDrips}, &domain->workload,
+                          model.get(),
+                          {core::PlanSpace::FullSpace(domain->workload)}));
     if (pool != nullptr) orderer->set_eval_pool(pool);
     anyk::RankedAnswerStream::Options run_options = options;
     run_options.weights = weights;
@@ -746,7 +749,6 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance) {
     cluster::ClusterOptions copts;
     copts.num_shards = std::max(1, std::min(scenario.num_shards, 8));
     copts.source_cache = &fx->cache;
-    copts.shard.orderer = service::ServiceOptions::OrdererKind::kIDrips;
     copts.shard.measure = utility::MeasureKind::kFailureCache;
     // All sessions share one query class and therefore one home shard; size
     // that shard to admit every client with no shedding or waiting.
@@ -963,7 +965,7 @@ StatusOr<std::vector<core::OrderedPlan>> RunAdaptiveDrift(
   adaptive::ObservedStats observed(
       adaptive::ObservedStatsOptions{scenario.drift_decay});
   adaptive::AdaptiveOptions options;
-  options.inner = adaptive::InnerOrderer::kIDrips;
+  options.inner = core::OrdererKind::kIDrips;
   options.measure = world.kind;
   options.drift = MakeDriftOptions(scenario, !scenario.drift_inject_stale);
   PLANORDER_ASSIGN_OR_RETURN(
@@ -1030,13 +1032,10 @@ Status CheckDriftRerank(const Scenario& scenario, double tolerance) {
     blended = std::make_unique<stats::Workload>(std::move(b));
     PLANORDER_ASSIGN_OR_RETURN(model,
                                utility::MakeMeasure(world.kind, blended.get()));
-    std::vector<core::PlanSpace> spaces;
-    spaces.push_back(core::PlanSpace::FullSpace(*blended));
     PLANORDER_ASSIGN_OR_RETURN(
-        std::unique_ptr<core::IDripsOrderer> built,
-        core::IDripsOrderer::Create(blended.get(), model.get(),
-                                    std::move(spaces), core::IDripsOptions{}));
-    inner = std::move(built);
+        inner, core::MakeOrderer({core::OrdererKind::kIDrips}, blended.get(),
+                                 model.get(),
+                                 {core::PlanSpace::FullSpace(*blended)}));
     for (const core::ConcretePlan& plan : executed) {
       PLANORDER_RETURN_IF_ERROR(inner->PreloadExecuted(plan));
     }

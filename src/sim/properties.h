@@ -69,8 +69,8 @@ class AffineModel : public utility::UtilityModel {
 /// exactly; otherwise utilities must match within `tolerance` after the
 /// inverse transform.
 Status CheckMonotoneTransform(const stats::Workload& workload,
-                              utility::MeasureKind kind, AlgoKind algo,
-                              bool probe_lower_bounds, double scale,
+                              utility::MeasureKind kind,
+                              const core::OrdererSpec& algo, double scale,
                               double shift, double tolerance);
 
 /// Metamorphic property: relabeling invariance. Permutes the sources inside
@@ -81,16 +81,16 @@ Status CheckMonotoneTransform(const stats::Workload& workload,
 /// the permuted emissions to pass the exhaustive-order oracle in their own
 /// basis when the space has at most `max_oracle_plans` plans.
 Status CheckRelabelInvariance(const stats::Workload& workload,
-                              utility::MeasureKind kind, AlgoKind algo,
-                              bool probe_lower_bounds, uint64_t perm_seed,
+                              utility::MeasureKind kind,
+                              const core::OrdererSpec& algo, uint64_t perm_seed,
                               double tolerance, uint64_t max_oracle_plans);
 
 /// Determinism contract: a run with a shared evaluation pool of `threads`
 /// workers must reproduce the serial emissions byte-identically — same
 /// plans, bit-equal utilities, equal plan_evaluations().
 Status CheckParallelAgreement(const stats::Workload& workload,
-                              utility::MeasureKind kind, AlgoKind algo,
-                              bool probe_lower_bounds,
+                              utility::MeasureKind kind,
+                              const core::OrdererSpec& algo,
                               const std::vector<core::OrderedPlan>& serial,
                               int64_t serial_evaluations, int threads);
 

@@ -32,32 +32,10 @@ std::string JoinInts(const std::vector<int>& values) {
 
 }  // namespace
 
-std::string AlgoKindName(AlgoKind kind) {
-  switch (kind) {
-    case AlgoKind::kGreedy:
-      return "greedy";
-    case AlgoKind::kIDrips:
-      return "idrips";
-    case AlgoKind::kIDripsRebuild:
-      return "idrips-rebuild";
-    case AlgoKind::kStreamer:
-      return "streamer";
-    case AlgoKind::kPi:
-      return "pi";
-  }
-  return "unknown";
-}
-
-StatusOr<AlgoKind> AlgoKindFromName(const std::string& name) {
-  for (AlgoKind kind : AllAlgoKinds()) {
-    if (AlgoKindName(kind) == name) return kind;
-  }
-  return InvalidArgumentError("unknown algorithm '" + name + "'");
-}
-
-std::vector<AlgoKind> AllAlgoKinds() {
-  return {AlgoKind::kGreedy, AlgoKind::kIDrips, AlgoKind::kIDripsRebuild,
-          AlgoKind::kStreamer, AlgoKind::kPi};
+std::vector<core::OrdererKind> AllAlgoKinds() {
+  return {core::OrdererKind::kGreedy, core::OrdererKind::kIDrips,
+          core::OrdererKind::kIDripsRebuild, core::OrdererKind::kStreamer,
+          core::OrdererKind::kPi};
 }
 
 std::vector<MeasureKind> AllMeasureKinds() {
@@ -139,7 +117,7 @@ std::string Scenario::Serialize() const {
   out << " algos=";
   for (size_t i = 0; i < algos.size(); ++i) {
     if (i > 0) out << ",";
-    out << AlgoKindName(algos[i]);
+    out << core::OrdererKindName(algos[i]);
   }
   out << " thread_counts=" << JoinInts(thread_counts);
   out << " probe_lower_bounds=" << (probe_lower_bounds ? 1 : 0);
@@ -219,7 +197,8 @@ StatusOr<Scenario> Scenario::Deserialize(const std::string& line) {
         }
       } else if (key == "algos") {
         for (const std::string& name : split_list(value)) {
-          PLANORDER_ASSIGN_OR_RETURN(AlgoKind kind, AlgoKindFromName(name));
+          PLANORDER_ASSIGN_OR_RETURN(core::OrdererKind kind,
+                                     core::OrdererKindFromName(name));
           s.algos.push_back(kind);
         }
       } else if (key == "thread_counts") {

@@ -7,27 +7,17 @@
 
 #include "anyk/weights.h"
 #include "base/status.h"
+#include "core/orderer_factory.h"
 #include "runtime/remote_source.h"
 #include "stats/workload.h"
 #include "utility/measures.h"
 
 namespace planorder::sim {
 
-/// The ordering algorithms under differential test.
-enum class AlgoKind {
-  kGreedy,         // Section 4; fully monotonic measures only
-  kIDrips,         // Section 5.2, persistent frontier (DESIGN.md §6)
-  kIDripsRebuild,  // Section 5.2, rebuild-from-roots mode
-  kStreamer,       // Section 5.2 Figure 5; diminishing-returns measures only
-  kPi,             // PI baseline (brute force + independence filter)
-};
-
-/// Stable name ("greedy", "idrips", ...), and its inverse.
-std::string AlgoKindName(AlgoKind kind);
-StatusOr<AlgoKind> AlgoKindFromName(const std::string& name);
-
-/// All algorithm kinds, in enum order.
-std::vector<AlgoKind> AllAlgoKinds();
+/// The ordering algorithms under differential test, in the order every
+/// generated scenario lists them: greedy, idrips, idrips-rebuild, streamer,
+/// pi.
+std::vector<core::OrdererKind> AllAlgoKinds();
 /// All measure kinds, in enum order.
 std::vector<utility::MeasureKind> AllMeasureKinds();
 
@@ -55,7 +45,7 @@ struct Scenario {
 
   // --- What to cross-check ---
   std::vector<utility::MeasureKind> measures;
-  std::vector<AlgoKind> algos;
+  std::vector<core::OrdererKind> algos;
   /// Evaluation-pool sizes whose emissions must be byte-identical to the
   /// serial run. (1 is implied: the serial run is always the baseline.)
   std::vector<int> thread_counts;

@@ -128,7 +128,7 @@ class Shrinker {
 
   bool ShrinkAlgos() {
     if (result_->scenario.algos.size() <= 1) return false;
-    for (AlgoKind algo : result_->scenario.algos) {
+    for (core::OrdererKind algo : result_->scenario.algos) {
       Scenario candidate = result_->scenario;
       candidate.algos = {algo};
       if (StillFails(candidate)) return true;

@@ -181,7 +181,6 @@ TEST(ShardedServiceTest, WarmCacheShiftsSecondSessionUtilities) {
   ClusterOptions options;
   options.num_shards = 2;
   options.source_cache = &cache;
-  options.shard.orderer = service::ServiceOptions::OrdererKind::kIDrips;
   options.shard.measure = utility::MeasureKind::kFailureCache;
   ShardedService service(&d.catalog, &d.source_facts, options, &runtime);
   const exec::Mediator::RunLimits limits = FullDrain(d);
@@ -248,8 +247,7 @@ TEST(ShardedServiceTest, DisabledRefreshReproducesStaleUtilities) {
     ClusterOptions options;
     options.num_shards = 1;
     options.source_cache = &cache;
-    options.shard.orderer = service::ServiceOptions::OrdererKind::kIDrips;
-    options.shard.measure = utility::MeasureKind::kFailureCache;
+      options.shard.measure = utility::MeasureKind::kFailureCache;
     options.shard.refresh_source_cache_view = refresh;
     ShardedService service(&d.catalog, &d.source_facts, options, &runtime);
     const exec::Mediator::RunLimits limits = FullDrain(d);

@@ -100,8 +100,8 @@ TEST_P(OrdererAgreementTest, AllAlgorithmsProduceTheExactOrdering) {
         AbstractionHeuristic::kByMaskSimilarity, AbstractionHeuristic::kRandom}) {
     for (bool probes : {false, true}) {
       auto model = MustMakeMeasure(c.measure, &w);
-      auto idrips =
-          core::IDripsOrderer::Create(&w, model.get(), spaces, h, probes);
+      auto idrips = core::IDripsOrderer::Create(&w, model.get(), spaces,
+                                                core::IDripsOptions{h, probes});
       ASSERT_TRUE(idrips.ok());
       const auto plans = Drain(**idrips);
       ExpectSameUtilitySequence(reference, plans, "idrips vs naive");

@@ -187,9 +187,7 @@ TEST(OrdererEdgeTest, PlainIntervalModeStaysExact) {
     }
 
     auto model2 = MustMakeMeasure(measure, &w);
-    auto idrips = IDripsOrderer::Create(
-        &w, model2.get(), spaces, AbstractionHeuristic::kByCardinality,
-        /*probe_lower_bounds=*/false);
+    auto idrips = IDripsOrderer::Create(&w, model2.get(), spaces);
     ASSERT_TRUE(idrips.ok());
     const auto via_idrips = Drain(**idrips);
     ASSERT_EQ(via_idrips.size(), expected.size());

@@ -6,6 +6,7 @@
 // rebuild-every-emission mode on a conditional measure.
 #include <gtest/gtest.h>
 
+#include "core/orderer_factory.h"
 #include "runtime/thread_pool.h"
 #include "test_util.h"
 
@@ -17,58 +18,12 @@ using test::MakeWorkload;
 using test::Measure;
 using test::MustMakeMeasure;
 
-enum class Algo { kGreedy, kIDrips, kStreamer };
-
-const char* AlgoName(Algo algo) {
-  switch (algo) {
-    case Algo::kGreedy:
-      return "greedy";
-    case Algo::kIDrips:
-      return "idrips";
-    case Algo::kStreamer:
-      return "streamer";
-  }
-  return "?";
-}
-
-StatusOr<std::unique_ptr<Orderer>> Make(Algo algo, const stats::Workload* w,
+StatusOr<std::unique_ptr<Orderer>> Make(OrdererKind algo,
+                                        const stats::Workload* w,
                                         utility::UtilityModel* m,
                                         bool probes) {
-  std::vector<PlanSpace> spaces = {PlanSpace::FullSpace(*w)};
-  switch (algo) {
-    case Algo::kGreedy: {
-      PLANORDER_ASSIGN_OR_RETURN(auto o,
-                                 GreedyOrderer::Create(w, m, std::move(spaces)));
-      return std::unique_ptr<Orderer>(std::move(o));
-    }
-    case Algo::kIDrips: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          auto o, IDripsOrderer::Create(w, m, std::move(spaces),
-                                        AbstractionHeuristic::kByCardinality,
-                                        probes));
-      return std::unique_ptr<Orderer>(std::move(o));
-    }
-    case Algo::kStreamer: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          auto o, StreamerOrderer::Create(w, m, std::move(spaces),
-                                          AbstractionHeuristic::kByCardinality,
-                                          probes));
-      return std::unique_ptr<Orderer>(std::move(o));
-    }
-  }
-  return InternalError("unreachable");
-}
-
-bool Applicable(Algo algo, const utility::UtilityModel& model) {
-  switch (algo) {
-    case Algo::kGreedy:
-      return model.fully_monotonic();
-    case Algo::kStreamer:
-      return model.diminishing_returns();
-    case Algo::kIDrips:
-      return true;
-  }
-  return false;
+  return MakeOrderer({algo, AbstractionHeuristic::kByCardinality, probes}, w,
+                     m, {PlanSpace::FullSpace(*w)});
 }
 
 class ParallelAgreementTest : public ::testing::TestWithParam<uint64_t> {};
@@ -83,9 +38,11 @@ TEST_P(ParallelAgreementTest, PoolDoesNotChangeEmissionsOrEvaluationCounts) {
        {Measure::kAdditive, Measure::kCost2UniformAlpha,
         Measure::kFailureNoCache, Measure::kFailureCache, Measure::kMonetary,
         Measure::kCoverage}) {
-    for (Algo algo : {Algo::kGreedy, Algo::kIDrips, Algo::kStreamer}) {
+    for (OrdererKind algo : {OrdererKind::kGreedy, OrdererKind::kIDrips,
+                             OrdererKind::kStreamer}) {
       for (bool probes : {false, true}) {
-        if (algo == Algo::kGreedy && probes) continue;  // Greedy never probes
+        // Greedy never probes.
+        if (algo == OrdererKind::kGreedy && probes) continue;
         // Some measures reject some generated workloads (e.g. uniform-alpha
         // cost over varying transmission costs); skip those combinations.
         auto maybe_serial = utility::MakeMeasure(measure, &w);
@@ -96,7 +53,7 @@ TEST_P(ParallelAgreementTest, PoolDoesNotChangeEmissionsOrEvaluationCounts) {
         std::unique_ptr<utility::UtilityModel> parallel_model =
             std::move(*maybe_parallel);
         if (!Applicable(algo, *serial_model)) continue;
-        SCOPED_TRACE(std::string(AlgoName(algo)) + "/" +
+        SCOPED_TRACE(OrdererKindName(algo) + "/" +
                      test::MeasureName(measure) +
                      (probes ? "/probes" : "/plain"));
         auto serial = Make(algo, &w, serial_model.get(), probes);

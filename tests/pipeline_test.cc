@@ -28,29 +28,6 @@ class PipelineFixture : public ::testing::Test {
   std::unique_ptr<SyntheticDomain> domain_;
 };
 
-TEST_F(PipelineFixture, AutoSelectsPerPaperGuidance) {
-  struct Case {
-    utility::MeasureKind measure;
-    const char* expected;
-  };
-  const Case cases[] = {
-      {utility::MeasureKind::kAdditive, "greedy"},        // fully monotonic
-      {utility::MeasureKind::kCoverage, "streamer"},      // DR holds
-      {utility::MeasureKind::kFailureNoCache, "streamer"},
-      {utility::MeasureKind::kFailureCache, "idrips"},    // DR fails
-      {utility::MeasureKind::kMonetaryCache, "idrips"},
-  };
-  for (const Case& c : cases) {
-    OrderingPipeline::Options options;
-    options.measure = c.measure;
-    auto pipeline = OrderingPipeline::Create(&domain_->catalog, domain_->query,
-                                             &domain_->workload, options);
-    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
-    EXPECT_EQ((*pipeline)->algorithm_name(), c.expected)
-        << utility::MeasureKindName(c.measure);
-  }
-}
-
 TEST_F(PipelineFixture, StreamsExecutableRewritingsInOrder) {
   OrderingPipeline::Options options;
   options.measure = utility::MeasureKind::kFailureNoCache;
@@ -95,7 +72,7 @@ TEST_F(PipelineFixture, RespectsBindingPatterns) {
 TEST_F(PipelineFixture, ExplicitAlgorithmOverridesAuto) {
   OrderingPipeline::Options options;
   options.measure = utility::MeasureKind::kCoverage;
-  options.algorithm = OrderingPipeline::Algorithm::kPi;
+  options.algorithm = core::OrdererKind::kPi;
   auto pipeline = OrderingPipeline::Create(&domain_->catalog, domain_->query,
                                            &domain_->workload, options);
   ASSERT_TRUE(pipeline.ok());

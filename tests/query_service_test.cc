@@ -294,19 +294,57 @@ TEST(QueryServiceTest, DroppedSessionReleasesItsSlot) {
   EXPECT_TRUE(next.ok()) << next.status();
 }
 
-TEST(QueryServiceTest, IDripsOrdererProducesSamePlansAsStreamer) {
+TEST(QueryServiceTest, OrdererFollowsTheMeasure) {
+  // The service picks its orderer from the measure (Section 6): coverage
+  // runs Streamer, the caching failure measure (no diminishing returns)
+  // runs iDrips — under default options, with no orderer to configure.
   auto d = MakeDomain();
-  ServiceOptions streamer_opts;
-  ServiceOptions idrips_opts;
-  idrips_opts.orderer = ServiceOptions::OrdererKind::kIDrips;
-  QueryService streamer(&d->catalog, &d->source_facts, streamer_opts);
-  QueryService idrips(&d->catalog, &d->source_facts, idrips_opts);
-  auto a = streamer.RunQuery(d->query, Limits(16));
-  auto b = idrips.RunQuery(d->query, Limits(16));
-  ASSERT_TRUE(a.ok() && b.ok());
-  // Both order by exact conditional coverage; totals must agree.
+  ServiceOptions coverage_opts;
+  ServiceOptions caching_opts;
+  caching_opts.measure = utility::MeasureKind::kFailureCache;
+  QueryService coverage(&d->catalog, &d->source_facts, coverage_opts);
+  QueryService caching(&d->catalog, &d->source_facts, caching_opts);
+  auto a = coverage.RunQuery(d->query, Limits(16));
+  auto b = caching.RunQuery(d->query, Limits(16));
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  // Both drain the same plan space; only the order differs.
   EXPECT_EQ(a->total_answers, b->total_answers);
   EXPECT_EQ(a->sound_plans, b->sound_plans);
+}
+
+TEST(QueryServiceTest, TooManySubgoalsIsInvalidArgument) {
+  // A chain of kMaxDims + 1 relational subgoals: one coverage-bitmask
+  // dimension too many. OpenSession refuses it instead of aborting.
+  stats::WorkloadOptions options;
+  options.query_length = stats::BitmaskUniverse::kMaxDims + 1;
+  options.bucket_size = 2;
+  options.regions_per_bucket = 4;
+  options.seed = 3;
+  auto d = exec::BuildSyntheticDomain(options, /*num_answers=*/4);
+  ASSERT_TRUE(d.ok()) << d.status();
+  QueryService service(&(*d)->catalog, &(*d)->source_facts, ServiceOptions{});
+  auto session = service.OpenSession((*d)->query, Limits(4));
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
+      << session.status();
+  EXPECT_EQ(service.Metrics().active_sessions, 0);
+}
+
+TEST(QueryServiceTest, PlanStoreSaveFailureIsCounted) {
+  // The store's directory does not exist, so the persist after the cold
+  // miss fails; the session is served regardless and the failure counted.
+  auto d = MakeDomain();
+  adaptive::PlanStore store(::testing::TempDir() +
+                            "no-such-directory/plan_store.txt");
+  ServiceOptions options;
+  options.plan_store = &store;
+  QueryService service(&d->catalog, &d->source_facts, options);
+  auto result = service.RunQuery(d->query, Limits(4));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->total_answers, 0u);
+  const ServiceMetricsSnapshot metrics = service.Metrics();
+  EXPECT_EQ(metrics.plan_store_saves, 0);
+  EXPECT_EQ(metrics.plan_store_save_failures, 1);
 }
 
 TEST(QueryServiceTest, SharedEvalPoolDoesNotChangeAnyRun) {

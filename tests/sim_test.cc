@@ -61,8 +61,8 @@ TEST(OracleTest, AcceptsCorrectOrderRejectsCorruptions) {
   // Coverage is conditional — the hardest case for the oracle's step-wise
   // recomputation (every emission changes later utilities).
   auto model = test::MustMakeMeasure(test::Measure::kCoverage, &w);
-  auto orderer = MakeOrderer(AlgoKind::kPi, &w, model.get(),
-                             /*probe_lower_bounds=*/false);
+  auto orderer =
+      core::MakeOrderer({core::OrdererKind::kPi}, &w, model.get(), spaces);
   ASSERT_TRUE(orderer.ok()) << orderer.status();
   auto emissions = Drain(**orderer, /*pool=*/nullptr);
   ASSERT_TRUE(emissions.ok()) << emissions.status();
