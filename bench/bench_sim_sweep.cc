@@ -65,7 +65,7 @@ void RegisterAll() {
             state.SkipWithError("orderer construction failed");
             return;
           }
-          auto emissions = sim::Drain(**orderer, /*pool=*/nullptr);
+          auto emissions = sim::Drain(**orderer);
           if (!emissions.ok()) {
             state.SkipWithError("drain failed");
             return;

@@ -59,12 +59,6 @@ void AdaptiveOrderer::SetExternallyCached(int bucket, int source, bool cached) {
   if (inner_ != nullptr) inner_->SetExternallyCached(bucket, source, cached);
 }
 
-void AdaptiveOrderer::set_eval_pool(runtime::ThreadPool* pool) {
-  core::Orderer::set_eval_pool(pool);
-  pool_ = pool;
-  if (inner_ != nullptr) inner_->set_eval_pool(pool);
-}
-
 bool AdaptiveOrderer::NeedsRebuild() const {
   if (observed_ == nullptr || !options_.drift.react_to_observations) {
     return false;
@@ -89,7 +83,6 @@ Status AdaptiveOrderer::Rebuild() {
       std::unique_ptr<core::Orderer> inner,
       core::MakeOrderer({options_.inner}, blended.get(), model.get(),
                         {core::PlanSpace::FullSpace(*blended)}));
-  inner->set_eval_pool(pool_);
   // Replay the conditioning state: the executed prefix first, then the
   // cross-session residency bits, so the fresh inner orderer prices every
   // remaining plan exactly as if it had emitted the prefix itself.

@@ -63,7 +63,6 @@ class AdaptiveOrderer : public core::Orderer {
 
   void ReportDiscarded() override;
   void SetExternallyCached(int bucket, int source, bool cached) override;
-  void set_eval_pool(runtime::ThreadPool* pool) override;
 
   /// Mid-stream reorders performed (initial build not counted).
   int64_t rebuilds() const { return builds_ > 0 ? builds_ - 1 : 0; }
@@ -100,7 +99,6 @@ class AdaptiveOrderer : public core::Orderer {
   int64_t built_at_generation_ = -1;
   int64_t builds_ = 0;
   int64_t inner_evals_counted_ = 0;
-  runtime::ThreadPool* pool_ = nullptr;
   /// Every plan this orderer has emitted (later executed or discarded) —
   /// the filter that keeps replayed plans out of the post-rebuild stream.
   std::set<core::ConcretePlan> emitted_;

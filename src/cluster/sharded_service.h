@@ -18,8 +18,8 @@ struct ClusterOptions {
   /// query form.
   int num_shards = 2;
   /// Per-shard service configuration: every shard gets its own admission
-  /// slots, queue, eval pool and reformulation cache built from this
-  /// template (so total capacity scales with num_shards).
+  /// slots, queue and reformulation cache built from this template (so
+  /// total capacity scales with num_shards).
   service::ServiceOptions shard;
   /// The shared cross-session source-operation cache (borrowed, may be
   /// null). When set it is installed as every shard's
@@ -41,11 +41,11 @@ struct ClusterOptions {
 /// behind one routing function. A query is canonicalized and routed by
 /// canonical-form hash, so isomorphic queries land on the same shard and
 /// keep its reformulation cache hot, while distinct query classes spread
-/// across shards' admission slots and eval pools. The one piece of state
-/// crossing shards is the source-operation result cache: any session's fetch
-/// makes that operation free for every session on every shard — both on the
-/// wire (single-flight, zero latency) and in the orderers' utility models
-/// (zero residual cost).
+/// across shards' admission slots. The one piece of state crossing shards is
+/// the source-operation result cache: any session's fetch makes that
+/// operation free for every session on every shard — both on the wire
+/// (single-flight, zero latency) and in the orderers' utility models (zero
+/// residual cost).
 ///
 /// Thread-safe exactly as QueryService is: all routing state is immutable
 /// after construction.

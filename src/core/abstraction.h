@@ -73,11 +73,9 @@ class AbstractionForest {
   /// picks depend only on the node's member statistics, not on the executed
   /// set, so no epoch stamp is needed either. The memo is what keeps
   /// re-probes cheap after a split: the children recompute only their own
-  /// bucket, every other bucket's node hits the memo.
-  ///
-  /// Concurrency contract: writes happen only from the serial phases of the
-  /// batch evaluator (core/parallel_eval.h); parallel evaluation workers are
-  /// read-only.
+  /// bucket, every other bucket's node hits the memo. Evaluation fills it
+  /// on a miss (core/evaluate.h), so a forest is not safe to evaluate from
+  /// two threads at once.
   int cached_probe_member(int node) const { return probe_members_[node]; }
   void set_cached_probe_member(int node, int member) const {
     probe_members_[node] = member;

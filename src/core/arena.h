@@ -20,13 +20,9 @@ namespace planorder::core {
 /// pointer reuses the row's first cell — no side allocation), and the next
 /// Allocate() pops it in LIFO order.
 ///
-/// Determinism: slots are allocated and released only from the orderer's own
-/// thread, in an order fixed by the algorithm (never by the pool), so slot
-/// ids — and everything keyed by them — are identical in serial and parallel
-/// runs. Concurrency contract (the one audited by the -Wthread-safety build
-/// and DESIGN.md §6): batch-evaluation workers hold `const` views into rows
-/// and never allocate, release or write; all mutation is single-threaded
-/// between fan-outs.
+/// Determinism: slots are allocated and released in an order fixed by the
+/// algorithm, so slot ids — and everything keyed by them — are identical
+/// across runs. An arena belongs to one orderer and is not thread-safe.
 class PlanArena {
  public:
   /// Null slot / end-of-free-list sentinel.

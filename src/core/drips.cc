@@ -5,7 +5,6 @@
 #include "base/logging.h"
 #include "core/evaluate.h"
 #include "core/frontier_heap.h"
-#include "core/parallel_eval.h"
 
 namespace planorder::core {
 namespace {
@@ -42,11 +41,8 @@ int RefinementBucket(const AbstractPlan& plan) {
 StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,
                                const utility::UtilityModel& model,
                                const utility::ExecutionContext& ctx,
-                               int64_t* evaluations, bool probe_lower_bounds,
-                               const BatchEvaluator* evaluator) {
+                               int64_t* evaluations, bool probe_lower_bounds) {
   if (starts.empty()) return NotFoundError("no plans to order");
-  const BatchEvaluator serial_evaluator;
-  if (evaluator == nullptr) evaluator = &serial_evaluator;
   std::vector<Candidate> candidates;
   candidates.reserve(starts.size() + 64);
   // Candidate utilities never change within one run, so selection is two
@@ -63,16 +59,13 @@ StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,
   // All bookkeeping is by index: add_candidates may grow (and reallocate)
   // `candidates`, so no reference or pointer into it survives an insertion.
   auto add_candidates = [&](std::vector<AbstractPlan> plans) {
-    std::vector<const AbstractPlan*> batch;
-    batch.reserve(plans.size());
-    for (const AbstractPlan& plan : plans) batch.push_back(&plan);
-    std::vector<PlanEvaluation> evals = evaluator->EvaluateBatch(
-        batch, model, ctx, evaluations, probe_lower_bounds);
     std::vector<size_t> added;
     added.reserve(plans.size());
     for (size_t i = 0; i < plans.size(); ++i) {
       Candidate c;
-      c.utility = evals[i].utility;
+      c.utility = EvaluateWithProbe(plans[i], model, ctx, evaluations,
+                                    probe_lower_bounds)
+                      .utility;
       c.concrete = plans[i].IsConcrete();
       c.plan = std::move(plans[i]);
       candidates.push_back(std::move(c));

@@ -31,17 +31,11 @@ int RefinementBucket(const AbstractPlan& plan);
 
 /// Utilities are conditioned on `ctx`; `evaluations` (may be null) is
 /// incremented once per plan evaluation, the paper's cost metric.
-///
-/// `evaluator` (may be null for a serial run) batches the child evaluations
-/// of each refinement over its thread pool; results, elimination order and
-/// evaluation counts are identical to the serial run.
-class BatchEvaluator;
 StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,
                                const utility::UtilityModel& model,
                                const utility::ExecutionContext& ctx,
                                int64_t* evaluations,
-                               bool probe_lower_bounds = false,
-                               const BatchEvaluator* evaluator = nullptr);
+                               bool probe_lower_bounds = false);
 
 }  // namespace planorder::core
 

@@ -38,8 +38,7 @@ struct PlanEvaluation {
 
 /// Zero-copy view of a plan stored in a PlanArena row (DESIGN.md §11): node
 /// ids and pre-resolved summaries in bucket order. The view borrows both
-/// arrays; the frontier guarantees they outlive the evaluation batch and
-/// stay unwritten while workers read them.
+/// arrays; the frontier keeps them alive and unchanged while it evaluates.
 struct PlanView {
   const AbstractionForest* forest = nullptr;
   const uint32_t* nodes = nullptr;
@@ -55,6 +54,18 @@ struct EvalResult {
   Interval utility = Interval::Point(0.0);
   double model_lo = 0.0;
 };
+
+/// The model's probe member for `node`, through the forest's per-node memo
+/// (filled on a miss).
+inline int CachedProbeMember(const AbstractionForest& forest, int node,
+                             const utility::UtilityModel& model) {
+  int member = forest.cached_probe_member(node);
+  if (member < 0) {
+    member = model.ProbeMember(forest.summary(node));
+    forest.set_cached_probe_member(node, member);
+  }
+  return member;
+}
 
 /// EvaluateWithProbe semantics over a PlanView, allocation-free on the
 /// probes-off path: enclosure straight from the pre-resolved summaries, and
@@ -75,10 +86,8 @@ inline EvalResult EvaluateView(const PlanView& view,
   if (view.concrete || !use_probes) return result;
   utility::ConcretePlan probe(static_cast<size_t>(view.width));
   for (int b = 0; b < view.width; ++b) {
-    const int node = static_cast<int>(view.nodes[b]);
-    const int cached = view.forest->cached_probe_member(node);
-    probe[static_cast<size_t>(b)] =
-        cached >= 0 ? cached : model.ProbeMember(*view.summaries[b]);
+    probe[static_cast<size_t>(b)] = CachedProbeMember(
+        *view.forest, static_cast<int>(view.nodes[b]), model);
   }
   if (evaluations != nullptr) ++*evaluations;
   const double probe_utility = model.EvaluateConcrete(probe, ctx);
@@ -117,11 +126,7 @@ inline PlanEvaluation EvaluateWithProbe(const AbstractPlan& plan,
   }
   result.probe.resize(summaries.size());
   for (size_t b = 0; b < summaries.size(); ++b) {
-    // Consult the forest's per-node probe memo; the miss path recomputes
-    // without writing so this stays safe under concurrent batch evaluation
-    // (the batch evaluator prefills the memo from its serial phase).
-    const int cached = plan.forest->cached_probe_member(plan.nodes[b]);
-    result.probe[b] = cached >= 0 ? cached : model.ProbeMember(*summaries[b]);
+    result.probe[b] = CachedProbeMember(*plan.forest, plan.nodes[b], model);
   }
   if (evaluations != nullptr) ++*evaluations;
   const double probe_utility = model.EvaluateConcrete(result.probe, ctx);

@@ -27,10 +27,10 @@ namespace planorder::core {
 /// itself when dead entries outnumber live slots enough to matter, keeping
 /// Push/Pop O(log live) amortized.
 ///
-/// Determinism: push order, versions and ranks are fixed by the algorithm
-/// (never thread count); ties in (key1, key2) resolve by rank, which is
-/// unique per entry, so Peek/Pop order is a total order independent of the
-/// heap's internal layout history.
+/// Determinism: push order, versions and ranks are fixed by the algorithm;
+/// ties in (key1, key2) resolve by rank, which is unique per entry, so
+/// Peek/Pop order is a total order independent of the heap's internal
+/// layout history.
 class FrontierHeap {
  public:
   struct Entry {

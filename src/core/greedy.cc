@@ -19,16 +19,9 @@ StatusOr<std::unique_ptr<GreedyOrderer>> GreedyOrderer::Create(
 }
 
 void GreedyOrderer::PushEntries(std::vector<PlanSpace> spaces) {
-  // Each space's best plan (per-bucket MonotoneScore argmax) and its utility
-  // are independent of the other spaces, so the whole batch fans out over
-  // the evaluator's pool. Scores, evaluation counts and — crucially for
-  // heap tie-breaking — the push order are all index-ordered, so the heap
-  // ends up byte-identical to the serial construction.
-  std::vector<Entry> entries(spaces.size());
-  std::vector<int64_t> counts(spaces.size(), 0);
-  evaluator().ParallelFor(spaces.size(), [&](size_t s) {
-    const PlanSpace& space = spaces[s];
-    Entry& entry = entries[s];
+  // Push order is the order heap ties break by.
+  for (PlanSpace& space : spaces) {
+    Entry entry;
     entry.best_plan.resize(space.buckets.size());
     for (size_t b = 0; b < space.buckets.size(); ++b) {
       int best = space.buckets[b][0];
@@ -44,13 +37,9 @@ void GreedyOrderer::PushEntries(std::vector<PlanSpace> spaces) {
       }
       entry.best_plan[b] = best;
     }
-    ++counts[s];
-    entry.utility = model().EvaluateConcrete(entry.best_plan, ctx());
-  });
-  for (size_t s = 0; s < spaces.size(); ++s) {
-    evaluations_ += counts[s];
-    entries[s].space = std::move(spaces[s]);
-    heap_.push(std::move(entries[s]));
+    entry.utility = Evaluate(entry.best_plan);
+    entry.space = std::move(space);
+    heap_.push(std::move(entry));
   }
 }
 

@@ -45,8 +45,8 @@ class GreedyOrderer : public Orderer {
       : Orderer(workload, model) {}
 
   /// Builds the heap entries for a batch of spaces (per-bucket argmax of
-  /// MonotoneScore plus one concrete evaluation each), fanning the batch
-  /// over the evaluator's pool, and pushes them in index order.
+  /// MonotoneScore plus one concrete evaluation each) and pushes them in
+  /// index order.
   void PushEntries(std::vector<PlanSpace> spaces);
 
   std::priority_queue<Entry, std::vector<Entry>, EntryLess> heap_;

@@ -13,9 +13,7 @@ namespace {
 constexpr int kMaxBuckets = 16;
 
 /// Abstract candidates refined per persistent-mode round (each contributes
-/// two children to one evaluation batch). Fixed independently of the thread
-/// count so serial and parallel runs perform the same refinements in the
-/// same order.
+/// two children, evaluated in target order).
 constexpr size_t kRefineWidth = 8;
 
 }  // namespace
@@ -169,14 +167,8 @@ void IDripsOrderer::SeedFrontier() {
   uint64_t scratch[kMaxBuckets];
   keys_supported_ = model().IndependenceKeys(
       utility::NodeSpan(summaries_.data(), static_cast<size_t>(m)), scratch);
-  view_batch_.clear();
   for (uint32_t slot = 0; slot < arena_.num_slots(); ++slot) {
-    view_batch_.push_back(MakeView(slot));
-  }
-  const std::vector<EvalResult> evals = evaluator().EvaluateViews(
-      view_batch_, model(), ctx(), &evaluations_, options_.probe_lower_bounds);
-  for (uint32_t slot = 0; slot < arena_.num_slots(); ++slot) {
-    CommitCandidate(slot, evals[slot]);
+    CommitCandidate(slot, EvaluateSlot(slot));
   }
   refreshed_generation_ = ctx().external_generation();
 }
@@ -232,10 +224,13 @@ bool IDripsOrderer::IsStale(uint32_t slot) {
   return false;
 }
 
+EvalResult IDripsOrderer::EvaluateSlot(uint32_t slot) {
+  return EvaluateView(MakeView(slot), model(), ctx(), &evaluations_,
+                      options_.probe_lower_bounds);
+}
+
 void IDripsOrderer::RefreshSlot(uint32_t slot) {
-  const EvalResult eval =
-      EvaluateView(MakeView(slot), model(), ctx(), &evaluations_,
-                   options_.probe_lower_bounds);
+  const EvalResult eval = EvaluateSlot(slot);
   eval_epoch_[slot] = static_cast<int64_t>(ctx().epoch());
   eval_generation_[slot] = ctx().external_generation();
   const Interval& u = eval.utility;
@@ -255,125 +250,19 @@ void IDripsOrderer::RefreshSlot(uint32_t slot) {
 void IDripsOrderer::RefreshStaleCandidates() {
   // Fully independent measures: no executed plan ever changes a utility.
   if (model().fully_independent()) return;
-  const std::vector<ConcretePlan>& executed = ctx().executed();
-  const int64_t epoch = static_cast<int64_t>(executed.size());
+  EnsureExecutedKeys();
   const int64_t generation = ctx().external_generation();
-  const int m = arena_.width();
-  const uint32_t num_slots = arena_.num_slots();
-  stale_slots_.clear();
-
-  // Phase 1 — staleness test. A candidate proven group-independent of
-  // everything executed since its evaluation keeps its utility and just
-  // fast-forwards its epoch: this is the incremental win over rebuilding the
-  // forests every emission. With model-provided independence keys the test
-  // is a word-AND scan over flat arrays; otherwise fall back to the virtual
-  // per-(candidate, emission) test, fanned out.
-  bool keyed = keys_supported_;
-  int64_t min_epoch = epoch;
-  if (keyed) {
-    for (uint32_t slot = 0; slot < num_slots; ++slot) {
-      // Generation-stale slots are unconditionally re-evaluated; their
-      // epochs don't constrain which executed plans need keys.
-      if (alive_[slot] != 0 && eval_generation_[slot] == generation &&
-          eval_epoch_[slot] < min_epoch) {
-        min_epoch = eval_epoch_[slot];
-      }
-    }
-    for (int64_t e = min_epoch; e < epoch && keyed; ++e) {
-      plan_keys_.resize(static_cast<size_t>(epoch - min_epoch) *
-                        static_cast<size_t>(m));
-      keyed = model().PlanIndependenceKeys(
-          executed[static_cast<size_t>(e)],
-          &plan_keys_[static_cast<size_t>(e - min_epoch) *
-                      static_cast<size_t>(m)]);
-    }
-    // A model that keys groups but not plans gets the fallback for good.
-    if (!keyed) keys_supported_ = false;
-  }
-
-  if (keyed) {
-    for (uint32_t slot = 0; slot < num_slots; ++slot) {
-      if (alive_[slot] == 0) continue;
-      // A flipped cross-session cache bit changes residual costs everywhere;
-      // the group-independence test only covers this session's executions,
-      // so a generation mismatch forces re-evaluation unconditionally.
-      if (eval_generation_[slot] != generation) {
-        stale_slots_.push_back(slot);
-        continue;
-      }
-      const uint64_t* group = &group_keys_[static_cast<size_t>(slot) *
-                                           static_cast<size_t>(m)];
-      bool stale = false;
-      for (int64_t e = eval_epoch_[slot]; e < epoch && !stale; ++e) {
-        const uint64_t* plan = &plan_keys_[static_cast<size_t>(e - min_epoch) *
-                                           static_cast<size_t>(m)];
-        bool independent = false;
-        for (int b = 0; b < m; ++b) {
-          if ((group[b] & plan[b]) == 0) {
-            independent = true;
-            break;
-          }
-        }
-        stale = !independent;
-      }
-      if (stale) {
-        stale_slots_.push_back(slot);
-      } else {
-        eval_epoch_[slot] = epoch;
-      }
-    }
-  } else {
-    live_snapshot_.clear();
-    for (uint32_t slot = 0; slot < num_slots; ++slot) {
-      if (alive_[slot] != 0) live_snapshot_.push_back(slot);
-    }
-    stale_flags_.assign(live_snapshot_.size(), 0);
-    // Read-only on model and context; each index touches only its own slot
-    // metadata and flag.
-    evaluator().ParallelFor(live_snapshot_.size(), [&](size_t i) {
-      const uint32_t slot = live_snapshot_[i];
-      if (eval_generation_[slot] != generation) {
-        stale_flags_[i] = 1;
-        return;
-      }
-      const utility::NodeSpan span(
-          &summaries_[static_cast<size_t>(slot) * static_cast<size_t>(m)],
-          static_cast<size_t>(m));
-      for (size_t e = static_cast<size_t>(eval_epoch_[slot]);
-           e < executed.size(); ++e) {
-        if (!model().GroupIndependentOf(span, executed[e])) {
-          stale_flags_[i] = 1;
-          return;
-        }
-      }
-      eval_epoch_[slot] = epoch;
-    });
-    for (size_t i = 0; i < live_snapshot_.size(); ++i) {
-      if (stale_flags_[i] != 0) stale_slots_.push_back(live_snapshot_[i]);
-    }
-  }
-
-  // Phase 2 — batch re-evaluation of the stale candidates, in slot order.
-  if (stale_slots_.empty()) return;
-  view_batch_.clear();
-  for (uint32_t slot : stale_slots_) view_batch_.push_back(MakeView(slot));
-  const std::vector<EvalResult> evals = evaluator().EvaluateViews(
-      view_batch_, model(), ctx(), &evaluations_, options_.probe_lower_bounds);
-  for (size_t j = 0; j < stale_slots_.size(); ++j) {
-    const uint32_t slot = stale_slots_[j];
-    eval_epoch_[slot] = epoch;
-    eval_generation_[slot] = generation;
-    const Interval& u = evals[j].utility;
-    // Push a fresh heap entry only when the bounds actually moved; an
-    // unchanged candidate's existing entry stays valid (version untouched).
-    if (u.lo() != lo_[slot] || u.hi() != hi_[slot] ||
-        evals[j].model_lo != model_lo_[slot]) {
-      lo_[slot] = u.lo();
-      hi_[slot] = u.hi();
-      width_[slot] = u.width();
-      model_lo_[slot] = evals[j].model_lo;
-      ++heap_version_[slot];
-      PushHeapEntry(slot);
+  // A candidate proven group-independent of everything executed since its
+  // evaluation keeps its utility and just fast-forwards its epoch (IsStale):
+  // this is the incremental win over rebuilding the forests every emission.
+  // A flipped cross-session cache bit changes residual costs everywhere; the
+  // group-independence test only covers this session's executions, so a
+  // generation mismatch forces re-evaluation unconditionally. Stale
+  // candidates are re-evaluated in slot order.
+  for (uint32_t slot = 0; slot < arena_.num_slots(); ++slot) {
+    if (alive_[slot] == 0) continue;
+    if (eval_generation_[slot] != generation || IsStale(slot)) {
+      RefreshSlot(slot);
     }
   }
 }
@@ -412,9 +301,7 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
                            : best_concrete->key1;
     // Speculative top-K refinement: pop the most promising abstract
     // candidates (highest upper bound first; ties by wider interval, then
-    // lower rank — the legacy index order). K is kRefineWidth, never the
-    // thread count, so the refinement sequence — and with it every
-    // emitted plan — is identical in serial and parallel runs.
+    // lower rank — the legacy index order).
     targets_.clear();
     while (targets_.size() < kRefineWidth) {
       const FrontierHeap::Entry* top = abstract_heap_.Peek(live);
@@ -476,22 +363,14 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
       arena_.row(target)[bucket] = static_cast<uint32_t>(forest.left(node));
       right_slots_.push_back(right);
     }
-    // Children evaluate as one batch in [left0, right0, left1, right1, ...]
-    // order — the order the legacy implementation evaluated (and counted)
-    // them. All allocation is done, so views borrow stable storage.
-    view_batch_.clear();
+    // Children evaluate in [left0, right0, left1, right1, ...] order — the
+    // order the legacy implementation evaluated (and counted) them. All
+    // allocation is done, so views borrow stable storage.
     for (size_t k = 0; k < targets_.size(); ++k) {
       FillSlot(targets_[k]);
       FillSlot(right_slots_[k]);
-      view_batch_.push_back(MakeView(targets_[k]));
-      view_batch_.push_back(MakeView(right_slots_[k]));
-    }
-    const std::vector<EvalResult> evals = evaluator().EvaluateViews(
-        view_batch_, model(), ctx(), &evaluations_,
-        options_.probe_lower_bounds);
-    for (size_t k = 0; k < targets_.size(); ++k) {
-      CommitCandidate(targets_[k], evals[2 * k]);
-      CommitCandidate(right_slots_[k], evals[2 * k + 1]);
+      CommitCandidate(targets_[k], EvaluateSlot(targets_[k]));
+      CommitCandidate(right_slots_[k], EvaluateSlot(right_slots_[k]));
     }
   }
 }
@@ -520,7 +399,7 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextRebuild() {
   PLANORDER_ASSIGN_OR_RETURN(
       DripsResult best,
       RunDrips(starts, model(), ctx(), &evaluations_,
-               options_.probe_lower_bounds, &evaluator()));
+               options_.probe_lower_bounds));
 
   // Remove the winner from its space and re-abstract the split spaces.
   size_t winner_index = spaces_.size();

@@ -7,6 +7,7 @@
 
 #include "core/arena.h"
 #include "core/drips.h"
+#include "core/evaluate.h"
 #include "core/frontier_heap.h"
 #include "core/orderer.h"
 
@@ -25,7 +26,7 @@ struct IDripsOptions {
   /// rebuild mode; only the evaluation count (and wall clock) drops. When
   /// false, reproduces the original behavior — re-run Drips from the roots
   /// each emission and re-abstract the split spaces — kept for the
-  /// evaluations-per-emission comparison in bench_core_parallel.
+  /// evaluations-per-emission comparison in bench_core.
   bool persistent_frontier = true;
 };
 
@@ -80,8 +81,7 @@ class IDripsOrderer : public Orderer {
 
   /// Persistent mode, eager path: bring every candidate's utility up to the
   /// current epoch. Candidates group-independent of the executed suffix
-  /// fast-forward without re-evaluation; the rest are re-evaluated in one
-  /// batch. Used for models without diminishing returns (whose utilities may
+  /// fast-forward without re-evaluation; the rest are re-evaluated. Used for models without diminishing returns (whose utilities may
   /// rise, so stale heap keys are not upper bounds) and after an external
   /// cache-generation change (same reason).
   void RefreshStaleCandidates();
@@ -95,6 +95,8 @@ class IDripsOrderer : public Orderer {
   /// updated entry when the bounds moved.
   bool IsStale(uint32_t slot);
   void RefreshSlot(uint32_t slot);
+  /// Evaluates a slot's plan against the current context, counting it.
+  EvalResult EvaluateSlot(uint32_t slot);
   /// Appends independence keys of newly executed plans to executed_keys_.
   void EnsureExecutedKeys();
 
@@ -153,18 +155,13 @@ class IDripsOrderer : public Orderer {
   /// against (lazy mode only re-runs the full scan when this moves).
   int64_t refreshed_generation_ = 0;
   /// Independence keys of executed[0..keys_epoch_), keys_epoch_ * width
-  /// words, appended per emission for the lazy staleness test.
+  /// words, appended per emission for the keyed staleness test.
   std::vector<uint64_t> executed_keys_;
   int64_t keys_epoch_ = 0;
 
   /// Reusable scratch (cleared per use; kept to avoid per-round allocation).
-  std::vector<PlanView> view_batch_;
-  std::vector<uint32_t> stale_slots_;
   std::vector<uint32_t> targets_;
   std::vector<uint32_t> right_slots_;
-  std::vector<uint64_t> plan_keys_;
-  std::vector<uint32_t> live_snapshot_;
-  std::vector<uint8_t> stale_flags_;
 };
 
 }  // namespace planorder::core

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "base/status.h"
-#include "core/parallel_eval.h"
 #include "core/plan_space.h"
 #include "utility/model.h"
 
@@ -78,15 +77,6 @@ class Orderer {
     ctx_.SetExternallyCached(bucket, source, cached);
   }
 
-  /// Injects a thread pool for batched utility evaluation. The pool is
-  /// borrowed (callers keep ownership; a service shares one pool across all
-  /// sessions) and may be null to run serially. Emission order, utilities
-  /// and plan_evaluations() are byte-identical with and without a pool —
-  /// parallelism only changes wall-clock time.
-  virtual void set_eval_pool(runtime::ThreadPool* pool) {
-    evaluator_.set_pool(pool);
-  }
-
  protected:
   Orderer(const stats::Workload* workload, utility::UtilityModel* model)
       : ctx_(workload), model_(model) {}
@@ -102,7 +92,6 @@ class Orderer {
   utility::ExecutionContext& ctx() { return ctx_; }
   utility::UtilityModel& model() { return *model_; }
   const utility::UtilityModel& model() const { return *model_; }
-  const BatchEvaluator& evaluator() const { return evaluator_; }
 
   /// Evaluates a concrete plan, counting the evaluation.
   double Evaluate(const ConcretePlan& plan) {
@@ -115,7 +104,6 @@ class Orderer {
  private:
   utility::ExecutionContext ctx_;
   utility::UtilityModel* model_;
-  BatchEvaluator evaluator_;
   std::optional<ConcretePlan> pending_;
   bool started_ = false;
 };

@@ -120,6 +120,18 @@ void StreamerOrderer::RemoveNode(int node_index) {
   for (int link_index : out) KillLink(link_index);
 }
 
+void StreamerOrderer::EvaluateNode(int node_index) {
+  Node& node = nodes_[node_index];
+  PlanEvaluation eval = EvaluateWithProbe(node.plan, model(), ctx(),
+                                          &evaluations_, probe_lower_bounds_);
+  node.utility = eval.utility;
+  node.model_lo = eval.model_lo;
+  node.probe = std::move(eval.probe);
+  node.eval_epoch = ctx().epoch();
+  ++node_version_[node_index];
+  PushNodeEntry(node_index);
+}
+
 bool StreamerOrderer::UtilityCurrent(Node& node) {
   if (node.eval_epoch < 0) return false;
   const std::vector<ConcretePlan>& executed = ctx().executed();
@@ -228,38 +240,15 @@ StatusOr<OrderedPlan> StreamerOrderer::ComputeNext() {
   }
 
   // (2.a) Recompute nil (or stale) utilities of nondominated plans — once
-  // per emission, not once per refinement (see num_staleness_checks()). The
-  // staleness walk (one group-independence test per executed plan since a
-  // node's evaluation) and the re-evaluations both fan out over the
-  // evaluator's pool: every index touches only its own node, and the
-  // evaluation counter is folded in nondominated (= index) order, so the
-  // result is identical to the serial loop.
+  // per emission, not once per refinement (see num_staleness_checks()), in
+  // nondominated (= id) order. The staleness walk is one group-independence
+  // test per executed plan since a node's evaluation.
   std::vector<int>& snapshot = scratch_;
   snapshot.clear();
   snapshot.insert(snapshot.end(), nondominated_.begin(), nondominated_.end());
   num_staleness_checks_ += static_cast<int64_t>(snapshot.size());
-  std::vector<uint8_t> is_stale(snapshot.size(), 0);
-  evaluator().ParallelFor(snapshot.size(), [&](size_t j) {
-    is_stale[j] = UtilityCurrent(nodes_[snapshot[j]]) ? 0 : 1;
-  });
-  std::vector<int> stale;
-  std::vector<const AbstractPlan*> batch;
-  for (size_t j = 0; j < snapshot.size(); ++j) {
-    if (is_stale[j] != 0) {
-      stale.push_back(snapshot[j]);
-      batch.push_back(&nodes_[snapshot[j]].plan);
-    }
-  }
-  std::vector<PlanEvaluation> evals = evaluator().EvaluateBatch(
-      batch, model(), ctx(), &evaluations_, probe_lower_bounds_);
-  for (size_t j = 0; j < stale.size(); ++j) {
-    Node& node = nodes_[stale[j]];
-    node.utility = evals[j].utility;
-    node.model_lo = evals[j].model_lo;
-    node.probe = evals[j].probe;
-    node.eval_epoch = ctx().epoch();
-    ++node_version_[stale[j]];
-    PushNodeEntry(stale[j]);
+  for (const int id : snapshot) {
+    if (!UtilityCurrent(nodes_[id])) EvaluateNode(id);
   }
 
   // (2.b) One full dominance-link pass now that every frontier utility is
@@ -326,23 +315,10 @@ StatusOr<OrderedPlan> StreamerOrderer::ComputeNext() {
     nodes_[right_id].model_lo = parent_model_lo;
     RemoveNode(pick);
 
-    // Evaluate the children (one batch; counter order left-then-right
-    // matches the old nondominated-order refresh).
-    batch.clear();
-    batch.push_back(&nodes_[left_id].plan);
-    batch.push_back(&nodes_[right_id].plan);
-    evals = evaluator().EvaluateBatch(batch, model(), ctx(), &evaluations_,
-                                      probe_lower_bounds_);
-    const int child_ids[2] = {left_id, right_id};
-    for (int j = 0; j < 2; ++j) {
-      Node& node = nodes_[child_ids[j]];
-      node.utility = evals[j].utility;
-      node.model_lo = evals[j].model_lo;
-      node.probe = evals[j].probe;
-      node.eval_epoch = ctx().epoch();
-      ++node_version_[child_ids[j]];
-      PushNodeEntry(child_ids[j]);
-    }
+    // Evaluate the children (counter order left-then-right matches the old
+    // nondominated-order refresh).
+    EvaluateNode(left_id);
+    EvaluateNode(right_id);
 
     // Incremental link pass. Fresh is exactly the two children: the
     // parent's outgoing links were transferred (not killed), so no node

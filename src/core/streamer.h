@@ -115,6 +115,9 @@ class StreamerOrderer : public Orderer {
   void RemoveNode(int node_index);
   /// Lower-id-wins interval domination (keeps the relation acyclic on ties).
   bool Dominates(int a, int b) const;
+  /// Evaluates the node against the current context (counting it), stores
+  /// the result and pushes its selection-heap entry.
+  void EvaluateNode(int node_index);
   /// True when the node's stored utility still reflects the executed set;
   /// fast-forwards eval_epoch when it does.
   bool UtilityCurrent(Node& node);

@@ -24,10 +24,6 @@ QueryService::QueryService(const datalog::Catalog* catalog,
                           ? nullptr
                           : exec::MakeSetOrientedExecutor(source_facts)),
       executor_(executor != nullptr ? executor : owned_executor_.get()),
-      eval_pool_(options_.eval_threads > 0
-                     ? std::make_unique<runtime::ThreadPool>(
-                           options_.eval_threads)
-                     : nullptr),
       clock_(options_.clock != nullptr ? options_.clock
                                        : runtime::RealClock::Instance()),
       cache_(options_.cache_capacity) {
@@ -266,7 +262,6 @@ Status QueryService::SetUpOrdering(Session& session) {
         core::MakeOrderer({}, workload, session.model_.get(),
                           {core::PlanSpace::FullSpace(*workload)}));
   }
-  if (eval_pool_ != nullptr) session.orderer_->set_eval_pool(eval_pool_.get());
   return OkStatus();
 }
 

@@ -13,7 +13,6 @@
 #include "exec/mediator.h"
 #include "reformulation/statistics.h"
 #include "runtime/clock.h"
-#include "runtime/thread_pool.h"
 #include "service/metrics.h"
 #include "service/reformulation_cache.h"
 #include "service/session.h"
@@ -63,11 +62,6 @@ struct ServiceOptions {
   /// step (Session::residency_history), letting the sim property check each
   /// step's utility against the exact cache state it was evaluated under.
   bool record_residency_snapshots = false;
-
-  /// Worker threads of the service-owned pool shared by every session's
-  /// orderer for batched utility evaluation (plan order and utilities are
-  /// identical with and without it); 0 = sessions evaluate serially.
-  int eval_threads = 0;
 
   /// Statistics estimation knobs for cold (uncached) reformulations.
   reformulation::EstimateOptions estimate;
@@ -201,7 +195,7 @@ class QueryService {
       const datalog::ConjunctiveQuery& query);
 
   /// Builds `session`'s utility model and orderer over its (cached, shared)
-  /// reformulation, and wires in the shared eval pool.
+  /// reformulation.
   Status SetUpOrdering(Session& session);
 
   /// Admission + reformulation + ordering — everything shared between plan
@@ -221,9 +215,6 @@ class QueryService {
   const ServiceOptions options_;
   std::unique_ptr<exec::PlanExecutor> owned_executor_;
   exec::PlanExecutor* executor_;  // owned_executor_.get() or caller's
-  /// Shared across all sessions' orderers (ThreadPool::Submit is
-  /// thread-safe); null when options_.eval_threads == 0.
-  std::unique_ptr<runtime::ThreadPool> eval_pool_;
   runtime::Clock* clock_;  // options_.clock or the process-wide RealClock
   ReformulationCache cache_;
   LatencyHistogram latency_;

@@ -12,9 +12,7 @@
 
 namespace planorder::sim {
 
-StatusOr<std::vector<core::OrderedPlan>> Drain(core::Orderer& orderer,
-                                               runtime::ThreadPool* pool) {
-  orderer.set_eval_pool(pool);
+StatusOr<std::vector<core::OrderedPlan>> Drain(core::Orderer& orderer) {
   std::vector<core::OrderedPlan> emissions;
   while (true) {
     StatusOr<core::OrderedPlan> next = orderer.Next();
@@ -69,33 +67,22 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
                                    core::AbstractionHeuristic::kByCardinality,
                                    scenario.probe_lower_bounds};
 
-      // Serial baseline: every other check is differential against it.
+      // Baseline drain: every other check is differential against it.
       PLANORDER_ASSIGN_OR_RETURN(
           std::unique_ptr<core::Orderer> orderer,
           core::MakeOrderer(algo, &workload, model->get(), {full}));
-      StatusOr<std::vector<core::OrderedPlan>> serial =
-          Drain(*orderer, /*pool=*/nullptr);
-      if (!serial.ok()) {
-        return Contextualize(serial.status(), "drain", kind, algo);
+      StatusOr<std::vector<core::OrderedPlan>> drained = Drain(*orderer);
+      if (!drained.ok()) {
+        return Contextualize(drained.status(), "drain", kind, algo);
       }
       ++local.checks;
 
       if (scenario.check_oracle &&
           full.NumPlans() <= options.max_oracle_plans) {
-        Status status = VerifyExactOrder(workload, kind, {full}, *serial,
+        Status status = VerifyExactOrder(workload, kind, {full}, *drained,
                                          options.tolerance);
         if (!status.ok()) {
           return Contextualize(status, "oracle", kind, algo);
-        }
-        ++local.checks;
-      }
-
-      for (int threads : scenario.thread_counts) {
-        Status status = CheckParallelAgreement(
-            workload, kind, algo, *serial, orderer->plan_evaluations(),
-            threads);
-        if (!status.ok()) {
-          return Contextualize(status, "parallel", kind, algo);
         }
         ++local.checks;
       }

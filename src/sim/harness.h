@@ -6,7 +6,6 @@
 
 #include "base/status.h"
 #include "core/orderer.h"
-#include "runtime/thread_pool.h"
 #include "sim/scenario.h"
 #include "stats/workload.h"
 #include "utility/measures.h"
@@ -15,8 +14,7 @@ namespace planorder::sim {
 
 /// Harness-wide knobs.
 struct SimOptions {
-  /// Relative tolerance of oracle / metamorphic utility comparisons. Serial
-  /// vs parallel comparisons ignore it: those are byte-identical by contract.
+  /// Relative tolerance of oracle / metamorphic utility comparisons.
   double tolerance = 1e-9;
   /// Spaces larger than this skip the O(plans^2) exhaustive oracle.
   uint64_t max_oracle_plans = 4096;
@@ -33,14 +31,11 @@ struct SimReport {
 };
 
 /// Pulls every emission out of `orderer` (kNotFound terminates; any other
-/// status propagates). `pool`, if non-null, is injected for batched utility
-/// evaluation before the first Next().
-StatusOr<std::vector<core::OrderedPlan>> Drain(core::Orderer& orderer,
-                                               runtime::ThreadPool* pool);
+/// status propagates).
+StatusOr<std::vector<core::OrderedPlan>> Drain(core::Orderer& orderer);
 
-/// Runs every enabled check of `scenario`: per (measure, algo) the serial
-/// drain, the exhaustive-order oracle, serial-vs-parallel byte equality at
-/// each thread count, and the metamorphic properties; plus (once per
+/// Runs every enabled check of `scenario`: per (measure, algo) the drain,
+/// the exhaustive-order oracle and the metamorphic properties; plus (once per
 /// scenario) the fault-free runtime-vs-direct-execution equivalence. The
 /// first failing check aborts the scenario with a status whose message names
 /// the check, the (measure, algo) pair and the divergence. `report`, if

@@ -1,7 +1,7 @@
 /// planorder_sim: the deterministic simulation & differential
 /// property-testing driver (DESIGN.md §7). Sweeps seeded random scenarios —
 /// synthetic LAV catalogs, all Section 6 utility measures, every ordering
-/// algorithm, 1..N evaluation threads, runtime fault/latency schedules —
+/// algorithm, runtime fault/latency schedules at 1..N runtime threads —
 /// and cross-checks each against the exhaustive-order oracle and the
 /// metamorphic properties. On failure it greedily shrinks the scenario to a
 /// minimal reproducer and prints a one-line replay command; the process
@@ -15,6 +15,7 @@
 ///   planorder_sim --corpus=tests/sim_corpus.txt
 ///   planorder_sim --artifact=min.scenario      # where to write reproducers
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +23,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/harness.h"
@@ -41,7 +43,7 @@ struct Flags {
   std::string replay_file;  // serialized Scenario
   std::string corpus;       // file of "seed:step" lines
   std::string artifact;     // where to write the minimized scenario
-  std::vector<int> threads;  // overrides scenario thread counts
+  std::vector<int> threads;  // overrides scenario runtime thread counts
   std::string anyk;         // "", "force" (ranked check on everywhere),
                             // or "only" (ranked check alone)
   std::string multi;        // "", "force" (multi-session check on
@@ -58,16 +60,38 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
+/// Checked decimal conversion: all of `text` must be a number that fits
+/// in T.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+/// Parses a SEED:STEP pair (the --replay value and each corpus line).
+bool ParseSeedStep(const std::string& text, std::pair<uint64_t, int>* out) {
+  const size_t colon = text.find(':');
+  return colon != std::string::npos &&
+         ParseNumber(text.substr(0, colon), &out->first) &&
+         ParseNumber(text.substr(colon + 1), &out->second);
+}
+
+bool BadValue(const std::string& arg) {
+  std::cerr << "bad value in " << arg << "\n";
+  return false;
+}
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
     if (ParseFlag(arg, "seed", &value)) {
-      flags->seed = std::stoull(value);
+      if (!ParseNumber(value, &flags->seed)) return BadValue(arg);
     } else if (ParseFlag(arg, "iters", &value)) {
-      flags->iters = std::stoi(value);
+      if (!ParseNumber(value, &flags->iters)) return BadValue(arg);
     } else if (ParseFlag(arg, "start", &value)) {
-      flags->start = std::stoi(value);
+      if (!ParseNumber(value, &flags->start)) return BadValue(arg);
     } else if (ParseFlag(arg, "replay", &value)) {
       flags->replay = value;
     } else if (ParseFlag(arg, "replay-file", &value)) {
@@ -81,7 +105,10 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       std::istringstream stream(value);
       std::string item;
       while (std::getline(stream, item, ',')) {
-        if (!item.empty()) flags->threads.push_back(std::stoi(item));
+        if (item.empty()) continue;
+        int threads = 0;
+        if (!ParseNumber(item, &threads) || threads < 1) return BadValue(arg);
+        flags->threads.push_back(threads);
       }
     } else if (ParseFlag(arg, "anyk", &value)) {
       if (value != "force" && value != "only") {
@@ -125,7 +152,7 @@ void Usage() {
          "  --seed=S            sweep seed (default 1)\n"
          "  --iters=N           scenarios to run (default 100)\n"
          "  --start=K           first sweep step (default 0)\n"
-         "  --threads=a,b       override scenario eval-thread counts\n"
+         "  --threads=a,b       override scenario runtime thread counts\n"
          "  --anyk=force|only   force the ranked (any-k) check on in every\n"
          "                      scenario; 'only' also turns every other\n"
          "                      check off (the CI ranked slice)\n"
@@ -236,13 +263,12 @@ int Main(int argc, char** argv) {
 
   std::vector<std::pair<uint64_t, int>> steps;
   if (!flags.replay.empty()) {
-    const size_t colon = flags.replay.find(':');
-    if (colon == std::string::npos) {
+    std::pair<uint64_t, int> step;
+    if (!ParseSeedStep(flags.replay, &step)) {
       std::cerr << "--replay wants SEED:STEP\n";
       return 2;
     }
-    steps.emplace_back(std::stoull(flags.replay.substr(0, colon)),
-                       std::stoi(flags.replay.substr(colon + 1)));
+    steps.push_back(step);
   } else if (!flags.corpus.empty()) {
     std::ifstream in(flags.corpus);
     if (!in) {
@@ -252,13 +278,12 @@ int Main(int argc, char** argv) {
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty() || line[0] == '#') continue;
-      const size_t colon = line.find(':');
-      if (colon == std::string::npos) {
+      std::pair<uint64_t, int> step;
+      if (!ParseSeedStep(line, &step)) {
         std::cerr << "bad corpus line (want SEED:STEP): " << line << "\n";
         return 2;
       }
-      steps.emplace_back(std::stoull(line.substr(0, colon)),
-                         std::stoi(line.substr(colon + 1)));
+      steps.push_back(step);
     }
   } else {
     for (int i = 0; i < flags.iters; ++i) {

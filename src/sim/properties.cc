@@ -58,7 +58,7 @@ StatusOr<std::vector<core::OrderedPlan>> RunAlgo(
       std::unique_ptr<core::Orderer> orderer,
       core::MakeOrderer(algo, &workload, model,
                         {core::PlanSpace::FullSpace(workload)}));
-  return Drain(*orderer, /*pool=*/nullptr);
+  return Drain(*orderer);
 }
 
 }  // namespace
@@ -205,50 +205,6 @@ Status CheckRelabelInvariance(const stats::Workload& workload,
       return InternalError("relabel: permuted-basis run failed the oracle: " +
                            std::string(oracle.message()));
     }
-  }
-  return OkStatus();
-}
-
-Status CheckParallelAgreement(const stats::Workload& workload,
-                              utility::MeasureKind kind,
-                              const core::OrdererSpec& algo,
-                              const std::vector<core::OrderedPlan>& serial,
-                              int64_t serial_evaluations, int threads) {
-  PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<utility::UtilityModel> model,
-                             utility::MakeMeasure(kind, &workload));
-  PLANORDER_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::Orderer> orderer,
-      core::MakeOrderer(algo, &workload, model.get(),
-                        {core::PlanSpace::FullSpace(workload)}));
-  runtime::ThreadPool pool(threads);
-  PLANORDER_ASSIGN_OR_RETURN(std::vector<core::OrderedPlan> emissions,
-                             Drain(*orderer, &pool));
-
-  if (emissions.size() != serial.size()) {
-    std::ostringstream out;
-    out << "parallel: " << threads << "-thread run emitted "
-        << emissions.size() << " plans, serial run " << serial.size();
-    return InternalError(out.str());
-  }
-  for (size_t i = 0; i < emissions.size(); ++i) {
-    if (emissions[i].plan != serial[i].plan ||
-        emissions[i].utility != serial[i].utility) {
-      std::ostringstream out;
-      out.precision(17);
-      out << "parallel: " << threads << "-thread run diverged from serial at "
-          << "step " << i << ": serial plan " << PlanToString(serial[i].plan)
-          << " u=" << serial[i].utility << ", parallel plan "
-          << PlanToString(emissions[i].plan) << " u="
-          << emissions[i].utility << " (contract: byte-identical)";
-      return InternalError(out.str());
-    }
-  }
-  if (orderer->plan_evaluations() != serial_evaluations) {
-    std::ostringstream out;
-    out << "parallel: " << threads << "-thread run performed "
-        << orderer->plan_evaluations() << " plan evaluations, serial run "
-        << serial_evaluations << " (contract: identical work)";
-    return InternalError(out.str());
   }
   return OkStatus();
 }
@@ -517,7 +473,7 @@ Status CheckRankedEmission(const Scenario& scenario,
   options.max_plans = int(scenario.NumPlans());
 
   auto run = [&](const std::vector<std::vector<datalog::SourceId>>& ids,
-                 const anyk::WeightOptions& weights, runtime::ThreadPool* pool)
+                 const anyk::WeightOptions& weights)
       -> StatusOr<std::vector<anyk::RankedAnswer>> {
     PLANORDER_ASSIGN_OR_RETURN(
         std::unique_ptr<utility::UtilityModel> model,
@@ -528,7 +484,6 @@ Status CheckRankedEmission(const Scenario& scenario,
         core::MakeOrderer({core::OrdererKind::kIDrips}, &domain->workload,
                           model.get(),
                           {core::PlanSpace::FullSpace(domain->workload)}));
-    if (pool != nullptr) orderer->set_eval_pool(pool);
     anyk::RankedAnswerStream::Options run_options = options;
     run_options.weights = weights;
     PLANORDER_ASSIGN_OR_RETURN(
@@ -550,7 +505,7 @@ Status CheckRankedEmission(const Scenario& scenario,
 
   PLANORDER_ASSIGN_OR_RETURN(
       std::vector<anyk::RankedAnswer> streamed,
-      run(domain->source_ids, options.weights, /*pool=*/nullptr));
+      run(domain->source_ids, options.weights));
 
   // (a) The sort-everything oracle: every sound, executable rewriting of the
   // full Cartesian product, materialized by an independent backtracking join
@@ -595,7 +550,7 @@ Status CheckRankedEmission(const Scenario& scenario,
   anyk::WeightOptions scaled = options.weights;
   scaled.scale = 4.0;
   PLANORDER_ASSIGN_OR_RETURN(std::vector<anyk::RankedAnswer> transformed,
-                             run(domain->source_ids, scaled, /*pool=*/nullptr));
+                             run(domain->source_ids, scaled));
   std::vector<anyk::RankedAnswer> expected = streamed;
   for (anyk::RankedAnswer& answer : expected) answer.weight *= 4.0;
   PLANORDER_RETURN_IF_ERROR(
@@ -613,22 +568,8 @@ Status CheckRankedEmission(const Scenario& scenario,
   }
   PLANORDER_ASSIGN_OR_RETURN(
       std::vector<anyk::RankedAnswer> relabeled,
-      run(permuted, options.weights, /*pool=*/nullptr));
-  PLANORDER_RETURN_IF_ERROR(
-      CompareRankedSequences(streamed, relabeled, "ranked-relabel"));
-
-  // (d) Serial == parallel: a shared evaluation pool may reorder utility
-  // computation, never ranked emission.
-  for (int threads : scenario.thread_counts) {
-    runtime::ThreadPool pool(threads);
-    PLANORDER_ASSIGN_OR_RETURN(std::vector<anyk::RankedAnswer> parallel,
-                               run(domain->source_ids, options.weights,
-                                   &pool));
-    PLANORDER_RETURN_IF_ERROR(CompareRankedSequences(
-        streamed, parallel,
-        "ranked-parallel(threads=" + std::to_string(threads) + ")"));
-  }
-  return OkStatus();
+      run(permuted, options.weights));
+  return CompareRankedSequences(streamed, relabeled, "ranked-relabel");
 }
 
 namespace {
@@ -755,7 +696,6 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance) {
     copts.shard.max_active_sessions = num_sessions;
     copts.shard.max_queued_admissions = num_sessions;
     copts.shard.admission_timeout_ms = 0.0;
-    copts.shard.eval_threads = 0;
     copts.shard.refresh_source_cache_view = !scenario.multi_inject_stale;
     copts.shard.record_residency_snapshots = true;
     copts.shard.clock = &fx->clock;
@@ -960,8 +900,7 @@ adaptive::DriftOptions MakeDriftOptions(const Scenario& scenario,
 /// next Next() sees the updated generation.
 StatusOr<std::vector<core::OrderedPlan>> RunAdaptiveDrift(
     const Scenario& scenario, const stats::Workload& workload,
-    const DriftWorld& world, runtime::ThreadPool* pool,
-    int64_t* rebuilds_out) {
+    const DriftWorld& world, int64_t* rebuilds_out) {
   adaptive::ObservedStats observed(
       adaptive::ObservedStatsOptions{scenario.drift_decay});
   adaptive::AdaptiveOptions options;
@@ -972,7 +911,6 @@ StatusOr<std::vector<core::OrderedPlan>> RunAdaptiveDrift(
       std::unique_ptr<adaptive::AdaptiveOrderer> orderer,
       adaptive::AdaptiveOrderer::Create(&workload, world.names, &observed,
                                         options));
-  orderer->set_eval_pool(pool);
   std::vector<core::OrderedPlan> emissions;
   while (true) {
     StatusOr<core::OrderedPlan> next = orderer->Next();
@@ -1003,8 +941,7 @@ Status CheckDriftRerank(const Scenario& scenario, double tolerance) {
   int64_t adaptive_rebuilds = 0;
   PLANORDER_ASSIGN_OR_RETURN(
       std::vector<core::OrderedPlan> emissions,
-      RunAdaptiveDrift(scenario, workload, world, /*pool=*/nullptr,
-                       &adaptive_rebuilds));
+      RunAdaptiveDrift(scenario, workload, world, &adaptive_rebuilds));
 
   // (a)+(b) The rebuild-from-observed-stats oracle: replay the same
   // observation schedule against ITS OWN emissions, re-deciding divergence
@@ -1126,37 +1063,6 @@ Status CheckDriftRerank(const Scenario& scenario, double tolerance) {
         << " times, the oracle " << oracle_rebuilds
         << " — divergence decisions disagree";
     return InternalError(out.str());
-  }
-
-  // (c) Serial == parallel at every scenario thread count.
-  for (int threads : scenario.thread_counts) {
-    if (threads < 2) continue;
-    runtime::ThreadPool pool(threads);
-    int64_t pooled_rebuilds = 0;
-    PLANORDER_ASSIGN_OR_RETURN(
-        std::vector<core::OrderedPlan> pooled,
-        RunAdaptiveDrift(scenario, workload, world, &pool, &pooled_rebuilds));
-    if (pooled.size() != emissions.size() ||
-        pooled_rebuilds != adaptive_rebuilds) {
-      std::ostringstream out;
-      out << "drift: " << threads << "-thread run emitted " << pooled.size()
-          << " plans / " << pooled_rebuilds << " rebuilds vs serial "
-          << emissions.size() << " / " << adaptive_rebuilds;
-      return InternalError(out.str());
-    }
-    for (size_t i = 0; i < pooled.size(); ++i) {
-      if (pooled[i].plan != emissions[i].plan ||
-          pooled[i].utility != emissions[i].utility) {
-        std::ostringstream out;
-        out.precision(17);
-        out << "drift step " << i << ": " << threads
-            << "-thread run emitted " << PlanToString(pooled[i].plan)
-            << " u=" << pooled[i].utility << " but the serial run emitted "
-            << PlanToString(emissions[i].plan)
-            << " u=" << emissions[i].utility;
-        return InternalError(out.str());
-      }
-    }
   }
   return OkStatus();
 }

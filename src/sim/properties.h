@@ -85,15 +85,6 @@ Status CheckRelabelInvariance(const stats::Workload& workload,
                               const core::OrdererSpec& algo, uint64_t perm_seed,
                               double tolerance, uint64_t max_oracle_plans);
 
-/// Determinism contract: a run with a shared evaluation pool of `threads`
-/// workers must reproduce the serial emissions byte-identically — same
-/// plans, bit-equal utilities, equal plan_evaluations().
-Status CheckParallelAgreement(const stats::Workload& workload,
-                              utility::MeasureKind kind,
-                              const core::OrdererSpec& algo,
-                              const std::vector<core::OrderedPlan>& serial,
-                              int64_t serial_evaluations, int threads);
-
 /// End-to-end property: mediating through the resilient concurrent runtime
 /// under the scenario's fault/latency schedule (every fault transient, ample
 /// retries) must yield exactly the serial mediator's step sequence and
@@ -111,9 +102,7 @@ Status CheckRuntimeEquivalence(const Scenario& scenario);
 ///      sorted (weight desc, tuple lex asc), duplicates keeping max weight;
 ///  (b) scaling every tuple weight by a power of two scales every emission
 ///      weight by exactly that factor without reordering anything;
-///  (c) relabeling (permuting each bucket's sources) changes nothing;
-///  (d) re-running with a shared evaluation pool at every scenario thread
-///      count reproduces the serial emission sequence.
+///  (c) relabeling (permuting each bucket's sources) changes nothing.
 /// Scenarios whose full space exceeds `max_oracle_plans` are skipped (the
 /// oracle is exponential).
 Status CheckRankedEmission(const Scenario& scenario,
@@ -155,10 +144,7 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance);
 ///  (b) conditional maximality — every oracle emission's utility matches a
 ///      brute-force fresh evaluation conditioned on exactly the executed
 ///      prefix, and no not-yet-emitted plan beats it (within `tolerance`)
-///      under the generation's blended statistics;
-///  (c) determinism — re-running the adaptive loop with a shared evaluation
-///      pool at every scenario thread count reproduces the serial emissions
-///      byte-identically.
+///      under the generation's blended statistics.
 /// With `scenario.drift_inject_stale` the orderer's divergence reaction is
 /// disabled (the planted stale-statistics bug) while the oracle still
 /// reacts, so check (a) must fail once the drift actually flips the ranking

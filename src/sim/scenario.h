@@ -23,7 +23,7 @@ std::vector<utility::MeasureKind> AllMeasureKinds();
 
 /// One fully specified simulation scenario: a synthetic LAV catalog +
 /// workload, the utility measures and ordering algorithms to cross-check,
-/// the evaluation thread counts, and a runtime fault/latency schedule. Every
+/// the runtime thread counts, and a runtime fault/latency schedule. Every
 /// field is derived deterministically from (base_seed, step) by MakeScenario,
 /// so a failure report of `seed:step` replays bit-identically; the shrinker
 /// then mutates fields directly, which is why the struct is flat data with a
@@ -46,8 +46,8 @@ struct Scenario {
   // --- What to cross-check ---
   std::vector<utility::MeasureKind> measures;
   std::vector<core::OrdererKind> algos;
-  /// Evaluation-pool sizes whose emissions must be byte-identical to the
-  /// serial run. (1 is implied: the serial run is always the baseline.)
+  /// Runtime thread counts whose mediation must match the serial mediator
+  /// (1 is implied: the serial run is always the baseline).
   std::vector<int> thread_counts;
   bool probe_lower_bounds = false;
 

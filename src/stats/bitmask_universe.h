@@ -16,10 +16,10 @@ namespace planorder::stats {
 /// The ordering core is residual-query bound: the persistent iDrips frontier
 /// performs ~160 evaluations per emission and each evaluation is one or two
 /// residual queries, while boxes are *added* only once per emission. Measured
-/// on bench_core_parallel, the flat cell walk visits ~313 cells per
-/// evaluation yet finds on average 0.07 uncovered regions per visited cell:
-/// almost all of the walk re-proves that already-covered cells are still
-/// covered. This class stores what that walk recomputes.
+/// on bench_core, the flat cell walk visits ~313 cells per evaluation yet
+/// finds on average 0.07 uncovered regions per visited cell: almost all of
+/// the walk re-proves that already-covered cells are still covered. This
+/// class stores what that walk recomputes.
 ///
 /// Layout — a radix trie over the dimensions kept as flat arrays (one
 /// uint64_t mask per node, no pointers):

@@ -18,6 +18,11 @@ RegionMask Arc(int start, int length, int ring) {
   return mask;
 }
 
+/// False for NaN, infinities and negatives.
+bool FiniteNonNegative(double value) {
+  return std::isfinite(value) && value >= 0.0;
+}
+
 }  // namespace
 
 StatusOr<Workload> Workload::Generate(const WorkloadOptions& options) {
@@ -102,12 +107,22 @@ StatusOr<Workload> Workload::FromParts(
     return InvalidArgumentError(
         "buckets, region_weights and domain_sizes must align");
   }
+  // Every statistic must be finite: a NaN slips past plain range checks
+  // (all its comparisons are false) and later breaks interval arithmetic.
+  if (!FiniteNonNegative(access_overhead)) {
+    return InvalidArgumentError("access_overhead must be finite and >= 0");
+  }
   for (size_t b = 0; b < buckets.size(); ++b) {
     if (buckets[b].empty()) {
       return InvalidArgumentError("bucket " + std::to_string(b) + " is empty");
     }
     if (region_weights[b].empty() || region_weights[b].size() > 64) {
       return InvalidArgumentError("region_weights must have 1..64 entries");
+    }
+    for (double weight : region_weights[b]) {
+      if (!FiniteNonNegative(weight)) {
+        return InvalidArgumentError("region weights must be finite and >= 0");
+      }
     }
     const uint64_t valid =
         region_weights[b].size() == 64
@@ -117,15 +132,22 @@ StatusOr<Workload> Workload::FromParts(
       if ((s.regions.bits & ~valid) != 0) {
         return InvalidArgumentError("source mask uses undeclared regions");
       }
-      if (s.cardinality <= 0.0) {
-        return InvalidArgumentError("cardinality must be positive");
+      if (!std::isfinite(s.cardinality) || s.cardinality <= 0.0) {
+        return InvalidArgumentError("cardinality must be finite and positive");
       }
-      if (s.failure_prob < 0.0 || s.failure_prob >= 1.0) {
+      if (!(s.failure_prob >= 0.0 && s.failure_prob < 1.0)) {
         return InvalidArgumentError("failure_prob must be in [0, 1)");
       }
+      if (!FiniteNonNegative(s.transmission_cost)) {
+        return InvalidArgumentError(
+            "transmission_cost (alpha) must be finite and >= 0");
+      }
+      if (!FiniteNonNegative(s.fee)) {
+        return InvalidArgumentError("fee must be finite and >= 0");
+      }
     }
-    if (domain_sizes[b] <= 0.0) {
-      return InvalidArgumentError("domain sizes must be positive");
+    if (!std::isfinite(domain_sizes[b]) || domain_sizes[b] <= 0.0) {
+      return InvalidArgumentError("domain sizes must be finite and positive");
     }
   }
 

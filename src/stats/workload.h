@@ -61,7 +61,9 @@ class Workload {
 
   /// Builds a workload from explicit parts (used by tests and by domains with
   /// hand-written statistics, e.g. the examples). `region_weights[b]` must
-  /// have <= 64 entries; every source mask must fit in them.
+  /// have <= 64 entries; every source mask must fit in them. Every statistic
+  /// must be finite; weights, alpha, fee and overhead must be >= 0
+  /// (kInvalidArgument otherwise).
   static StatusOr<Workload> FromParts(
       std::vector<std::vector<SourceStats>> buckets,
       std::vector<std::vector<double>> region_weights, double access_overhead,

@@ -347,22 +347,6 @@ TEST(QueryServiceTest, PlanStoreSaveFailureIsCounted) {
   EXPECT_EQ(metrics.plan_store_save_failures, 1);
 }
 
-TEST(QueryServiceTest, SharedEvalPoolDoesNotChangeAnyRun) {
-  // A service-owned evaluation pool (ServiceOptions::eval_threads) fans
-  // utility evaluation out per session; the determinism contract (DESIGN.md
-  // §6) promises plan order and answers identical to the serial service.
-  auto d = MakeDomain();
-  ServiceOptions pooled_opts;
-  pooled_opts.eval_threads = 4;
-  QueryService serial(&d->catalog, &d->source_facts, ServiceOptions{});
-  QueryService pooled(&d->catalog, &d->source_facts, pooled_opts);
-  auto a = serial.RunQuery(d->query, Limits(16));
-  auto b = pooled.RunQuery(d->query, Limits(16));
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  ExpectSameTrace(*a, *b);
-}
-
 TEST(QueryServiceTest, PerSessionRuntimeSnapshotIsIsolated) {
   auto d = MakeDomain();
   QueryService service(&d->catalog, &d->source_facts, ServiceOptions{});

@@ -64,7 +64,7 @@ TEST(OracleTest, AcceptsCorrectOrderRejectsCorruptions) {
   auto orderer =
       core::MakeOrderer({core::OrdererKind::kPi}, &w, model.get(), spaces);
   ASSERT_TRUE(orderer.ok()) << orderer.status();
-  auto emissions = Drain(**orderer, /*pool=*/nullptr);
+  auto emissions = Drain(**orderer);
   ASSERT_TRUE(emissions.ok()) << emissions.status();
   ASSERT_EQ(emissions->size(), 4u * 4u * 4u);
 

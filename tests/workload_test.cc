@@ -1,5 +1,10 @@
 #include "stats/workload.h"
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace planorder::stats {
@@ -193,6 +198,57 @@ TEST(WorkloadFromPartsTest, SummariesArePointIntervals) {
   EXPECT_EQ(summary.cardinality.lo(), 7.0);
   EXPECT_EQ(summary.mask_union.bits, summary.mask_intersection.bits);
   EXPECT_EQ(summary.members, std::vector<int>{0});
+}
+
+TEST(WorkloadFromPartsTest, RejectsNonFiniteAndNegativeStatistics) {
+  // One row per field x {nan, inf, negative}; FromParts must return
+  // kInvalidArgument for every row (NaN passes plain range checks).
+  struct Parts {
+    std::vector<std::vector<SourceStats>> buckets;
+    std::vector<std::vector<double>> region_weights;
+    double access_overhead;
+    std::vector<double> domain_sizes;
+  };
+  const auto valid = [] {
+    SourceStats s;
+    s.cardinality = 7.0;
+    s.transmission_cost = 0.5;
+    s.failure_prob = 0.25;
+    s.fee = 1.5;
+    s.regions.bits = 0b1;
+    return Parts{{{s}}, {{1.0}}, 2.0, {10.0}};
+  };
+  const std::vector<std::pair<std::string, void (*)(Parts&, double)>> fields =
+      {{"cardinality",
+        [](Parts& p, double v) { p.buckets[0][0].cardinality = v; }},
+       {"transmission_cost",
+        [](Parts& p, double v) { p.buckets[0][0].transmission_cost = v; }},
+       {"failure_prob",
+        [](Parts& p, double v) { p.buckets[0][0].failure_prob = v; }},
+       {"fee", [](Parts& p, double v) { p.buckets[0][0].fee = v; }},
+       {"region_weight", [](Parts& p, double v) { p.region_weights[0][0] = v; }},
+       {"access_overhead", [](Parts& p, double v) { p.access_overhead = v; }},
+       {"domain_size", [](Parts& p, double v) { p.domain_sizes[0] = v; }}};
+  const std::vector<std::pair<std::string, double>> values = {
+      {"nan", std::numeric_limits<double>::quiet_NaN()},
+      {"inf", std::numeric_limits<double>::infinity()},
+      {"negative", -1.0}};
+  Parts base = valid();
+  ASSERT_TRUE(Workload::FromParts(base.buckets, base.region_weights,
+                                  base.access_overhead, base.domain_sizes)
+                  .ok());
+  for (const auto& [field, set] : fields) {
+    for (const auto& [label, value] : values) {
+      Parts parts = valid();
+      set(parts, value);
+      const StatusOr<Workload> w =
+          Workload::FromParts(parts.buckets, parts.region_weights,
+                              parts.access_overhead, parts.domain_sizes);
+      ASSERT_FALSE(w.ok()) << field << "=" << label;
+      EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument)
+          << field << "=" << label;
+    }
+  }
 }
 
 TEST(StatSummaryTest, MergeHullsStatsAndCombinesMasks) {
