@@ -30,7 +30,6 @@
 #include "core/plan_space.h"
 #include "exec/synthetic_domain.h"
 #include "reformulation/executable_order.h"
-#include "reformulation/rewriting.h"
 
 namespace planorder::bench {
 namespace {
@@ -92,29 +91,17 @@ TimedRun TimeSortAll(const exec::SyntheticDomain& domain,
   const double start_ms = NowWallMs();
   std::vector<datalog::ConjunctiveQuery> rewritings;
   const size_t num_buckets = domain.source_ids.size();
-  std::vector<size_t> odometer(num_buckets, 0);
+  std::vector<int> odometer(num_buckets, 0);
   while (true) {
-    std::vector<datalog::SourceId> choice(num_buckets);
-    for (size_t b = 0; b < num_buckets; ++b) {
-      choice[b] = domain.source_ids[b][odometer[b]];
-    }
-    auto plan =
-        reformulation::BuildSoundPlan(domain.query, domain.catalog, choice);
-    PLANORDER_CHECK(plan.ok()) << plan.status();
-    if (plan->has_value()) {
-      auto ordered =
-          reformulation::FindExecutableOrder(**plan, domain.catalog);
-      if (ordered.ok()) {
-        rewritings.push_back((**plan).rewriting);
-      } else {
-        PLANORDER_CHECK(ordered.status().code() ==
-                        StatusCode::kFailedPrecondition)
-            << ordered.status();
-      }
+    auto resolved = reformulation::ResolvePlan(domain.query, domain.catalog,
+                                               domain.source_ids, odometer);
+    PLANORDER_CHECK(resolved.ok()) << resolved.status();
+    if (resolved->verdict == reformulation::PlanVerdict::kUsable) {
+      rewritings.push_back(std::move(resolved->plan.rewriting));
     }
     size_t b = 0;
     for (; b < num_buckets; ++b) {
-      if (++odometer[b] < domain.source_ids[b].size()) break;
+      if (size_t(++odometer[b]) < domain.source_ids[b].size()) break;
       odometer[b] = 0;
     }
     if (b == num_buckets) break;

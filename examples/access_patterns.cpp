@@ -9,11 +9,11 @@
 
 #include <cstdio>
 
-#include "core/pi.h"
+#include "core/orderer_factory.h"
 #include "exec/dependent_join.h"
 #include "exec/source_access.h"
 #include "exec/synthetic_domain.h"
-#include "reformulation/rewriting.h"
+#include "reformulation/executable_order.h"
 #include "utility/cost_models.h"
 
 namespace {
@@ -52,8 +52,9 @@ int main() {
   auto model = utility::BoundJoinCostModel::Create(&d.workload,
                                                    utility::BoundJoinOptions{});
   if (!model.ok()) return Fail(model.status());
-  auto orderer = core::PiOrderer::Create(
-      &d.workload, model->get(), {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer =
+      core::MakeOrderer({core::OrdererKind::kPi}, &d.workload, model->get(),
+                        {core::PlanSpace::FullSpace(d.workload)});
   if (!orderer.ok()) return Fail(orderer.status());
 
   std::printf("query: %s\n", d.query.ToString().c_str());
@@ -63,23 +64,22 @@ int main() {
   for (int rank = 1; rank <= 12; ++rank) {
     auto next = (*orderer)->Next();
     if (!next.ok()) break;
-    std::vector<datalog::SourceId> choice(next->plan.size());
     std::vector<double> alphas(next->plan.size());
     for (size_t b = 0; b < next->plan.size(); ++b) {
-      choice[b] = d.source_ids[b][next->plan[b]];
       alphas[b] =
           d.workload.source(static_cast<int>(b), next->plan[b]).transmission_cost;
     }
-    auto plan = reformulation::BuildSoundPlan(d.query, d.catalog, choice);
-    if (!plan.ok()) return Fail(plan.status());
-    if (!plan->has_value()) {
+    auto resolved = reformulation::ResolvePlan(d.query, d.catalog,
+                                               d.source_ids, next->plan);
+    if (!resolved.ok()) return Fail(resolved.status());
+    if (resolved->verdict != reformulation::PlanVerdict::kUsable) {
       (*orderer)->ReportDiscarded();
       continue;
     }
     registry.ResetStats();
     exec::ExecutionTrace trace;
     auto answers =
-        exec::ExecutePlanDependent((*plan)->rewriting, registry, &trace);
+        exec::ExecutePlanDependent(resolved->plan.rewriting, registry, &trace);
     if (!answers.ok()) return Fail(answers.status());
     std::printf("%4d  %12.1f  %12.1f  %7lld  %8lld  %zu\n", rank,
                 -next->utility, trace.ModeledCost(h, alphas),

@@ -17,7 +17,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/streamer.h"
+#include "core/orderer_factory.h"
 #include "utility/coverage_model.h"
 
 namespace {
@@ -83,8 +83,9 @@ int main() {
   }
 
   utility::CoverageModel coverage(&*workload);
-  auto streamer = core::StreamerOrderer::Create(
-      &*workload, &coverage, {core::PlanSpace::FullSpace(*workload)});
+  auto streamer =
+      core::MakeOrderer({core::OrdererKind::kStreamer}, &*workload, &coverage,
+                        {core::PlanSpace::FullSpace(*workload)});
   if (!streamer.ok()) {
     std::fprintf(stderr, "error: %s\n", streamer.status().ToString().c_str());
     return 1;

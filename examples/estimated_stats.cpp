@@ -16,7 +16,7 @@
 
 #include <cstdio>
 
-#include "core/streamer.h"
+#include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "exec/mediator.h"
 #include "reformulation/bucket.h"
@@ -96,8 +96,9 @@ int main() {
   }
 
   utility::CoverageModel model(&*workload);
-  auto orderer = core::StreamerOrderer::Create(
-      &*workload, &model, {core::PlanSpace::FullSpace(*workload)});
+  auto orderer =
+      core::MakeOrderer({core::OrdererKind::kStreamer}, &*workload, &model,
+                        {core::PlanSpace::FullSpace(*workload)});
   if (!orderer.ok()) return Fail(orderer.status());
 
   std::vector<std::vector<datalog::SourceId>> source_ids;

@@ -13,8 +13,7 @@
 
 #include <cstdio>
 
-#include "core/pi.h"
-#include "core/streamer.h"
+#include "core/orderer_factory.h"
 #include "exec/mediator.h"
 #include "exec/synthetic_domain.h"
 #include "utility/coverage_model.h"
@@ -85,8 +84,9 @@ int main() {
   const int plans_to_run = 24;
 
   utility::CoverageModel model_a(&d.workload);
-  auto streamer = core::StreamerOrderer::Create(
-      &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
+  auto streamer =
+      core::MakeOrderer({core::OrdererKind::kStreamer}, &d.workload, &model_a,
+                        {core::PlanSpace::FullSpace(d.workload)});
   if (!streamer.ok()) {
     std::fprintf(stderr, "error: %s\n", streamer.status().ToString().c_str());
     return 1;

@@ -39,7 +39,6 @@
 #include "exec/mediator.h"
 #include "reformulation/bucket.h"
 #include "reformulation/executable_order.h"
-#include "reformulation/rewriting.h"
 #include "utility/measures.h"
 
 namespace {
@@ -277,25 +276,17 @@ Status Run(const std::string& path) {
       if (next.status().code() == StatusCode::kNotFound) break;
       return next.status();
     }
-    std::vector<datalog::SourceId> choice(next->plan.size());
-    for (size_t b = 0; b < next->plan.size(); ++b) {
-      choice[b] = buckets.buckets[b][next->plan[b]];
-    }
     PLANORDER_ASSIGN_OR_RETURN(
-        std::optional<reformulation::QueryPlan> plan,
-        reformulation::BuildSoundPlan(*config.query, config.catalog, choice));
-    if (!plan.has_value()) {
+        reformulation::ResolvedPlan resolved,
+        reformulation::ResolvePlan(*config.query, config.catalog,
+                                   buckets.buckets, next->plan));
+    if (resolved.verdict != reformulation::PlanVerdict::kUsable) {
       orderer->ReportDiscarded();
-      continue;  // unsound combination: skip without counting
-    }
-    auto ordered = reformulation::FindExecutableOrder(*plan, config.catalog);
-    if (!ordered.ok()) {
-      orderer->ReportDiscarded();
-      continue;  // sound but not executable under the access patterns
+      continue;  // unsound, or not executable under the access patterns
     }
     ++emitted;
     std::printf("%3d. utility=%10.4f  %s\n", emitted, next->utility,
-                ordered->rewriting.ToString().c_str());
+                resolved.plan.rewriting.ToString().c_str());
   }
   std::printf("\n%d sound plans emitted; %lld plan evaluations\n", emitted,
               static_cast<long long>(orderer->plan_evaluations()));

@@ -11,10 +11,10 @@
 
 #include <cstdio>
 
-#include "core/greedy.h"
+#include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "reformulation/bucket.h"
-#include "reformulation/rewriting.h"
+#include "reformulation/executable_order.h"
 #include "utility/cost_models.h"
 
 namespace {
@@ -89,8 +89,9 @@ int main() {
 
   // --- Order plans with Greedy under the additive cost measure (1). ------
   utility::AdditiveCostModel model(&*workload);
-  auto greedy = core::GreedyOrderer::Create(
-      &*workload, &model, {core::PlanSpace::FullSpace(*workload)});
+  auto greedy =
+      core::MakeOrderer({core::OrdererKind::kGreedy}, &*workload, &model,
+                        {core::PlanSpace::FullSpace(*workload)});
   if (!greedy.ok()) return Fail(greedy.status());
 
   std::printf("\nplans in decreasing utility (increasing cost):\n");
@@ -98,18 +99,16 @@ int main() {
   while (true) {
     auto next = (*greedy)->Next();
     if (!next.ok()) break;
-    // Map bucket positions back to catalog sources & build the rewriting.
-    std::vector<datalog::SourceId> choice(next->plan.size());
-    for (size_t b = 0; b < next->plan.size(); ++b) {
-      choice[b] = buckets->buckets[b][next->plan[b]];
-    }
-    auto plan = reformulation::BuildSoundPlan(*query, catalog, choice);
-    if (!plan.ok()) return Fail(plan.status());
+    // Map bucket positions to catalog sources and build the sound rewriting.
+    auto resolved = reformulation::ResolvePlan(*query, catalog,
+                                               buckets->buckets, next->plan);
+    if (!resolved.ok()) return Fail(resolved.status());
+    const bool usable =
+        resolved->verdict == reformulation::PlanVerdict::kUsable;
     std::printf("%2d. cost=%7.2f  %s\n", ++rank, -next->utility,
-                plan->has_value()
-                    ? (*plan)->rewriting.ToString().c_str()
-                    : "(unsound combination, discarded)");
-    if (!plan->has_value()) (*greedy)->ReportDiscarded();
+                usable ? resolved->plan.rewriting.ToString().c_str()
+                       : "(unsound combination, discarded)");
+    if (!usable) (*greedy)->ReportDiscarded();
   }
   std::printf("\n%lld plan evaluations for %d plans (brute force: 9)\n",
               static_cast<long long>((*greedy)->plan_evaluations()), rank);

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "reformulation/executable_order.h"
-#include "reformulation/rewriting.h"
 
 namespace planorder::anyk {
 
@@ -24,29 +23,20 @@ StatusOr<RankedAnswerStream> RankedAnswerStream::Open(
       return next.status();
     }
     ++stream.stats_.plans_considered;
-    std::vector<datalog::SourceId> choice(next->plan.size());
-    for (size_t b = 0; b < next->plan.size(); ++b) {
-      choice[b] = source_ids[b][next->plan[b]];
-    }
     PLANORDER_ASSIGN_OR_RETURN(
-        auto plan, reformulation::BuildSoundPlan(query, catalog, choice));
-    if (!plan.has_value()) {
-      orderer.ReportDiscarded();
-      continue;
+        reformulation::ResolvedPlan resolved,
+        reformulation::ResolvePlan(query, catalog, source_ids, next->plan));
+    if (resolved.verdict != reformulation::PlanVerdict::kUnsound) {
+      ++stream.stats_.sound_plans;
     }
-    ++stream.stats_.sound_plans;
-    auto ordered = reformulation::FindExecutableOrder(*plan, catalog);
-    if (!ordered.ok()) {
-      if (ordered.status().code() != StatusCode::kFailedPrecondition) {
-        return ordered.status();
-      }
+    if (resolved.verdict != reformulation::PlanVerdict::kUsable) {
       orderer.ReportDiscarded();
       continue;
     }
     // Only the bottom-up DP runs here; enumeration stays lazy.
     PLANORDER_ASSIGN_OR_RETURN(
         auto enumerator,
-        AnyKEnumerator::Create(ordered->rewriting, source_facts,
+        AnyKEnumerator::Create(resolved.plan.rewriting, source_facts,
                                options.weights));
     stream.enumerators_.push_back(std::move(enumerator));
     ++stream.stats_.open_plans;

@@ -3,9 +3,7 @@
 #include <utility>
 
 #include "exec/dependent_join.h"
-
 #include "reformulation/executable_order.h"
-#include "reformulation/rewriting.h"
 
 namespace planorder::exec {
 
@@ -124,56 +122,39 @@ StatusOr<MediatorStep> MediatorStream::NextStep() {
   step.plan = next->plan;
   step.estimated_utility = next->utility;
 
-  // Translate bucket indices to catalog source ids and build the sound
-  // rewriting, if any.
-  std::vector<datalog::SourceId> choice(step.plan.size());
-  for (size_t b = 0; b < step.plan.size(); ++b) {
-    choice[b] = mediator_->source_ids_[b][step.plan[b]];
-  }
-  auto plan = reformulation::BuildSoundPlan(mediator_->query_,
-                                            *mediator_->catalog_, choice);
-  if (!plan.ok()) {
+  auto resolved =
+      reformulation::ResolvePlan(mediator_->query_, *mediator_->catalog_,
+                                 mediator_->source_ids_, step.plan);
+  if (!resolved.ok()) {
     done_ = true;
-    return plan.status();
+    return resolved.status();
   }
-  if (!plan->has_value()) {
-    step.sound = false;
+  step.sound = resolved->verdict != reformulation::PlanVerdict::kUnsound;
+  step.executable =
+      resolved->verdict != reformulation::PlanVerdict::kNotExecutable;
+  if (step.sound) ++result_.sound_plans;
+  if (resolved->verdict != reformulation::PlanVerdict::kUsable) {
     orderer_->ReportDiscarded();
   } else {
-    step.sound = true;
-    ++result_.sound_plans;
-    // Respect source access patterns: reorder atoms into an executable
-    // order; a sound plan with none is discarded like an unsound one.
-    auto ordered = reformulation::FindExecutableOrder(**plan,
-                                                      *mediator_->catalog_);
-    if (!ordered.ok()) {
-      if (ordered.status().code() != StatusCode::kFailedPrecondition) {
-        done_ = true;
-        return ordered.status();
-      }
-      step.executable = false;
+    auto exec = executor_->ExecutePlan(resolved->plan.rewriting);
+    if (!exec.ok()) {
+      done_ = true;
+      return exec.status();
+    }
+    result_.source_calls += exec->source_calls;
+    result_.tuples_shipped += exec->tuples_shipped;
+    result_.runtime.Merge(exec->runtime);
+    if (exec->failed) {
+      // A dead source takes this plan out, not the run: report it to the
+      // orderer as a discard so it stops conditioning later utilities.
+      step.failed = true;
+      step.failure_reason = std::move(exec->failure_reason);
+      ++result_.failed_plans;
       orderer_->ReportDiscarded();
     } else {
-      auto exec = executor_->ExecutePlan(ordered->rewriting);
-      if (!exec.ok()) {
-        done_ = true;
-        return exec.status();
-      }
-      result_.source_calls += exec->source_calls;
-      result_.tuples_shipped += exec->tuples_shipped;
-      result_.runtime.Merge(exec->runtime);
-      if (exec->failed) {
-        // A dead source takes this plan out, not the run: report it to the
-        // orderer as a discard so it stops conditioning later utilities.
-        step.failed = true;
-        step.failure_reason = std::move(exec->failure_reason);
-        ++result_.failed_plans;
-        orderer_->ReportDiscarded();
-      } else {
-        step.answers_from_plan = exec->tuples.size();
-        for (std::vector<datalog::Term>& tuple : exec->tuples) {
-          if (answers_.insert(std::move(tuple)).second) ++step.new_answers;
-        }
+      step.answers_from_plan = exec->tuples.size();
+      for (std::vector<datalog::Term>& tuple : exec->tuples) {
+        if (answers_.insert(std::move(tuple)).second) ++step.new_answers;
       }
     }
   }

@@ -1,7 +1,9 @@
 #include "reformulation/executable_order.h"
 
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "datalog/builtins.h"
 
@@ -84,6 +86,34 @@ StatusOr<QueryPlan> FindExecutableOrder(const QueryPlan& plan,
     bound.insert(vars.begin(), vars.end());
   }
   return ordered;
+}
+
+StatusOr<ResolvedPlan> ResolvePlan(
+    const datalog::ConjunctiveQuery& query, const datalog::Catalog& catalog,
+    const std::vector<std::vector<datalog::SourceId>>& source_ids,
+    const std::vector<int>& bucket_plan) {
+  if (bucket_plan.size() != source_ids.size()) {
+    return InvalidArgumentError("plan and source buckets must align");
+  }
+  std::vector<datalog::SourceId> choice(bucket_plan.size());
+  for (size_t b = 0; b < bucket_plan.size(); ++b) {
+    if (bucket_plan[b] < 0 ||
+        static_cast<size_t>(bucket_plan[b]) >= source_ids[b].size()) {
+      return InvalidArgumentError("plan index out of its source bucket");
+    }
+    choice[b] = source_ids[b][static_cast<size_t>(bucket_plan[b])];
+  }
+  PLANORDER_ASSIGN_OR_RETURN(std::optional<QueryPlan> sound,
+                             BuildSoundPlan(query, catalog, choice));
+  if (!sound.has_value()) return ResolvedPlan{PlanVerdict::kUnsound, {}};
+  StatusOr<QueryPlan> ordered = FindExecutableOrder(*sound, catalog);
+  if (ordered.ok()) {
+    return ResolvedPlan{PlanVerdict::kUsable, std::move(*ordered)};
+  }
+  if (ordered.status().code() != StatusCode::kFailedPrecondition) {
+    return ordered.status();
+  }
+  return ResolvedPlan{PlanVerdict::kNotExecutable, {}};
 }
 
 }  // namespace planorder::reformulation

@@ -27,11 +27,8 @@ StatusOr<std::vector<std::vector<Term>>> FetchBatchPartitioned(
     RemoteSource& source, const std::vector<std::map<int, Term>>& batch,
     ThreadPool& pool, const ParallelJoinOptions& options, double* elapsed_ms,
     int64_t* partition_calls, exec::RuntimeAccounting* accounting) {
-  const int min_size = std::max(1, options.min_partition_size);
-  int partitions = std::min(
-      {options.max_partitions, pool.num_threads(),
-       static_cast<int>((batch.size() + size_t(min_size) - 1) /
-                        size_t(min_size))});
+  int partitions = std::min({options.max_partitions, pool.num_threads(),
+                             static_cast<int>(batch.size())});
   if (partitions < 1) partitions = 1;
   // Ceiling-divide can leave trailing chunks empty (e.g. 5 items over 4
   // partitions -> chunks of 2 fill after 3); recompute so every chunk is

@@ -18,8 +18,6 @@ struct ParallelJoinOptions {
   /// to the pool size and the batch size). 1 degenerates to the serial
   /// dependent join over RemoteSources.
   int max_partitions = 4;
-  /// Batches smaller than this are not split (partition setup is not free).
-  int min_partition_size = 1;
   RetryPolicy retry;
   /// Budget on the plan's *simulated elapsed* time: the sum over atoms of the
   /// slowest partition of each batched call (the critical path), including

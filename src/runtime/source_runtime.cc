@@ -22,7 +22,6 @@ SourceRuntime::SourceRuntime(exec::SourceRegistry* sources,
   join_options_.max_partitions = options_.max_partitions_per_call > 0
                                      ? options_.max_partitions_per_call
                                      : pool_.num_threads();
-  join_options_.min_partition_size = options_.min_partition_size;
   join_options_.retry = options_.retry;
   join_options_.plan_budget_ms = options_.plan_budget_ms;
 }

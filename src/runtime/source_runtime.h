@@ -22,8 +22,6 @@ struct RuntimeOptions {
   int num_threads = 4;
   /// Max concurrent partitions per batched source call; 0 = num_threads.
   int max_partitions_per_call = 0;
-  /// Don't split batches below this many binding combinations.
-  int min_partition_size = 1;
   /// Seed of the simulated network (see RemoteRegistry).
   uint64_t seed = 1;
   /// Wall-clock realism: 1.0 sleeps simulated milliseconds for real,

@@ -60,10 +60,10 @@ struct ServiceMetricsSnapshot {
   // Reformulation cache.
   ReformulationCache::Stats cache;
   int64_t canonicalizations = 0;
-  /// Containment-based equivalence checks run on cache hits (when
-  /// ServiceOptions::verify_cache_hits is set), and how many failed — a
-  /// failure means the canonical key matched a non-equivalent query and the
-  /// hit was demoted to a miss. Zero failures expected in practice.
+  /// Containment-based equivalence checks run on cache hits (one per hit),
+  /// and how many failed — a failure means the canonical key matched a
+  /// non-equivalent query and the hit was demoted to a miss. Zero failures
+  /// expected in practice.
   int64_t cache_verifications = 0;
   int64_t cache_verification_failures = 0;
 
@@ -111,7 +111,6 @@ struct ServiceMetricsSnapshot {
     cache.hits += other.cache.hits;
     cache.misses += other.cache.misses;
     cache.collisions += other.cache.collisions;
-    cache.containment_hits += other.cache.containment_hits;
     cache.evictions += other.cache.evictions;
     cache.insertions += other.cache.insertions;
     cache.size += other.cache.size;

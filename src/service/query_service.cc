@@ -9,6 +9,7 @@
 #include "datalog/canonicalize.h"
 #include "datalog/containment.h"
 #include "datalog/parser.h"
+#include "reformulation/statistics.h"
 #include "utility/measures.h"
 
 namespace planorder::service {
@@ -188,10 +189,9 @@ StatusOr<QueryService::ReformulationOutcome> QueryService::Reformulate(
   }
   std::shared_ptr<const CachedReformulation> entry = cache_.Lookup(canonical);
   if (entry != nullptr) {
-    bool verified = true;
-    if (options_.verify_cache_hits) {
-      verified =
-          datalog::AreEquivalent(entry->canonical.query, canonical.query);
+    const bool verified =
+        datalog::AreEquivalent(entry->canonical.query, canonical.query);
+    {
       MutexLock lock(mu_);
       ++cache_verifications_;
       if (!verified) ++cache_verification_failures_;
@@ -199,13 +199,6 @@ StatusOr<QueryService::ReformulationOutcome> QueryService::Reformulate(
     if (verified) return ReformulationOutcome{std::move(entry), true};
     // Key matched a non-equivalent query (should be impossible; counted
     // above) — fall through to the cold path rather than serve wrong plans.
-  } else if (options_.containment_reuse) {
-    // Beyond isomorphism: an equivalent-but-not-isomorphic resident entry
-    // (e.g. a query with a redundant atom) can soundly serve this query —
-    // equivalence means identical answers on every database, and the
-    // containment test that establishes it is the verification itself.
-    entry = cache_.LookupByContainment(canonical);
-    if (entry != nullptr) return ReformulationOutcome{std::move(entry), true};
   }
 
   auto fresh = std::make_shared<CachedReformulation>();
@@ -216,8 +209,7 @@ StatusOr<QueryService::ReformulationOutcome> QueryService::Reformulate(
   PLANORDER_ASSIGN_OR_RETURN(
       fresh->workload,
       reformulation::EstimateWorkloadFromInstances(
-          fresh->canonical.query, *catalog_, fresh->buckets, *source_facts_,
-          options_.estimate));
+          fresh->canonical.query, *catalog_, fresh->buckets, *source_facts_));
   cache_.Insert(fresh);
   if (options_.plan_store != nullptr) {
     // Best-effort: a failed persist leaves the service fully functional
@@ -241,13 +233,12 @@ std::vector<std::vector<std::string>> QueryService::ResolveSourceNames(
 
 Status QueryService::SetUpOrdering(Session& session) {
   const stats::Workload* workload = &session.reformulation_->workload;
-  if (options_.adaptive_reorder) {
+  if (options_.observed_stats != nullptr) {
     // The adaptive wrapper owns its per-generation models and inner orderer;
     // the session's reformulation workload serves as the estimate baseline.
     adaptive::AdaptiveOptions adaptive_options;
     adaptive_options.inner = core::OrdererKind::kAuto;
     adaptive_options.measure = options_.measure;
-    adaptive_options.drift = options_.drift;
     PLANORDER_ASSIGN_OR_RETURN(
         session.orderer_,
         adaptive::AdaptiveOrderer::Create(

@@ -11,7 +11,6 @@
 #include "base/thread_annotations.h"
 #include "datalog/source.h"
 #include "exec/mediator.h"
-#include "reformulation/statistics.h"
 #include "runtime/clock.h"
 #include "service/metrics.h"
 #include "service/reformulation_cache.h"
@@ -23,12 +22,10 @@ namespace planorder::service {
 
 /// Configuration of a QueryService.
 struct ServiceOptions {
-  /// Reformulation-cache entries kept resident; 0 disables the cache.
+  /// Reformulation-cache entries kept resident; 0 disables the cache. Every
+  /// hit is re-verified with the Chandra-Merlin containment test
+  /// (datalog::AreEquivalent) before it is served.
   size_t cache_capacity = 64;
-  /// On each cache hit, additionally verify with the Chandra-Merlin
-  /// containment test that the cached canonical query is equivalent to the
-  /// incoming one (collision safety beyond the key-string comparison).
-  bool verify_cache_hits = true;
 
   /// Admission control: at most this many sessions hold slots at once ...
   int max_active_sessions = 8;
@@ -63,9 +60,6 @@ struct ServiceOptions {
   /// step's utility against the exact cache state it was evaluated under.
   bool record_residency_snapshots = false;
 
-  /// Statistics estimation knobs for cold (uncached) reformulations.
-  reformulation::EstimateOptions estimate;
-
   /// Versioned on-disk plan/stats store (borrowed, may be null; DESIGN.md
   /// §12). At construction the service warm-loads every persisted
   /// reformulation into the cache — skipping bucket construction and the
@@ -76,28 +70,15 @@ struct ServiceOptions {
   /// PersistPlanStore() flushes on demand (e.g. at shutdown).
   adaptive::PlanStore* plan_store = nullptr;
 
-  /// Extends reformulation-cache reuse beyond isomorphism: when the
-  /// canonical key misses, scan resident entries for a logically equivalent
-  /// query (mutual containment via datalog::AreEquivalent) and serve its
-  /// reformulation — the containment test is itself the hit verification.
-  /// Off by default: the scan costs O(residents) containment tests per cold
-  /// query.
-  bool containment_reuse = false;
-
   /// Observed per-source statistics layer (borrowed, may be null). Wire the
   /// same object as runtime::RuntimeOptions::trace_sink to close the loop:
-  /// execution traces fold into it, adaptive sessions re-rank from it, and
-  /// the plan store persists/restores it across restarts.
+  /// execution traces fold into it and the plan store persists/restores it
+  /// across restarts. When set, every session's orderer is an
+  /// adaptive::AdaptiveOrderer over it (default adaptive::DriftOptions):
+  /// when folded observations leave the divergence band, the session
+  /// discards its remaining plan order mid-stream and reorders under the
+  /// blended statistics.
   adaptive::ObservedStats* observed_stats = nullptr;
-
-  /// Wraps every session's orderer in an adaptive::AdaptiveOrderer over
-  /// `observed_stats`: when folded observations leave the divergence band,
-  /// the session discards its remaining plan order mid-stream and reorders
-  /// under the blended statistics.
-  bool adaptive_reorder = false;
-
-  /// Divergence-monitor policy for adaptive sessions.
-  adaptive::DriftOptions drift;
 
   /// Time source for session latency metrics (borrowed; nullptr = the
   /// process-wide RealClock). Inject a runtime::VirtualClock to make latency
@@ -184,7 +165,7 @@ class QueryService {
   void OnSessionFinished(const exec::MediatorResult& result,
                          double elapsed_ms) EXCLUDES(mu_);
 
-  /// Canonicalize + cache lookup (+ optional containment verification),
+  /// Canonicalize + cache lookup + containment verification of the hit,
   /// computing and inserting the reformulation on a miss. Returns the entry
   /// and whether it was a hit.
   struct ReformulationOutcome {

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "datalog/containment.h"
-
 namespace planorder::service {
 
 std::shared_ptr<const CachedReformulation> ReformulationCache::Lookup(
@@ -24,25 +22,6 @@ std::shared_ptr<const CachedReformulation> ReformulationCache::Lookup(
   lru_.splice(lru_.begin(), lru_, it->second);
   ++stats_.hits;
   return entry;
-}
-
-std::shared_ptr<const CachedReformulation>
-ReformulationCache::LookupByContainment(
-    const datalog::CanonicalQuery& canonical) {
-  MutexLock lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    const std::shared_ptr<const CachedReformulation>& entry = *it;
-    if (entry->canonical.key == canonical.key) continue;  // Lookup's job
-    if (!datalog::AreEquivalent(canonical.query, entry->canonical.query)) {
-      continue;
-    }
-    std::shared_ptr<const CachedReformulation> found = entry;
-    lru_.splice(lru_.begin(), lru_, it);
-    ++stats_.hits;
-    ++stats_.containment_hits;
-    return found;
-  }
-  return nullptr;
 }
 
 std::vector<std::shared_ptr<const CachedReformulation>>

@@ -30,9 +30,9 @@ struct CachedReformulation {
 /// Thread-safe LRU cache of reformulations keyed by canonical form. The
 /// structural hash indexes the table; a hit additionally requires the full
 /// canonical key string to match (hash collisions are counted and treated as
-/// misses, never served). Callers may layer a containment-based equivalence
-/// verification on top (see ServiceOptions::verify_cache_hits) — the
-/// belt-and-braces check that a key match really is query equivalence.
+/// misses, never served). QueryService re-verifies every hit with a
+/// containment-based equivalence test on top — the belt-and-braces check
+/// that a key match really is query equivalence.
 class ReformulationCache {
  public:
   struct Stats {
@@ -41,11 +41,6 @@ class ReformulationCache {
     /// Lookups whose hash matched a resident entry with a different
     /// canonical key. Served as misses.
     int64_t collisions = 0;
-    /// Hits served beyond isomorphism: the canonical key missed but a
-    /// resident entry's query is logically equivalent (mutual containment,
-    /// datalog::AreEquivalent). Also counted in `hits`; the preceding key
-    /// miss stays counted in `misses`.
-    int64_t containment_hits = 0;
     int64_t evictions = 0;
     int64_t insertions = 0;
     size_t size = 0;
@@ -67,17 +62,6 @@ class ReformulationCache {
   /// capacity. A same-key entry already resident is replaced (last writer
   /// wins; races between concurrent misses on the same query are benign).
   void Insert(std::shared_ptr<const CachedReformulation> entry) EXCLUDES(mu_);
-
-  /// Containment-mapped reuse (ROADMAP "beyond isomorphism"): after Lookup
-  /// missed on the canonical key, scans the resident entries most-recent
-  /// first for one whose query is logically *equivalent* to `canonical`
-  /// (mutual containment via datalog::AreEquivalent — equivalent queries
-  /// have identical answer sets on every database, so serving the resident
-  /// entry's buckets and statistics is sound by construction). Returns the
-  /// first equivalent entry bumped to most-recently-used, or nullptr. The
-  /// scan is O(residents × containment test); capacity bounds it.
-  std::shared_ptr<const CachedReformulation> LookupByContainment(
-      const datalog::CanonicalQuery& canonical) EXCLUDES(mu_);
 
   /// Resident entries, most-recently-used first (plan-store persistence).
   std::vector<std::shared_ptr<const CachedReformulation>> Snapshot() const

@@ -1,9 +1,7 @@
 /// Service-layer tests for the adaptive feedback loop (DESIGN.md §12): warm
-/// restarts from the persistent plan store, corruption fallback to a cold
-/// start, containment-based reformulation reuse, and the regression guard
-/// that containment-mapped hits still see external residency bits before
-/// their first emission (the PR-8 stale-view fix must not be bypassed by the
-/// new cache path).
+/// restarts from the persistent plan store, learned statistics across a
+/// restart, corruption fallback to a cold start, and adaptive sessions that
+/// match plain ones while no observation has drifted.
 
 #include <cstdio>
 #include <fstream>
@@ -16,10 +14,8 @@
 
 #include "adaptive/observed_stats.h"
 #include "adaptive/plan_store.h"
-#include "datalog/conjunctive_query.h"
 #include "exec/synthetic_domain.h"
 #include "service/query_service.h"
-#include "service/shared_view.h"
 
 namespace planorder::service {
 namespace {
@@ -82,23 +78,6 @@ class StoreFile {
  private:
   std::string path_;
 };
-
-/// A query logically equivalent to `query` but not isomorphic to it: the
-/// first body atom is duplicated under fresh existential variables. The
-/// identity homomorphism maps the original into the widened query, and
-/// folding the duplicate back onto the original atom maps the widened query
-/// into the original — mutual containment, different canonical key.
-datalog::ConjunctiveQuery WidenWithRedundantAtom(
-    const datalog::ConjunctiveQuery& query) {
-  datalog::ConjunctiveQuery widened = query;
-  datalog::Atom duplicate = widened.body.front();
-  for (size_t i = 0; i < duplicate.args.size(); ++i) {
-    duplicate.args[i] =
-        datalog::Term::Variable("Dup" + std::to_string(i));
-  }
-  widened.body.push_back(std::move(duplicate));
-  return widened;
-}
 
 TEST(AdaptiveServiceTest, WarmRestartReplaysByteIdentically) {
   auto d = MakeDomain();
@@ -217,96 +196,6 @@ TEST(AdaptiveServiceTest, CorruptStoreFallsBackToAColdStart) {
   EXPECT_EQ(reloaded->entries.size(), 1u);
 }
 
-TEST(AdaptiveServiceTest, ContainmentReuseServesEquivalentQueries) {
-  auto d = MakeDomain();
-  const datalog::ConjunctiveQuery widened = WidenWithRedundantAtom(d->query);
-
-  // Control: without containment reuse the widened query is a genuine miss —
-  // its canonical key differs (the redundant atom survives canonicalization,
-  // so this really exercises the containment path below, not key identity).
-  {
-    QueryService service(&d->catalog, &d->source_facts, ServiceOptions{});
-    ASSERT_TRUE(service.RunQuery(d->query, Limits(16)).ok());
-    ASSERT_TRUE(service.RunQuery(widened, Limits(16)).ok());
-    const ServiceMetricsSnapshot metrics = service.Metrics();
-    EXPECT_EQ(metrics.cache.misses, 2);
-    EXPECT_EQ(metrics.cache.hits, 0);
-    EXPECT_EQ(metrics.cache.containment_hits, 0);
-  }
-
-  ServiceOptions options;
-  options.containment_reuse = true;
-  QueryService service(&d->catalog, &d->source_facts, options);
-
-  auto prime = service.OpenSession(d->query, Limits(16));
-  ASSERT_TRUE(prime.ok()) << prime.status();
-  while ((*prime)->NextStep().ok()) {
-  }
-  const std::set<std::string> original_answers =
-      AnswerSet((*prime)->Answers());
-  const MediatorResult original = (*prime)->Finish();
-
-  auto session = service.OpenSession(widened, Limits(16));
-  ASSERT_TRUE(session.ok()) << session.status();
-  EXPECT_TRUE((*session)->cache_hit());
-  while ((*session)->NextStep().ok()) {
-  }
-  const std::set<std::string> widened_answers =
-      AnswerSet((*session)->Answers());
-  const MediatorResult via_containment = (*session)->Finish();
-
-  // The session ran the cached (equivalent) reformulation: identical trace,
-  // identical answers, counted as a containment hit.
-  ExpectSameTrace(original, via_containment);
-  EXPECT_EQ(original_answers, widened_answers);
-  EXPECT_FALSE(original_answers.empty());
-  const ServiceMetricsSnapshot metrics = service.Metrics();
-  EXPECT_EQ(metrics.cache.containment_hits, 1);
-  EXPECT_EQ(metrics.cache.hits, 1);
-  // The canonical key still missed before the containment scan served it.
-  EXPECT_EQ(metrics.cache.misses, 2);
-}
-
-/// Residency regression guard (see ISSUE 10 satellite 6): a session served
-/// through the *containment* path must still pull the external residency
-/// view before its first emission — the snapshot recorded at step 0 has to
-/// reflect the cache state, exactly as it does for key-identical hits.
-class EverythingResident : public SharedOperationView {
- public:
-  bool IsResident(const std::string&) const override { return true; }
-};
-
-TEST(AdaptiveServiceTest, ContainmentHitSeesResidencyBeforeFirstEmission) {
-  auto d = MakeDomain();
-  EverythingResident view;
-
-  ServiceOptions options;
-  options.containment_reuse = true;
-  options.source_cache_view = &view;
-  options.record_residency_snapshots = true;
-  QueryService service(&d->catalog, &d->source_facts, options);
-
-  ASSERT_TRUE(service.RunQuery(d->query, Limits(16)).ok());
-
-  auto session =
-      service.OpenSession(WidenWithRedundantAtom(d->query), Limits(16));
-  ASSERT_TRUE(session.ok()) << session.status();
-  EXPECT_TRUE((*session)->cache_hit());
-  ASSERT_TRUE((*session)->NextStep().ok());
-
-  ASSERT_EQ(service.Metrics().cache.containment_hits, 1);
-  const auto& history = (*session)->residency_history();
-  ASSERT_EQ(history.size(), 1u);
-  ASSERT_FALSE(history[0].empty());
-  for (const std::vector<char>& bucket : history[0]) {
-    ASSERT_FALSE(bucket.empty());
-    for (const char resident : bucket) {
-      EXPECT_NE(resident, 0) << "stale residency at first emission";
-    }
-  }
-  (void)(*session)->Finish();
-}
-
 TEST(AdaptiveServiceTest, AdaptiveSessionsWithoutDriftMatchPlainOnes) {
   auto d = MakeDomain();
 
@@ -318,7 +207,6 @@ TEST(AdaptiveServiceTest, AdaptiveSessionsWithoutDriftMatchPlainOnes) {
   // bit-identical to the estimates, so the plan order must be too.
   adaptive::ObservedStats learned;
   ServiceOptions options;
-  options.adaptive_reorder = true;
   options.observed_stats = &learned;
   QueryService adaptive(&d->catalog, &d->source_facts, options);
   auto adaptive_result = adaptive.RunQuery(d->query, Limits(16));

@@ -177,6 +177,45 @@ TEST_F(BindingPatternFixture, UnexecutablePlanIsDiscardedByMediator) {
   EXPECT_EQ(result->total_answers, 0u);
 }
 
+TEST_F(BindingPatternFixture, ResolvePlanGivesOneVerdictPerPlan) {
+  // Both buckets list both sources, so the bucket plan picks the pairing.
+  const std::vector<std::vector<datalog::SourceId>> source_ids = {{0, 1},
+                                                                  {0, 1}};
+  struct Case {
+    const char* name;
+    const char* query;
+    const char* v1_pattern;
+    std::vector<int> bucket_plan;
+    PlanVerdict verdict;
+    std::vector<std::string> atoms;  // executable order when usable
+  };
+  const Case cases[] = {
+      {"unsound", "q(M,R) :- play-in(ford,M), review-of(R,M)", "ff", {1, 0},
+       PlanVerdict::kUnsound, {}},
+      {"cyclic bindings", "q(M,R) :- play-in(ford,M), review-of(R,M)", "fb",
+       {0, 1}, PlanVerdict::kNotExecutable, {}},
+      {"bound after producer", "q(M,R) :- review-of(R,M), play-in(ford,M)",
+       "ff", {1, 0}, PlanVerdict::kUsable, {"v1", "v4"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(catalog_.SetBindingPattern(0, c.v1_pattern).ok());
+    auto query = ParseRule(c.query);
+    ASSERT_TRUE(query.ok());
+    auto resolved = ResolvePlan(*query, catalog_, source_ids, c.bucket_plan);
+    ASSERT_TRUE(resolved.ok()) << resolved.status();
+    EXPECT_EQ(resolved->verdict, c.verdict);
+    std::vector<std::string> atoms;
+    for (const Atom& atom : resolved->plan.rewriting.body) {
+      atoms.push_back(atom.predicate);
+    }
+    EXPECT_EQ(atoms, c.atoms);
+  }
+  // A bucket plan that does not index the source buckets is an error.
+  auto misaligned = ResolvePlan(query_, catalog_, source_ids, {0, 2});
+  EXPECT_EQ(misaligned.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ExecutableOrderTest, ComparisonsPlacedAsSoonAsBound) {
   datalog::Catalog catalog;
   ASSERT_TRUE(catalog.schema().AddRelation("sells", 2).ok());

@@ -103,6 +103,14 @@ TEST(MediatorTest, StopsWhenOrdererExhausted) {
   auto result = mediator.Run(**orderer, 1'000'000);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->steps.size(), 64u);  // 4^3 plans
+  // Identity views: every plan passes the gate, in non-increasing
+  // conditional utility (coverage has diminishing returns).
+  double last = result->steps.front().estimated_utility;
+  for (const MediatorStep& step : result->steps) {
+    EXPECT_TRUE(step.sound && step.executable);
+    EXPECT_LE(step.estimated_utility, last + 1e-12);
+    last = step.estimated_utility;
+  }
 }
 
 TEST(MediatorTest, AnswerTargetStopsEarly) {

@@ -52,6 +52,17 @@ TEST(OrdererFactoryTest, AutoFollowsSection6ForEveryMeasure) {
   }
 }
 
+TEST(OrdererFactoryTest, ExplicitKindOverridesAuto) {
+  const stats::Workload w = UniformAlphaWorkload(3);
+  auto model = MustMakeMeasure(Measure::kCoverage, &w);  // auto: Streamer
+  for (OrdererKind kind : {OrdererKind::kPi, OrdererKind::kIDrips}) {
+    auto orderer =
+        MakeOrderer({kind}, &w, model.get(), {PlanSpace::FullSpace(w)});
+    ASSERT_TRUE(orderer.ok()) << orderer.status();
+    EXPECT_EQ((*orderer)->name(), OrdererKindName(kind));
+  }
+}
+
 TEST(OrdererFactoryTest, NamesRoundTrip) {
   // The names the sim corpus's scenario text, the CLI's .domain files and
   // the bench series spell.

@@ -276,12 +276,9 @@ TEST_F(MovieRuntimeTest, ParallelJoinPreservesSerialRowOrder) {
   auto serial = exec::ExecutePlanDependent(*plan, registry_);
   ASSERT_TRUE(serial.ok());
 
-  RuntimeOptions options = QuietOptions(4);
-  options.min_partition_size = 1;  // force splitting even tiny batches
-  SourceRuntime runtime(&registry_, options);
+  SourceRuntime runtime(&registry_, QuietOptions(4));
   ParallelJoinOptions join_options;
   join_options.max_partitions = 4;
-  join_options.min_partition_size = 1;
   exec::ExecutionTrace trace;
   auto parallel = ExecutePlanDependentParallel(
       *plan, runtime.remotes(), runtime.pool(), join_options, &trace);
