@@ -15,9 +15,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -224,29 +223,23 @@ int Main(int argc, char** argv) {
             << " emissions, " << MinOf(drift_ms) << " ms vs "
             << MinOf(blind_ms) << " ms blind\n";
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"adaptive\",\n"
-       << "  \"host\": " << HostMetadataJson(flags) << ",\n"
-       << "  \"max_plans\": " << kMaxPlans << ",\n"
-       << "  \"repeats\": " << repeats << ",\n"
-       << "  \"store_entries_loaded\": " << entries_loaded << ",\n"
-       << "  \"cold\": {\"first_emission_ms_min\": " << MinOf(cold_first)
-       << ", \"first_emission_ms_mean\": " << MeanOf(cold_first)
-       << ", \"total_ms_min\": " << MinOf(cold_total) << "},\n"
-       << "  \"warm\": {\"first_emission_ms_min\": " << MinOf(warm_first)
-       << ", \"first_emission_ms_mean\": " << MeanOf(warm_first)
-       << ", \"total_ms_min\": " << MinOf(warm_total)
-       << ", \"byte_identical\": " << (byte_identical ? "true" : "false")
-       << ", \"first_emission_speedup\": " << speedup << "},\n"
-       << "  \"drifted\": {\"emissions\": " << drifted.emissions
-       << ", \"rebuilds\": " << drifted.rebuilds
-       << ", \"total_ms_min\": " << MinOf(drift_ms)
-       << ", \"blind_total_ms_min\": " << MinOf(blind_ms) << "}\n}\n";
-
-  std::ofstream out(flags.output);
-  PLANORDER_CHECK(out.good()) << "cannot write " << flags.output;
-  out << json.str();
-  std::cout << "wrote " << flags.output << "\n";
+  WriteBenchJson(
+      flags, "adaptive",
+      {{"max_plans", kMaxPlans},
+       {"repeats", repeats},
+       {"store_entries_loaded", entries_loaded},
+       {"cold", Json::Object({{"first_emission_ms_min", MinOf(cold_first)},
+                              {"first_emission_ms_mean", MeanOf(cold_first)},
+                              {"total_ms_min", MinOf(cold_total)}})},
+       {"warm", Json::Object({{"first_emission_ms_min", MinOf(warm_first)},
+                              {"first_emission_ms_mean", MeanOf(warm_first)},
+                              {"total_ms_min", MinOf(warm_total)},
+                              {"byte_identical", byte_identical},
+                              {"first_emission_speedup", speedup}})},
+       {"drifted", Json::Object({{"emissions", drifted.emissions},
+                                 {"rebuilds", drifted.rebuilds},
+                                 {"total_ms_min", MinOf(drift_ms)},
+                                 {"blind_total_ms_min", MinOf(blind_ms)}})}});
   return 0;
 }
 

@@ -17,10 +17,7 @@
 ///        [--weights-seed=S]
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "anyk/brute_force.h"
@@ -186,29 +183,27 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"anyk\",\n"
-       << "  \"host\": " << HostMetadataJson(flags) << ",\n"
-       << "  \"weights\": {\"seed\": " << weights.seed
-       << ", \"aggregation\": \""
-       << anyk::AggregationName(weights.aggregation) << "\"},\n"
-       << "  \"sweep\": [\n";
-  for (size_t i = 0; i < points.size(); ++i) {
-    const GridPoint& p = points[i];
-    json << "    {\"bucket_size\": " << p.bucket_size << ", \"plans\": "
-         << p.plans << ", \"answers\": " << p.answers << ", \"k\": " << p.k
-         << ", \"emitted\": " << p.emitted << ", \"anyk_first_k_ms\": "
-         << p.anyk_first_k_ms << ", \"anyk_full_ms\": " << p.anyk_full_ms
-         << ", \"sort_all_ms\": " << p.sort_all_ms
-         << ", \"speedup_first_k\": "
-         << p.sort_all_ms / std::max(p.anyk_first_k_ms, 1e-9) << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
+  Json sweep = Json::Array();
+  for (const GridPoint& p : points) {
+    sweep.Push(Json::Object(
+        {{"bucket_size", p.bucket_size},
+         {"plans", p.plans},
+         {"answers", p.answers},
+         {"k", p.k},
+         {"emitted", p.emitted},
+         {"anyk_first_k_ms", p.anyk_first_k_ms},
+         {"anyk_full_ms", p.anyk_full_ms},
+         {"sort_all_ms", p.sort_all_ms},
+         {"speedup_first_k",
+          p.sort_all_ms / std::max(p.anyk_first_k_ms, 1e-9)}}));
   }
-  json << "  ]\n}\n";
-  std::ofstream out(flags.output);
-  PLANORDER_CHECK(out.good()) << "cannot write " << flags.output;
-  out << json.str();
-  std::cout << "wrote " << flags.output << "\n";
+  WriteBenchJson(
+      flags, "anyk",
+      {{"weights",
+        Json::Object(
+            {{"seed", weights.seed},
+             {"aggregation", anyk::AggregationName(weights.aggregation)}})},
+       {"sweep", sweep}});
   return 0;
 }
 

@@ -9,14 +9,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iostream>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "base/logging.h"
-#include "bench_util.h"
+#include "bench_flags.h"
+#include "core/orderer_factory.h"
+#include "stats/workload.h"
+#include "utility/measures.h"
 
 namespace planorder::bench {
 namespace {
@@ -60,7 +60,7 @@ int Main(int argc, char** argv) {
       ParseBenchFlags(argc, argv, "BENCH_core.json", {}, 3);
   const int repeats = std::max(flags.repeats, 1);
 
-  // The figure-6 coverage setting (bench_fig6_coverage.cc) at its largest
+  // The figure-6 coverage setting (fig6.coverage in bench_figures.cc) at its largest
   // bucket size, full-order emission.
   stats::WorkloadOptions wopts;
   wopts.query_length = 4;
@@ -68,7 +68,9 @@ int Main(int argc, char** argv) {
   wopts.overlap_rate = 0.4;
   wopts.regions_per_bucket = 32;
   wopts.seed = 21;
-  const stats::Workload& workload = CachedWorkload(wopts);
+  const auto generated = stats::Workload::Generate(wopts);
+  PLANORDER_CHECK(generated.ok()) << generated.status();
+  const stats::Workload& workload = *generated;
 
   RunResult persistent = RunIDrips(workload, /*persistent=*/true);
   for (int r = 1; r < repeats; ++r) {
@@ -111,39 +113,34 @@ int Main(int argc, char** argv) {
   std::cout << "speedup vs seed (rebuild-mode) iDrips: " << speedup_vs_seed
             << "x\n";
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"core\",\n"
-       << "  \"host\": " << HostMetadataJson(flags) << ",\n"
-       << "  \"workload\": {\"query_length\": " << wopts.query_length
-       << ", \"bucket_size\": " << wopts.bucket_size
-       << ", \"overlap_rate\": " << wopts.overlap_rate
-       << ", \"regions_per_bucket\": " << wopts.regions_per_bucket
-       << ", \"seed\": " << wopts.seed << ", \"measure\": \"coverage\"},\n"
-       << "  \"plans_emitted\": " << plans << ",\n"
-       << "  \"repeats\": " << repeats << ",\n"
-       << "  \"serial_ms\": " << persistent.ms << ",\n"
-       << "  \"serial_evals_per_sec\": " << evals_per_sec << ",\n"
+  WriteBenchJson(
+      flags, "core",
+      {{"workload",
+        Json::Object({{"query_length", wopts.query_length},
+                      {"bucket_size", wopts.bucket_size},
+                      {"overlap_rate", wopts.overlap_rate},
+                      {"regions_per_bucket", wopts.regions_per_bucket},
+                      {"seed", wopts.seed},
+                      {"measure", "coverage"}})},
+       {"plans_emitted", plans},
+       {"repeats", repeats},
+       {"serial_ms", persistent.ms},
+       {"serial_evals_per_sec", evals_per_sec},
        // The checked-in serial result before the flat ordering core (arena +
        // bitmask coverage + frontier heaps + lazy refresh) landed, so the
        // regenerated JSON records the improvement next to the old numbers.
-       << "  \"baseline\": {\"serial_ms\": 1014.04, "
-       << "\"persistent_total_evaluations\": 659822},\n"
-       << "  \"serial_speedup_vs_baseline\": " << 1014.04 / persistent.ms << ",\n"
-       << "  \"evaluations\": {\n"
-       << "    \"persistent_total\": " << persistent.evaluations << ",\n"
-       << "    \"rebuild_total\": " << rebuild.evaluations << ",\n"
-       << "    \"persistent_per_emission\": " << persistent_per_emission
-       << ",\n"
-       << "    \"rebuild_per_emission\": " << rebuild_per_emission << ",\n"
-       << "    \"reduction_factor\": "
-       << rebuild_per_emission / persistent_per_emission << ",\n"
-       << "    \"rebuild_serial_ms\": " << rebuild.ms << "\n"
-       << "  },\n"
-       << "  \"speedup_vs_seed_idrips\": " << speedup_vs_seed << "\n}\n";
-  std::ofstream out(flags.output);
-  PLANORDER_CHECK(out.good()) << "cannot write " << flags.output;
-  out << json.str();
-  std::cout << "wrote " << flags.output << "\n";
+       {"baseline", Json::Object({{"serial_ms", 1014.04},
+                                  {"persistent_total_evaluations", 659822}})},
+       {"serial_speedup_vs_baseline", 1014.04 / persistent.ms},
+       {"evaluations",
+        Json::Object({{"persistent_total", persistent.evaluations},
+                      {"rebuild_total", rebuild.evaluations},
+                      {"persistent_per_emission", persistent_per_emission},
+                      {"rebuild_per_emission", rebuild_per_emission},
+                      {"reduction_factor",
+                       rebuild_per_emission / persistent_per_emission},
+                      {"rebuild_serial_ms", rebuild.ms}})},
+       {"speedup_vs_seed_idrips", speedup_vs_seed}});
   return 0;
 }
 

@@ -4,9 +4,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -132,29 +137,129 @@ inline BenchFlags ParseBenchFlags(int argc, char** argv,
   return flags;
 }
 
-/// The "host" object every BENCH_*.json carries: the machine's hardware
-/// thread count plus the effective flag values of the run, so a benchmark
-/// artifact is self-describing when compared across CI runs.
-inline std::string HostMetadataJson(const BenchFlags& flags) {
-  auto int_list = [](const std::vector<int>& values) {
-    std::string out = "[";
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += std::to_string(values[i]);
+/// An ordered JSON value for the BENCH_*.json artifacts: objects keep their
+/// members in insertion order, and numbers print exactly as `std::ostream <<`
+/// prints them (default precision), so a file reads the same whichever bench
+/// wrote it. Layout: the document's members and the elements of a top-level
+/// array go one per line; everything nested deeper stays on one line.
+class Json {
+ public:
+  template <typename T,
+            typename = std::enable_if_t<std::is_arithmetic_v<T>>>
+  Json(T number) {
+    std::ostringstream text;
+    text << number;
+    text_ = text.str();
+  }
+  Json(bool value) : text_(value ? "true" : "false") {}
+  Json(const char* text) : text_(Quote(text)) {}
+  Json(const std::string& text) : text_(Quote(text)) {}
+
+  static Json Object(
+      std::initializer_list<std::pair<std::string, Json>> members = {}) {
+    Json object(Kind::kObject);
+    for (const auto& [key, value] : members) object.Set(key, value);
+    return object;
+  }
+  static Json Array() { return Json(Kind::kArray); }
+  template <typename T>
+  static Json Array(const std::vector<T>& values) {
+    Json array(Kind::kArray);
+    for (const T& value : values) array.Push(value);
+    return array;
+  }
+
+  /// Appends `key` to an object; the caller keeps keys unique.
+  Json& Set(std::string key, Json value) {
+    PLANORDER_CHECK(kind_ == Kind::kObject) << "Set on a non-object";
+    keys_.push_back(std::move(key));
+    values_.push_back(std::move(value));
+    return *this;
+  }
+  /// Appends an element to an array.
+  Json& Push(Json value) {
+    PLANORDER_CHECK(kind_ == Kind::kArray) << "Push on a non-array";
+    values_.push_back(std::move(value));
+    return *this;
+  }
+
+  std::string Dump() const {
+    std::string out;
+    Render(0, &out);
+    return out + "\n";
+  }
+
+ private:
+  enum class Kind { kScalar, kObject, kArray };
+  explicit Json(Kind kind) : kind_(kind) {}
+
+  static std::string Quote(const std::string& text) {
+    std::string out = "\"";
+    for (const char c : text) {
+      if (c == '"' || c == '\\') {
+        out += '\\';
+        out += c;
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        char escaped[8];
+        std::snprintf(escaped, sizeof(escaped), "\\u%04x", c);
+        out += escaped;
+      } else {
+        out += c;
+      }
     }
-    return out + "]";
-  };
-  std::string out = "{";
-  out += "\"hardware_threads\": " +
-         std::to_string(std::thread::hardware_concurrency());
-  out += ", \"repeats\": " + std::to_string(flags.repeats);
-  out += ", \"threads\": " + int_list(flags.threads);
-  out += ", \"k\": " + int_list(flags.ks);
-  out += ", \"weights_seed\": " + std::to_string(flags.weights_seed);
-  out += std::string(", \"degraded_parallelism\": ") +
-         (DegradedParallelism(flags) ? "true" : "false");
-  out += "}";
-  return out;
+    return out + "\"";
+  }
+
+  void Render(int depth, std::string* out) const {
+    if (kind_ == Kind::kScalar) {
+      *out += text_;
+      return;
+    }
+    const bool object = kind_ == Kind::kObject;
+    const bool one_per_line =
+        !values_.empty() && (depth == 0 || (depth == 1 && !object));
+    const std::string indent(size_t(2 * (depth + 1)), ' ');
+    *out += object ? '{' : '[';
+    for (size_t i = 0; i < values_.size(); ++i) {
+      if (i > 0) *out += one_per_line ? "," : ", ";
+      if (one_per_line) *out += "\n" + indent;
+      if (object) *out += Quote(keys_[i]) + ": ";
+      values_[i].Render(depth + 1, out);
+    }
+    if (one_per_line) *out += "\n" + std::string(size_t(2 * depth), ' ');
+    *out += object ? '}' : ']';
+  }
+
+  Kind kind_ = Kind::kScalar;
+  std::string text_;                 // a scalar's rendered text
+  std::vector<std::string> keys_;    // an object's keys, in order
+  std::vector<Json> values_;         // member values or array elements
+};
+
+/// Writes the run's artifact to `flags.output`: `"bench": name` first, then
+/// the "host" object (the machine's hardware thread count plus the effective
+/// flag values, so an artifact is self-describing when compared across runs),
+/// then `fields` in order. Every bench writes through here, and an
+/// unwritable path aborts naming it.
+inline void WriteBenchJson(
+    const BenchFlags& flags, const std::string& name,
+    std::initializer_list<std::pair<std::string, Json>> fields) {
+  Json document = Json::Object(
+      {{"bench", name},
+       {"host",
+        Json::Object(
+            {{"hardware_threads", std::thread::hardware_concurrency()},
+             {"repeats", flags.repeats},
+             {"threads", Json::Array(flags.threads)},
+             {"k", Json::Array(flags.ks)},
+             {"weights_seed", flags.weights_seed},
+             {"degraded_parallelism", DegradedParallelism(flags)}})}});
+  for (const auto& [key, value] : fields) document.Set(key, value);
+  std::ofstream out(flags.output);
+  out << document.Dump();
+  out.close();
+  PLANORDER_CHECK(!out.fail()) << "cannot write " << flags.output;
+  std::cout << "wrote " << flags.output << "\n";
 }
 
 /// Wall-clock timestamp (milliseconds) for timing the benchmarks

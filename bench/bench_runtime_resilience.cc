@@ -12,15 +12,14 @@
 /// --threads sets the parallel thread counts swept against the serial run
 /// (default 4,8); --repeats takes the best of R runs per point (default 1).
 
-#include <fstream>
+#include <algorithm>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/logging.h"
-#include "bench_util.h"
+#include "bench_flags.h"
 #include "core/streamer.h"
 #include "exec/mediator.h"
 #include "exec/source_access.h"
@@ -198,41 +197,30 @@ std::vector<FailurePoint> RunFailureRecovery(const exec::SyntheticDomain& d,
 
 void WriteJson(const BenchFlags& flags, const std::vector<SweepPoint>& sweep,
                const std::vector<FailurePoint>& recovery) {
-  const std::string& path = flags.output;
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"runtime_resilience\",\n";
-  json << "  \"host\": " << HostMetadataJson(flags) << ",\n";
-  json << "  \"max_plans\": " << kMaxPlans << ",\n";
-  json << "  \"latency_sweep\": [\n";
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    json << "    {\"per_binding_latency_ms\": " << p.per_binding_latency_ms
-         << ", \"transient_failure_rate\": " << p.transient_failure_rate
-         << ", \"serial_ms\": " << p.serial_ms;
+  Json latency_sweep = Json::Array();
+  for (const SweepPoint& p : sweep) {
+    Json point = Json::Object(
+        {{"per_binding_latency_ms", p.per_binding_latency_ms},
+         {"transient_failure_rate", p.transient_failure_rate},
+         {"serial_ms", p.serial_ms}});
     for (const auto& [threads, ms] : p.parallel_ms) {
-      json << ", \"parallel" << threads << "_ms\": " << ms << ", \"speedup"
-           << threads << "\": " << p.serial_ms / ms;
+      point.Set("parallel" + std::to_string(threads) + "_ms", ms);
+      point.Set("speedup" + std::to_string(threads), p.serial_ms / ms);
     }
-    json << ", \"answers\": " << p.answers << "}"
-         << (i + 1 < sweep.size() ? "," : "") << "\n";
+    latency_sweep.Push(point.Set("answers", p.answers));
   }
-  json << "  ],\n  \"failure_recovery\": [\n";
-  for (size_t i = 0; i < recovery.size(); ++i) {
-    const FailurePoint& p = recovery[i];
-    json << "    {\"killed_sources\": " << p.killed_sources
-         << ", \"baseline_answers\": " << p.baseline_answers
-         << ", \"recovered_answers\": " << p.recovered_answers
-         << ", \"failed_plans\": " << p.failed_plans << "}"
-         << (i + 1 < recovery.size() ? "," : "") << "\n";
+  Json failure_recovery = Json::Array();
+  for (const FailurePoint& p : recovery) {
+    failure_recovery.Push(
+        Json::Object({{"killed_sources", p.killed_sources},
+                      {"baseline_answers", p.baseline_answers},
+                      {"recovered_answers", p.recovered_answers},
+                      {"failed_plans", p.failed_plans}}));
   }
-  json << "  ]\n}\n";
-  std::ofstream out(path);
-  out << json.str();
-  if (!out) {
-    std::cerr << "failed to write " << path << "\n";
-    std::exit(1);
-  }
-  std::cout << "wrote " << path << "\n";
+  WriteBenchJson(flags, "runtime_resilience",
+                 {{"max_plans", kMaxPlans},
+                  {"latency_sweep", latency_sweep},
+                  {"failure_recovery", failure_recovery}});
 }
 
 int Main(int argc, char** argv) {

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -203,22 +202,22 @@ PointResult RunPoint(const exec::SyntheticDomain& domain,
   return point;
 }
 
-void AppendPoint(std::ostringstream& json, const PointResult& p, bool last) {
-  json << "    {\"rate_per_s\": " << p.rate_per_s
-       << ", \"source_cache\": " << (p.cache_on ? "true" : "false")
-       << ", \"arrivals\": " << p.arrivals
-       << ", \"completed\": " << p.completed << ", \"shed\": " << p.shed
-       << ", \"elapsed_ms\": " << p.elapsed_ms
-       << ", \"throughput_per_s\": " << p.throughput_per_s
-       << ", \"shed_rate\": " << p.shed_rate
-       << ", \"latency_p50_ms\": " << p.p50_ms
-       << ", \"latency_p99_ms\": " << p.p99_ms
-       << ", \"cache_hits\": " << p.cache_hits
-       << ", \"cache_misses\": " << p.cache_misses
-       << ", \"cache_hit_rate\": " << p.cache_hit_rate
-       << ", \"runtime_cache_hits\": " << p.runtime_cache_hits
-       << ", \"queue_depth_peak\": " << p.queue_depth_peak << "}"
-       << (last ? "\n" : ",\n");
+Json PointJson(const PointResult& p) {
+  return Json::Object({{"rate_per_s", p.rate_per_s},
+                       {"source_cache", p.cache_on},
+                       {"arrivals", p.arrivals},
+                       {"completed", p.completed},
+                       {"shed", p.shed},
+                       {"elapsed_ms", p.elapsed_ms},
+                       {"throughput_per_s", p.throughput_per_s},
+                       {"shed_rate", p.shed_rate},
+                       {"latency_p50_ms", p.p50_ms},
+                       {"latency_p99_ms", p.p99_ms},
+                       {"cache_hits", p.cache_hits},
+                       {"cache_misses", p.cache_misses},
+                       {"cache_hit_rate", p.cache_hit_rate},
+                       {"runtime_cache_hits", p.runtime_cache_hits},
+                       {"queue_depth_peak", p.queue_depth_peak}});
 }
 
 int Main(int argc, char** argv) {
@@ -288,24 +287,15 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"service_scale\",\n"
-       << "  \"host\": " << HostMetadataJson(flags) << ",\n"
-       << "  \"num_shards\": " << num_shards << ",\n"
-       << "  \"query_classes\": " << kQueryClasses << ",\n"
-       << "  \"max_plans\": " << kMaxPlans << ",\n"
-       << "  \"duration_ms\": " << duration_ms << ",\n"
-       << "  \"source_latency_ms\": " << kSourceLatencyMs << ",\n"
-       << "  \"points\": [\n";
-  for (size_t i = 0; i < points.size(); ++i) {
-    AppendPoint(json, points[i], i + 1 == points.size());
-  }
-  json << "  ]\n}\n";
-
-  std::ofstream out(flags.output);
-  PLANORDER_CHECK(out.good()) << "cannot write " << flags.output;
-  out << json.str();
-  std::cout << "wrote " << flags.output << "\n";
+  Json point_list = Json::Array();
+  for (const PointResult& point : points) point_list.Push(PointJson(point));
+  WriteBenchJson(flags, "service_scale",
+                 {{"num_shards", num_shards},
+                  {"query_classes", kQueryClasses},
+                  {"max_plans", kMaxPlans},
+                  {"duration_ms", duration_ms},
+                  {"source_latency_ms", kSourceLatencyMs},
+                  {"points", point_list}});
   return 0;
 }
 

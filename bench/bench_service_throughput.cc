@@ -11,15 +11,13 @@
 /// Usage: bench_service_throughput [output.json] [--threads=T] [--repeats=Q]
 /// where T is the number of client threads and Q the queries each issues.
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/logging.h"
-#include "bench_util.h"
+#include "bench_flags.h"
 #include "datalog/unify.h"
 #include "exec/synthetic_domain.h"
 #include "service/query_service.h"
@@ -101,21 +99,18 @@ double DriveWorkload(service::QueryService& service,
   return elapsed_ms;
 }
 
-void AppendMetrics(std::ostringstream& json, const char* label,
-                   const service::ServiceMetricsSnapshot& m) {
-  json << "  \"" << label << "\": {\n"
-       << "    \"sessions_completed\": " << m.sessions_completed << ",\n"
-       << "    \"sessions_shed\": " << m.sessions_shed << ",\n"
-       << "    \"queue_depth_peak\": " << m.queue_depth_peak << ",\n"
-       << "    \"cache_hits\": " << m.cache.hits << ",\n"
-       << "    \"cache_misses\": " << m.cache.misses << ",\n"
-       << "    \"cache_evictions\": " << m.cache.evictions << ",\n"
-       << "    \"cache_verifications\": " << m.cache_verifications << ",\n"
-       << "    \"latency_p50_ms\": " << m.latency_p50_ms << ",\n"
-       << "    \"latency_p95_ms\": " << m.latency_p95_ms << ",\n"
-       << "    \"latency_p99_ms\": " << m.latency_p99_ms << ",\n"
-       << "    \"latency_max_ms\": " << m.latency_max_ms << "\n"
-       << "  }";
+Json MetricsJson(const service::ServiceMetricsSnapshot& m) {
+  return Json::Object({{"sessions_completed", m.sessions_completed},
+                       {"sessions_shed", m.sessions_shed},
+                       {"queue_depth_peak", m.queue_depth_peak},
+                       {"cache_hits", m.cache.hits},
+                       {"cache_misses", m.cache.misses},
+                       {"cache_evictions", m.cache.evictions},
+                       {"cache_verifications", m.cache_verifications},
+                       {"latency_p50_ms", m.latency_p50_ms},
+                       {"latency_p95_ms", m.latency_p95_ms},
+                       {"latency_p99_ms", m.latency_p99_ms},
+                       {"latency_max_ms", m.latency_max_ms}});
 }
 
 int Main(int argc, char** argv) {
@@ -123,7 +118,6 @@ int Main(int argc, char** argv) {
       argc, argv, "BENCH_service.json", {kClientThreads}, kQueriesPerClient);
   kClientThreads = flags.threads.front();
   kQueriesPerClient = flags.repeats;
-  const std::string& out_path = flags.output;
 
   // A source-rich domain: instance statistics scan every source in every
   // bucket (cost grows with bucket_size), while executing one plan touches
@@ -174,26 +168,17 @@ int Main(int argc, char** argv) {
             << warm_metrics.cache.misses << " misses\n"
             << "  aggregate throughput speedup: " << speedup << "x\n";
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"service_throughput\",\n"
-       << "  \"host\": " << HostMetadataJson(flags) << ",\n"
-       << "  \"client_threads\": " << kClientThreads << ",\n"
-       << "  \"queries_per_client\": " << kQueriesPerClient << ",\n"
-       << "  \"isomorphic_variants\": " << kVariants << ",\n"
-       << "  \"max_plans\": " << kMaxPlans << ",\n"
-       << "  \"answers_per_query\": " << warm_answers << ",\n"
-       << "  \"uncached_total_ms\": " << cold_ms << ",\n"
-       << "  \"cached_total_ms\": " << warm_ms << ",\n"
-       << "  \"speedup\": " << speedup << ",\n";
-  AppendMetrics(json, "uncached_metrics", cold_metrics);
-  json << ",\n";
-  AppendMetrics(json, "cached_metrics", warm_metrics);
-  json << "\n}\n";
-
-  std::ofstream out(out_path);
-  PLANORDER_CHECK(out.good()) << "cannot write " << out_path;
-  out << json.str();
-  std::cout << "wrote " << out_path << "\n";
+  WriteBenchJson(flags, "service_throughput",
+                 {{"client_threads", kClientThreads},
+                  {"queries_per_client", kQueriesPerClient},
+                  {"isomorphic_variants", kVariants},
+                  {"max_plans", kMaxPlans},
+                  {"answers_per_query", warm_answers},
+                  {"uncached_total_ms", cold_ms},
+                  {"cached_total_ms", warm_ms},
+                  {"speedup", speedup},
+                  {"uncached_metrics", MetricsJson(cold_metrics)},
+                  {"cached_metrics", MetricsJson(warm_metrics)}});
   return 0;
 }
 

@@ -2,9 +2,11 @@
 #define PLANORDER_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -16,9 +18,10 @@
 
 namespace planorder::bench {
 
-// BenchFlags / ParseBenchFlags / HostMetadataJson / NowWallMs live in
+// BenchFlags / ParseBenchFlags / Json / WriteBenchJson / NowWallMs live in
 // bench_flags.h (no google-benchmark dependency) so tests/bench_flags_test.cc
-// can exercise the flag parser without linking the benchmark driver.
+// can exercise the flag parser and the JSON writer without linking the
+// benchmark driver.
 
 /// The ordering algorithms under comparison (Section 6) are named by
 /// core::OrdererKind: Streamer and iDrips versus the PI reference, plus
@@ -37,6 +40,10 @@ inline const stats::Workload& CachedWorkload(
                     std::to_string(options.bucket_size) + "/" +
                     std::to_string(options.overlap_rate) + "/" +
                     std::to_string(options.regions_per_bucket) + "/" +
+                    std::to_string(options.alpha_min) + "/" +
+                    std::to_string(options.alpha_max) + "/" +
+                    std::to_string(options.failure_min) + "/" +
+                    std::to_string(options.failure_max) + "/" +
                     std::to_string(options.seed);
   auto it = cache->find(key);
   if (it == cache->end()) {
@@ -79,40 +86,43 @@ inline EpisodeResult RunEpisode(const core::OrdererSpec& spec,
   return RunEpisode(spec, model->get(), workload, k);
 }
 
-/// Registers the Figure-6 style grid for one measure: time to the first k
-/// plans vs bucket size, one series per algorithm. Benchmark names look like
-///   fig6.coverage/streamer/size:12/k:10
-/// and the `evals` counter reports plan evaluations per episode.
-inline void RegisterGrid(const std::string& label,
-                         utility::MeasureKind measure,
-                         const std::vector<OrdererKind>& algos,
-                         const std::vector<int>& sizes,
-                         const std::vector<int>& ks,
-                         stats::WorkloadOptions base) {
-  for (OrdererKind algo : algos) {
-    for (int size : sizes) {
-      for (int k : ks) {
-        stats::WorkloadOptions options = base;
-        options.bucket_size = size;
-        std::string name = label + "/" + OrdererKindName(algo) +
-                           "/size:" + std::to_string(size) +
-                           "/k:" + std::to_string(k);
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [algo, measure, options, k](benchmark::State& state) {
-              const stats::Workload& workload = CachedWorkload(options);
-              EpisodeResult last;
-              for (auto _ : state) {
-                last = RunEpisode({algo}, measure, workload, k);
-              }
-              state.counters["evals"] = double(last.evaluations);
-              state.counters["emitted"] = double(last.plans_emitted);
-            })
-            ->Unit(benchmark::kMillisecond)
-            ->MinTime(0.02);
-      }
-    }
-  }
+/// Registers one timed ordering episode as benchmark `name`: each iteration
+/// runs `episode` over the cached workload for `options`, and the last run's
+/// plan evaluations report as the `evals` counter (its emissions as
+/// `emitted` too when `report_emitted`). Milliseconds, MinTime 0.02 s.
+inline void RegisterEpisode(
+    const std::string& name, const stats::WorkloadOptions& options,
+    std::function<EpisodeResult(const stats::Workload&)> episode,
+    bool report_emitted = false) {
+  benchmark::RegisterBenchmark(
+      name.c_str(),
+      [options, episode = std::move(episode),
+       report_emitted](benchmark::State& state) {
+        const stats::Workload& workload = CachedWorkload(options);
+        EpisodeResult last;
+        for (auto _ : state) last = episode(workload);
+        state.counters["evals"] = double(last.evaluations);
+        if (report_emitted) {
+          state.counters["emitted"] = double(last.plans_emitted);
+        }
+      })
+      ->Unit(benchmark::kMillisecond)
+      ->MinTime(0.02);
+}
+
+/// The common episode: the orderer `spec` names under `measure`, first k
+/// plans.
+inline void RegisterEpisode(const std::string& name,
+                            const core::OrdererSpec& spec,
+                            utility::MeasureKind measure,
+                            const stats::WorkloadOptions& options, int k,
+                            bool report_emitted = false) {
+  RegisterEpisode(
+      name, options,
+      [spec, measure, k](const stats::Workload& workload) {
+        return RunEpisode(spec, measure, workload, k);
+      },
+      report_emitted);
 }
 
 }  // namespace planorder::bench

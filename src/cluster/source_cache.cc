@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "base/logging.h"
-#include "runtime/retry_policy.h"
 
 namespace planorder::cluster {
 
@@ -14,28 +13,13 @@ namespace {
 constexpr uint64_t kDigestSaltA = 0x736f757263656331ULL;
 constexpr uint64_t kDigestSaltB = 0x736f757263656332ULL;
 
-uint64_t BatchDigest(uint64_t salt,
-                     const std::vector<std::map<int, datalog::Term>>& batch) {
-  uint64_t h = runtime::MixHash(salt);
-  for (const auto& bindings : batch) {
-    uint64_t combo = 0x42;
-    for (const auto& [position, value] : bindings) {
-      combo = runtime::CombineHash(combo, uint64_t(position));
-      combo = runtime::CombineHash(combo,
-                                   runtime::HashString(value.ToString()));
-    }
-    h = runtime::CombineHash(h, combo);
-  }
-  return h;
-}
-
 }  // namespace
 
 SourceOperationCache::Key SourceOperationCache::MakeKey(
     const std::string& source_name,
     const std::vector<std::map<int, datalog::Term>>& batch) {
-  return Key(source_name, BatchDigest(kDigestSaltA, batch),
-             BatchDigest(kDigestSaltB, batch));
+  return Key(source_name, runtime::BatchHash(kDigestSaltA, batch),
+             runtime::BatchHash(kDigestSaltB, batch));
 }
 
 int64_t SourceOperationCache::ApproxBytes(

@@ -26,8 +26,8 @@ namespace planorder::core {
 /// model's best-member bound) make best-first refinement locate a strong
 /// concrete plan quickly, whose exact point utility then prunes as well as
 /// a probe would — without the extra evaluation per abstract plan. Probes
-/// are therefore off by default; bench/bench_probe_ablation.cc quantifies
-/// the tradeoff.
+/// are therefore off by default; the probe-ablation/ series of
+/// bench/bench_figures.cc quantifies the tradeoff.
 struct PlanEvaluation {
   Interval utility = Interval::Point(0.0);
   /// The min-over-members lower bound from the model's enclosure.

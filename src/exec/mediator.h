@@ -58,31 +58,6 @@ struct RuntimeAccounting {
       latency_ms_max = other.latency_ms_max;
     }
   }
-
-  /// Zeroes every counter.
-  void Reset() { *this = RuntimeAccounting{}; }
-
-  /// Counter-wise `*this - baseline`: the accounting accrued since the
-  /// `baseline` snapshot was taken (both from the same monotone accumulator).
-  /// The per-query metric helper of the service layer — snapshot before a
-  /// session, diff after, no double counting across sessions.
-  ///
-  /// `latency_ms_max` is not invertible (a maximum, not a sum); the diff
-  /// keeps this snapshot's peak, which upper-bounds the window's true peak.
-  RuntimeAccounting Since(const RuntimeAccounting& baseline) const {
-    RuntimeAccounting delta;
-    delta.retries = retries - baseline.retries;
-    delta.transient_failures =
-        transient_failures - baseline.transient_failures;
-    delta.deadline_timeouts = deadline_timeouts - baseline.deadline_timeouts;
-    delta.permanent_failures =
-        permanent_failures - baseline.permanent_failures;
-    delta.hedged_calls = hedged_calls - baseline.hedged_calls;
-    delta.source_cache_hits = source_cache_hits - baseline.source_cache_hits;
-    delta.latency_ms_total = latency_ms_total - baseline.latency_ms_total;
-    delta.latency_ms_max = latency_ms_max;
-    return delta;
-  }
 };
 
 struct MediatorResult {

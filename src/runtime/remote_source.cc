@@ -15,9 +15,13 @@ constexpr uint64_t kFaultSalt = 0x6661756c74303132ULL;
 constexpr uint64_t kHedgeSalt = 0x6865646765303133ULL;
 constexpr uint64_t kBackoffSalt = 0x6261636b6f663134ULL;
 
-/// Content hash of a batched call: the source's seed combined with every
-/// bound position and value. Identical payloads hash identically on every
-/// thread — the root of the runtime's schedule-independence.
+double JitterMultiplier(double jitter, uint64_t hash) {
+  if (jitter <= 0.0) return 1.0;
+  return 1.0 + jitter * (2.0 * HashToUnit(hash) - 1.0);
+}
+
+}  // namespace
+
 uint64_t BatchHash(uint64_t seed,
                    const std::vector<std::map<int, datalog::Term>>& batch) {
   uint64_t h = MixHash(seed);
@@ -31,13 +35,6 @@ uint64_t BatchHash(uint64_t seed,
   }
   return h;
 }
-
-double JitterMultiplier(double jitter, uint64_t hash) {
-  if (jitter <= 0.0) return 1.0;
-  return 1.0 + jitter * (2.0 * HashToUnit(hash) - 1.0);
-}
-
-}  // namespace
 
 StatusOr<std::vector<std::vector<datalog::Term>>> RemoteSource::FetchBatch(
     const std::vector<std::map<int, datalog::Term>>& batch,
@@ -220,11 +217,6 @@ exec::RuntimeAccounting RemoteSource::stats() const {
   return stats_;
 }
 
-void RemoteSource::ResetStats() {
-  MutexLock lock(mu_);
-  stats_ = exec::RuntimeAccounting{};
-}
-
 RemoteRegistry::RemoteRegistry(exec::SourceRegistry* underlying,
                                uint64_t seed) {
   // Sorted-name iteration + one Rng stream: each source's key depends only on
@@ -290,10 +282,6 @@ exec::RuntimeAccounting RemoteRegistry::TotalStats() const {
   exec::RuntimeAccounting total;
   for (const auto& [unused, source] : sources_) total.Merge(source->stats());
   return total;
-}
-
-void RemoteRegistry::ResetStats() {
-  for (auto& [unused, source] : sources_) source->ResetStats();
 }
 
 }  // namespace planorder::runtime

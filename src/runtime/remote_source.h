@@ -122,7 +122,6 @@ class RemoteSource {
 
   /// Snapshot of this source's runtime accounting.
   exec::RuntimeAccounting stats() const EXCLUDES(mu_);
-  void ResetStats() EXCLUDES(mu_);
 
  private:
   /// The pre-cache fetch path: the full resilient access (network model,
@@ -171,7 +170,6 @@ class RemoteRegistry {
 
   /// Aggregated runtime accounting across sources.
   exec::RuntimeAccounting TotalStats() const;
-  void ResetStats();
 
  private:
   std::map<std::string, std::unique_ptr<RemoteSource>> sources_;

@@ -23,6 +23,14 @@ struct SourceResultCacheStats {
   int64_t resident_entries = 0;    // current entry count
 };
 
+/// Content hash of a batched source call: `seed` mixed with every bound
+/// position and value. Identical payloads hash identically on every thread —
+/// the root of the runtime's schedule-independence. RemoteSource seeds it
+/// with the source's key for its latency, fault and hedge draws; the cluster
+/// cache seeds it with two salts for its key digests.
+uint64_t BatchHash(uint64_t seed,
+                   const std::vector<std::map<int, datalog::Term>>& batch);
+
 /// A cross-session cache of source-operation results, keyed by the full
 /// content of a batched call — (source name, bound positions, binding
 /// values). RemoteSource consults it before paying simulated network

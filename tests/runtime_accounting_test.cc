@@ -31,49 +31,5 @@ TEST(RuntimeAccountingTest, MergeSumsCountersAndMaxesLatencyPeak) {
   EXPECT_DOUBLE_EQ(a.latency_ms_max, 5.0);
 }
 
-TEST(RuntimeAccountingTest, ResetZeroesEverything) {
-  RuntimeAccounting a = Sample(7, 100.0);
-  a.Reset();
-  EXPECT_EQ(a.retries, 0);
-  EXPECT_EQ(a.transient_failures, 0);
-  EXPECT_EQ(a.deadline_timeouts, 0);
-  EXPECT_EQ(a.permanent_failures, 0);
-  EXPECT_EQ(a.hedged_calls, 0);
-  EXPECT_DOUBLE_EQ(a.latency_ms_total, 0.0);
-  EXPECT_DOUBLE_EQ(a.latency_ms_max, 0.0);
-}
-
-TEST(RuntimeAccountingTest, SnapshotDiffRoundTrip) {
-  // The service-layer pattern: snapshot a monotone accumulator before a
-  // session, merge more work in, diff after — the diff is the new work.
-  const RuntimeAccounting baseline = Sample(3, 30.0);
-  RuntimeAccounting accumulator = baseline;
-  const RuntimeAccounting session_work = Sample(2, 20.0);
-  accumulator.Merge(session_work);
-
-  const RuntimeAccounting delta = accumulator.Since(baseline);
-  EXPECT_EQ(delta.retries, session_work.retries);
-  EXPECT_EQ(delta.transient_failures, session_work.transient_failures);
-  EXPECT_EQ(delta.deadline_timeouts, session_work.deadline_timeouts);
-  EXPECT_EQ(delta.permanent_failures, session_work.permanent_failures);
-  EXPECT_EQ(delta.hedged_calls, session_work.hedged_calls);
-  EXPECT_DOUBLE_EQ(delta.latency_ms_total, session_work.latency_ms_total);
-  // The peak is not invertible; the diff carries the accumulator's peak,
-  // which upper-bounds the window's true peak.
-  EXPECT_DOUBLE_EQ(delta.latency_ms_max, accumulator.latency_ms_max);
-  EXPECT_GE(delta.latency_ms_max, session_work.latency_ms_max);
-}
-
-TEST(RuntimeAccountingTest, SinceSelfIsZeroWork) {
-  const RuntimeAccounting a = Sample(5, 50.0);
-  const RuntimeAccounting delta = a.Since(a);
-  EXPECT_EQ(delta.retries, 0);
-  EXPECT_EQ(delta.transient_failures, 0);
-  EXPECT_EQ(delta.deadline_timeouts, 0);
-  EXPECT_EQ(delta.permanent_failures, 0);
-  EXPECT_EQ(delta.hedged_calls, 0);
-  EXPECT_DOUBLE_EQ(delta.latency_ms_total, 0.0);
-}
-
 }  // namespace
 }  // namespace planorder::exec
