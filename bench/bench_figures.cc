@@ -326,9 +326,6 @@ class CostlyStatisticsModel : public utility::UtilityModel {
       const std::vector<const utility::ConcretePlan*>& others) const override {
     return inner_->FindIndependentGroupPlan(nodes, others);
   }
-  int ProbeMember(const stats::StatSummary& summary) const override {
-    return inner_->ProbeMember(summary);
-  }
 
  private:
   utility::UtilityModel* inner_;
@@ -363,41 +360,6 @@ void RegisterEvalCostTradeoff() {
               CostlyStatisticsModel model(&workload, &coverage, spin);
               return RunEpisode({algo}, &model, workload, k);
             });
-      }
-    }
-  }
-}
-
-/// Ablation: probe-lifted lower bounds vs plain interval bounds.
-///
-/// Optionally the orderers evaluate one representative concrete member (a
-/// "probe") per abstract plan and use its exact utility as the pruning
-/// lower bound — sound under the paper's dominance definition, which only
-/// needs one concrete plan of p to beat all of q. Measured result: with the
-/// measures' tightened upper bounds in place (e.g. coverage's best-member
-/// bound), best-first refinement reaches a strong concrete plan quickly and
-/// its exact point utility prunes as well as a probe would, so probes only
-/// add an extra evaluation per abstract plan (counts roughly double with
-/// probes on). They are therefore OFF by default; this bench documents the
-/// tradeoff and the general sensitivity of abstraction effectiveness to
-/// bound quality — the phenomenon behind the paper's Figure 6.j-l, where
-/// wide ratio intervals made abstraction lose to brute force.
-void RegisterProbeAblation() {
-  for (utility::MeasureKind measure :
-       {utility::MeasureKind::kCoverage, utility::MeasureKind::kMonetary}) {
-    for (OrdererKind algo : {OrdererKind::kStreamer, OrdererKind::kIDrips}) {
-      for (bool probes : {true, false}) {
-        for (int k : {1, 10}) {
-          stats::WorkloadOptions options = PaperSetting(2015);
-          options.bucket_size = 12;
-          RegisterEpisode(
-              std::string("probe-ablation/") +
-                  utility::MeasureKindName(measure) + "/" +
-                  OrdererKindName(algo) + "/probes:" +
-                  (probes ? "on" : "off") + "/k:" + std::to_string(k),
-              {algo, core::AbstractionHeuristic::kByCardinality, probes},
-              measure, options, k);
-        }
       }
     }
   }
@@ -525,7 +487,6 @@ int main(int argc, char** argv) {
   RegisterEvalCounts();
   RegisterAbstractionAblation();
   RegisterEvalCostTradeoff();
-  RegisterProbeAblation();
   RegisterBatchVsIncremental();
   RegisterSimSweep();
   benchmark::Initialize(&argc, argv);

@@ -11,7 +11,7 @@
 //                                      ('b' = caller must bind the position)
 //   stats <source> key=value...        keys: cardinality alpha failure fee
 //                                      regions=<a>-<b> or regions=i,j,k
-//   regions-per-bucket <n>             default 16
+//   regions-per-bucket <n>             1..64, default 16
 //   overhead <h>                       access overhead, default 5
 //   measure <name>                     additive | cost2 | cost2-uniform-alpha
 //                                      | failure-nocache | failure-cache
@@ -27,6 +27,8 @@
 // The tool builds the buckets, derives a workload from the per-source
 // statistics, streams the first k plans from the chosen algorithm, tests
 // each for soundness and prints the rewriting. See examples/movies.domain.
+// Every number is parsed in full; a malformed or out-of-range value is an
+// error naming the file and line.
 
 #include <cstdio>
 #include <fstream>
@@ -34,6 +36,7 @@
 #include <sstream>
 #include <string>
 
+#include "base/parse_number.h"
 #include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "exec/mediator.h"
@@ -58,20 +61,20 @@ struct CliConfig {
   int emit = 10;
 };
 
+/// `limit` is the validated regions-per-bucket (1..64), so every shift below
+/// stays inside the 64-bit mask.
 StatusOr<stats::RegionMask> ParseRegions(const std::string& spec, int limit) {
   stats::RegionMask mask;
   std::stringstream ss(spec);
   std::string part;
   while (std::getline(ss, part, ',')) {
     const size_t dash = part.find('-');
-    int lo, hi;
-    if (dash == std::string::npos) {
-      lo = hi = std::atoi(part.c_str());
-    } else {
-      lo = std::atoi(part.substr(0, dash).c_str());
-      hi = std::atoi(part.substr(dash + 1).c_str());
-    }
-    if (lo < 0 || hi >= limit || lo > hi) {
+    const std::string first = part.substr(0, dash);  // all of it if no dash
+    const std::string last =
+        dash == std::string::npos ? first : part.substr(dash + 1);
+    int lo = 0, hi = 0;
+    if (!ParseNumber(first, &lo) || !ParseNumber(last, &hi) || lo < 0 ||
+        hi >= limit || lo > hi) {
       return InvalidArgumentError("bad region spec '" + spec + "'");
     }
     for (int r = lo; r <= hi; ++r) mask.bits |= uint64_t{1} << r;
@@ -110,11 +113,17 @@ StatusOr<CliConfig> ParseDomainFile(const std::string& path) {
       return InvalidArgumentError(path + ":" + std::to_string(line_number) +
                                   ": " + message);
     };
+    // The directive's next token, for the numeric directives.
+    std::string number;
     if (directive == "relation") {
       std::string name;
-      size_t arity;
-      if (!(ss >> name >> arity)) return fail("relation <name> <arity>");
-      PLANORDER_RETURN_IF_ERROR(config.catalog.schema().AddRelation(name, arity));
+      int arity = 0;
+      if (!(ss >> name >> number)) return fail("relation <name> <arity>");
+      if (!ParseNumber(number, &arity) || arity < 1) {
+        return fail("arity must be a positive integer, got '" + number + "'");
+      }
+      PLANORDER_RETURN_IF_ERROR(config.catalog.schema().AddRelation(
+          name, static_cast<size_t>(arity)));
     } else if (directive == "source") {
       std::string rest;
       std::getline(ss, rest);
@@ -141,31 +150,46 @@ StatusOr<CliConfig> ParseDomainFile(const std::string& path) {
         if (eq == std::string::npos) return fail("expected key=value");
         const std::string key = kv.substr(0, eq);
         const std::string value = kv.substr(eq + 1);
+        double* field = nullptr;
         if (key == "cardinality") {
-          s.cardinality = std::atof(value.c_str());
+          field = &s.cardinality;
         } else if (key == "alpha") {
-          s.transmission_cost = std::atof(value.c_str());
+          field = &s.transmission_cost;
         } else if (key == "failure") {
-          s.failure_prob = std::atof(value.c_str());
+          field = &s.failure_prob;
         } else if (key == "fee") {
-          s.fee = std::atof(value.c_str());
+          field = &s.fee;
         } else if (key == "regions") {
-          PLANORDER_ASSIGN_OR_RETURN(
-              s.regions, ParseRegions(value, config.regions_per_bucket));
+          StatusOr<stats::RegionMask> regions =
+              ParseRegions(value, config.regions_per_bucket);
+          if (!regions.ok()) return fail(regions.status().message());
+          s.regions = *regions;
         } else {
           return fail("unknown stats key '" + key + "'");
         }
+        if (field != nullptr && !ParseNumber(value, field)) {
+          return fail("bad " + key + " '" + value + "'");
+        }
       }
     } else if (directive == "regions-per-bucket") {
-      if (!(ss >> config.regions_per_bucket)) return fail("expected number");
+      if (!(ss >> number) || !ParseNumber(number, &config.regions_per_bucket) ||
+          config.regions_per_bucket < 1 || config.regions_per_bucket > 64) {
+        return fail("regions-per-bucket must be in 1..64, got '" + number +
+                    "'");
+      }
     } else if (directive == "overhead") {
-      if (!(ss >> config.overhead)) return fail("expected number");
+      if (!(ss >> number) || !ParseNumber(number, &config.overhead)) {
+        return fail("bad overhead '" + number + "'");
+      }
     } else if (directive == "measure") {
       if (!(ss >> config.measure)) return fail("expected measure name");
     } else if (directive == "algorithm") {
       if (!(ss >> config.algorithm)) return fail("expected algorithm name");
     } else if (directive == "emit") {
-      if (!(ss >> config.emit)) return fail("expected number");
+      if (!(ss >> number) || !ParseNumber(number, &config.emit) ||
+          config.emit < 1) {
+        return fail("emit must be a positive integer, got '" + number + "'");
+      }
     } else if (directive == "fact") {
       std::string rest;
       std::getline(ss, rest);

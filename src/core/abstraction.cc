@@ -49,7 +49,6 @@ AbstractionForest AbstractionForest::Build(const stats::Workload& workload,
     forest.roots_[b] = forest.BuildRange(workload, b, ordered, 0,
                                          static_cast<int>(ordered.size()));
   }
-  forest.probe_members_.assign(forest.summaries_.size(), -1);
   return forest;
 }
 

@@ -67,20 +67,6 @@ class AbstractionForest {
 
   int num_nodes() const { return static_cast<int>(summaries_.size()); }
 
-  /// Per-node evaluation memo: the model's probe member for this node,
-  /// -1 when not yet computed. A forest serves exactly one utility model
-  /// (its owning orderer's), so the pick never needs invalidation; probe
-  /// picks depend only on the node's member statistics, not on the executed
-  /// set, so no epoch stamp is needed either. The memo is what keeps
-  /// re-probes cheap after a split: the children recompute only their own
-  /// bucket, every other bucket's node hits the memo. Evaluation fills it
-  /// on a miss (core/evaluate.h), so a forest is not safe to evaluate from
-  /// two threads at once.
-  int cached_probe_member(int node) const { return probe_members_[node]; }
-  void set_cached_probe_member(int node, int member) const {
-    probe_members_[node] = member;
-  }
-
  private:
   int BuildRange(const stats::Workload& workload, int bucket,
                  const std::vector<int>& ordered, int lo, int hi);
@@ -91,8 +77,6 @@ class AbstractionForest {
   std::vector<uint32_t> left_;
   std::vector<uint32_t> right_;
   std::vector<int> roots_;
-  /// See cached_probe_member(); sized to nodes_ by Build().
-  mutable std::vector<int> probe_members_;
 };
 
 /// An abstract plan: one abstraction-tree node per bucket of one forest. The

@@ -42,12 +42,10 @@ StatusOr<std::vector<OrderedPlan>> BatchTopK(
   std::priority_queue<SearchNode, std::vector<SearchNode>, ByUpperBound> open;
   auto push = [&](AbstractPlan plan) {
     SearchNode node;
-    // Best-first pruning only consults upper bounds, so skip the probe
-    // evaluation EvaluateWithProbe would add.
-    if (evaluations != nullptr) ++*evaluations;
     const std::vector<const stats::StatSummary*> summaries = plan.Summaries();
-    node.utility = model->Evaluate(
-        utility::NodeSpan(summaries.data(), summaries.size()), ctx);
+    node.utility = EvaluateCounted(
+        utility::NodeSpan(summaries.data(), summaries.size()), *model, ctx,
+        evaluations);
     node.concrete = plan.IsConcrete();
     node.plan = std::move(plan);
     open.push(std::move(node));

@@ -41,7 +41,7 @@ int RefinementBucket(const AbstractPlan& plan) {
 StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,
                                const utility::UtilityModel& model,
                                const utility::ExecutionContext& ctx,
-                               int64_t* evaluations, bool probe_lower_bounds) {
+                               int64_t* evaluations) {
   if (starts.empty()) return NotFoundError("no plans to order");
   std::vector<Candidate> candidates;
   candidates.reserve(starts.size() + 64);
@@ -63,9 +63,11 @@ StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,
     added.reserve(plans.size());
     for (size_t i = 0; i < plans.size(); ++i) {
       Candidate c;
-      c.utility = EvaluateWithProbe(plans[i], model, ctx, evaluations,
-                                    probe_lower_bounds)
-                      .utility;
+      const std::vector<const stats::StatSummary*> summaries =
+          plans[i].Summaries();
+      c.utility = EvaluateCounted(
+          utility::NodeSpan(summaries.data(), summaries.size()), model, ctx,
+          evaluations);
       c.concrete = plans[i].IsConcrete();
       c.plan = std::move(plans[i]);
       candidates.push_back(std::move(c));

@@ -34,8 +34,7 @@ int RefinementBucket(const AbstractPlan& plan);
 StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,
                                const utility::UtilityModel& model,
                                const utility::ExecutionContext& ctx,
-                               int64_t* evaluations,
-                               bool probe_lower_bounds = false);
+                               int64_t* evaluations);
 
 }  // namespace planorder::core
 

@@ -50,7 +50,6 @@ void IDripsOrderer::GrowFrontierArrays() {
   lo_.resize(slots);
   hi_.resize(slots);
   width_.resize(slots);
-  model_lo_.resize(slots);
   eval_epoch_.resize(slots);
   eval_generation_.resize(slots);
   rank_.resize(slots);
@@ -76,17 +75,6 @@ void IDripsOrderer::FillSlot(uint32_t slot) {
   concrete_[slot] = concrete ? 1 : 0;
 }
 
-PlanView IDripsOrderer::MakeView(uint32_t slot) const {
-  PlanView view;
-  view.forest = forests_[forest_of_[slot]].get();
-  view.nodes = arena_.row(slot);
-  view.summaries = &summaries_[static_cast<size_t>(slot) *
-                               static_cast<size_t>(arena_.width())];
-  view.width = arena_.width();
-  view.concrete = concrete_[slot] != 0;
-  return view;
-}
-
 void IDripsOrderer::PushHeapEntry(uint32_t slot) {
   FrontierHeap::Entry entry;
   entry.rank = rank_[slot];
@@ -102,12 +90,11 @@ void IDripsOrderer::PushHeapEntry(uint32_t slot) {
   }
 }
 
-void IDripsOrderer::CommitCandidate(uint32_t slot, const EvalResult& eval) {
+void IDripsOrderer::CommitCandidate(uint32_t slot, const Interval& utility) {
   const size_t m = static_cast<size_t>(arena_.width());
-  lo_[slot] = eval.utility.lo();
-  hi_[slot] = eval.utility.hi();
-  width_[slot] = eval.utility.width();
-  model_lo_[slot] = eval.model_lo;
+  lo_[slot] = utility.lo();
+  hi_[slot] = utility.hi();
+  width_[slot] = utility.width();
   eval_epoch_[slot] = static_cast<int64_t>(ctx().epoch());
   eval_generation_[slot] = ctx().external_generation();
   alive_[slot] = 1;
@@ -224,24 +211,23 @@ bool IDripsOrderer::IsStale(uint32_t slot) {
   return false;
 }
 
-EvalResult IDripsOrderer::EvaluateSlot(uint32_t slot) {
-  return EvaluateView(MakeView(slot), model(), ctx(), &evaluations_,
-                      options_.probe_lower_bounds);
+Interval IDripsOrderer::EvaluateSlot(uint32_t slot) {
+  const size_t m = static_cast<size_t>(arena_.width());
+  return EvaluateCounted(
+      utility::NodeSpan(&summaries_[static_cast<size_t>(slot) * m], m),
+      model(), ctx(), &evaluations_);
 }
 
 void IDripsOrderer::RefreshSlot(uint32_t slot) {
-  const EvalResult eval = EvaluateSlot(slot);
+  const Interval u = EvaluateSlot(slot);
   eval_epoch_[slot] = static_cast<int64_t>(ctx().epoch());
   eval_generation_[slot] = ctx().external_generation();
-  const Interval& u = eval.utility;
   // Push a fresh heap entry only when the bounds actually moved; an
   // unchanged candidate's existing entry stays valid (version untouched).
-  if (u.lo() != lo_[slot] || u.hi() != hi_[slot] ||
-      eval.model_lo != model_lo_[slot]) {
+  if (u.lo() != lo_[slot] || u.hi() != hi_[slot]) {
     lo_[slot] = u.lo();
     hi_[slot] = u.hi();
     width_[slot] = u.width();
-    model_lo_[slot] = eval.model_lo;
     ++heap_version_[slot];
     PushHeapEntry(slot);
   }
@@ -396,10 +382,8 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextRebuild() {
     }
     starts.push_back(std::move(top));
   }
-  PLANORDER_ASSIGN_OR_RETURN(
-      DripsResult best,
-      RunDrips(starts, model(), ctx(), &evaluations_,
-               options_.probe_lower_bounds));
+  PLANORDER_ASSIGN_OR_RETURN(DripsResult best,
+                             RunDrips(starts, model(), ctx(), &evaluations_));
 
   // Remove the winner from its space and re-abstract the split spaces.
   size_t winner_index = spaces_.size();

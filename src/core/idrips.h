@@ -7,7 +7,6 @@
 
 #include "core/arena.h"
 #include "core/drips.h"
-#include "core/evaluate.h"
 #include "core/frontier_heap.h"
 #include "core/orderer.h"
 
@@ -17,7 +16,6 @@ namespace planorder::core {
 /// ordering semantics at the lowest evaluation cost).
 struct IDripsOptions {
   AbstractionHeuristic heuristic = AbstractionHeuristic::kByCardinality;
-  bool probe_lower_bounds = false;
   /// Persistent candidate frontier (DESIGN.md §6): keep the surviving Drips
   /// candidates across ComputeNext() calls, re-evaluate only candidates whose
   /// utility the executed suffix may have changed (epoch + group-independence
@@ -96,7 +94,7 @@ class IDripsOrderer : public Orderer {
   bool IsStale(uint32_t slot);
   void RefreshSlot(uint32_t slot);
   /// Evaluates a slot's plan against the current context, counting it.
-  EvalResult EvaluateSlot(uint32_t slot);
+  Interval EvaluateSlot(uint32_t slot);
   /// Appends independence keys of newly executed plans to executed_keys_.
   void EnsureExecutedKeys();
 
@@ -104,10 +102,9 @@ class IDripsOrderer : public Orderer {
   void GrowFrontierArrays();
   /// Resolves a slot's summaries and concreteness from its arena row.
   void FillSlot(uint32_t slot);
-  PlanView MakeView(uint32_t slot) const;
   /// Writes a fresh evaluation into a slot's metadata, bumps its heap
   /// version and pushes the new heap entry.
-  void CommitCandidate(uint32_t slot, const EvalResult& eval);
+  void CommitCandidate(uint32_t slot, const Interval& utility);
   void PushHeapEntry(uint32_t slot);
   /// Drops dead heap entries when they outnumber live candidates enough to
   /// matter (lazy deletion keeps Push O(log live) otherwise).
@@ -137,7 +134,6 @@ class IDripsOrderer : public Orderer {
   std::vector<double> lo_;
   std::vector<double> hi_;
   std::vector<double> width_;
-  std::vector<double> model_lo_;
   std::vector<int64_t> eval_epoch_;
   std::vector<int64_t> eval_generation_;
   std::vector<uint64_t> rank_;

@@ -86,15 +86,13 @@ StatusOr<std::unique_ptr<Orderer>> MakeOrderer(const OrdererSpec& spec,
     case OrdererKind::kIDripsRebuild: {
       IDripsOptions options;
       options.heuristic = spec.heuristic;
-      options.probe_lower_bounds = spec.probe_lower_bounds;
       options.persistent_frontier = kind == OrdererKind::kIDrips;
       return Upcast(
           IDripsOrderer::Create(workload, model, std::move(spaces), options));
     }
     case OrdererKind::kStreamer:
       return Upcast(StreamerOrderer::Create(workload, model, std::move(spaces),
-                                            spec.heuristic,
-                                            spec.probe_lower_bounds));
+                                            spec.heuristic));
     case OrdererKind::kPi:
     case OrdererKind::kNaive:
       return Upcast(PiOrderer::Create(workload, model, std::move(spaces),

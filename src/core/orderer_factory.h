@@ -35,8 +35,6 @@ struct OrdererSpec {
   OrdererKind kind = OrdererKind::kAuto;
   /// How the abstraction-based orderers (iDrips, Streamer) group sources.
   AbstractionHeuristic heuristic = AbstractionHeuristic::kByCardinality;
-  /// Lift abstract lower bounds by probe members (core/evaluate.h).
-  bool probe_lower_bounds = false;
 };
 
 /// True when `kind` can order under `model`: Greedy needs full

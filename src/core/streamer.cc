@@ -8,8 +8,7 @@ namespace planorder::core {
 
 StatusOr<std::unique_ptr<StreamerOrderer>> StreamerOrderer::Create(
     const stats::Workload* workload, utility::UtilityModel* model,
-    std::vector<PlanSpace> spaces, AbstractionHeuristic heuristic,
-    bool probe_lower_bounds) {
+    std::vector<PlanSpace> spaces, AbstractionHeuristic heuristic) {
   if (!model->diminishing_returns()) {
     return FailedPreconditionError(
         "Streamer requires utility-diminishing returns; '" + model->name() +
@@ -17,8 +16,8 @@ StatusOr<std::unique_ptr<StreamerOrderer>> StreamerOrderer::Create(
   }
   PLANORDER_ASSIGN_OR_RETURN(spaces,
                              ValidateSpaces(*workload, std::move(spaces)));
-  auto orderer = std::unique_ptr<StreamerOrderer>(
-      new StreamerOrderer(workload, model, probe_lower_bounds));
+  auto orderer =
+      std::unique_ptr<StreamerOrderer>(new StreamerOrderer(workload, model));
   // Step 1 (Figure 5): abstract every bucket once; the top plan of each
   // space enters the graph with nil utility.
   for (const PlanSpace& space : spaces) {
@@ -72,11 +71,13 @@ void StreamerOrderer::AddLink(int from, int to) {
   Link link;
   link.from = from;
   link.to = to;
-  // Justification: if even the min-over-members bound dominates, any member
-  // dominates and a failed witness may be replaced; otherwise only the probe
-  // member is known to dominate.
-  link.any_member = nodes_[from].model_lo >= nodes_[to].utility.hi();
-  link.witness = nodes_[from].probe;
+  // The interval test justified the link, so any member of `from` dominates;
+  // the first member of each group is the initial witness.
+  const std::vector<const stats::StatSummary*>& groups = nodes_[from].summaries;
+  link.witness.resize(groups.size());
+  for (size_t b = 0; b < groups.size(); ++b) {
+    link.witness[b] = groups[b]->members.front();
+  }
   link.created_epoch = ctx().epoch();
   int index;
   if (!free_links_.empty()) {
@@ -122,11 +123,9 @@ void StreamerOrderer::RemoveNode(int node_index) {
 
 void StreamerOrderer::EvaluateNode(int node_index) {
   Node& node = nodes_[node_index];
-  PlanEvaluation eval = EvaluateWithProbe(node.plan, model(), ctx(),
-                                          &evaluations_, probe_lower_bounds_);
-  node.utility = eval.utility;
-  node.model_lo = eval.model_lo;
-  node.probe = std::move(eval.probe);
+  node.utility = EvaluateCounted(
+      utility::NodeSpan(node.summaries.data(), node.summaries.size()),
+      model(), ctx(), &evaluations_);
   node.eval_epoch = ctx().epoch();
   ++node_version_[node_index];
   PushNodeEntry(node_index);
@@ -287,15 +286,12 @@ StatusOr<OrderedPlan> StreamerOrderer::ComputeNext() {
     left.nodes[bucket] = forest.left(plan.nodes[bucket]);
     AbstractPlan right = plan;
     right.nodes[bucket] = forest.right(plan.nodes[bucket]);
-    const double parent_model_lo = nodes_[pick].model_lo;
     const int left_id = AddNode(std::move(left));
     const int right_id = AddNode(std::move(right));
     // Transfer the refined node's outgoing links to the child containing
-    // each link's dominance witness: the witness (a concrete plan of the
-    // parent) lies in exactly one child and its justification carries
-    // over. Any-member links carry over to either child (its members are
-    // a subset of the parent's), at the price of a more conservative
-    // validity check later.
+    // each link's witness (a concrete plan of the parent, which lies in
+    // exactly one child). The justification carries over to either child,
+    // since its members are a subset of the parent's.
     for (int link_index : out_links_[pick]) {
       Link& link = links_[link_index];
       const std::vector<int>& left_members =
@@ -309,10 +305,6 @@ StatusOr<OrderedPlan> StreamerOrderer::ComputeNext() {
       out_links_[new_from].push_back(link_index);
     }
     out_links_[pick].clear();
-    // Conservative until the evaluation below overwrites it, in case a
-    // link consults the bound in between.
-    nodes_[left_id].model_lo = parent_model_lo;
-    nodes_[right_id].model_lo = parent_model_lo;
     RemoveNode(pick);
 
     // Evaluate the children (counter order left-then-right matches the old
@@ -352,7 +344,7 @@ void StreamerOrderer::OnExecuted(const ConcretePlan& plan) {
   // execution of `plan` iff some concrete plan in q is independent of every
   // plan executed since the link was created, including this one. The cached
   // witness makes the common case one independence test; only when it fails
-  // does an any-member link search E(p,q) for a replacement.
+  // does the link search E(p,q) for a replacement.
   const std::vector<ConcretePlan>& executed = ctx().executed();
   std::vector<const ConcretePlan*> suffix;
   std::vector<int> to_check(alive_links_.begin(), alive_links_.end());
@@ -360,11 +352,6 @@ void StreamerOrderer::OnExecuted(const ConcretePlan& plan) {
     Link& link = links_[li];
     if (!link.alive) continue;
     if (model().Independent(link.witness, plan)) continue;
-    if (!link.any_member) {
-      // Only the probe member was known to dominate; it is now stale.
-      KillLink(li);
-      continue;
-    }
     suffix.clear();
     for (size_t i = static_cast<size_t>(link.created_epoch);
          i < executed.size(); ++i) {

@@ -37,17 +37,16 @@ namespace planorder::core {
 ///  - Links are created star-wise from the current best nondominated plan
 ///    rather than between every dominating pair; this leaves the same
 ///    nondominated frontier with O(frontier) instead of O(frontier^2) links.
-///  - Abstract lower bounds are lifted by probe members (core/evaluate.h);
-///    a link justified only by the probe carries it as its witness and is
-///    revalidated by checking the witness's independence incrementally.
+///  - A link is justified by the plain interval test (l_p >= h_q), so every
+///    member of p dominates q; it carries one such member as its witness and
+///    is revalidated by checking the witness's independence incrementally.
 class StreamerOrderer : public Orderer {
  public:
   /// Fails when `model` lacks diminishing returns (e.g. cost with caching).
   static StatusOr<std::unique_ptr<StreamerOrderer>> Create(
       const stats::Workload* workload, utility::UtilityModel* model,
       std::vector<PlanSpace> spaces,
-      AbstractionHeuristic heuristic = AbstractionHeuristic::kByCardinality,
-      bool probe_lower_bounds = false);
+      AbstractionHeuristic heuristic = AbstractionHeuristic::kByCardinality);
 
   std::string name() const override { return "streamer"; }
 
@@ -72,11 +71,6 @@ class StreamerOrderer : public Orderer {
     /// Cached plan.Summaries() (stable: forests are immutable).
     std::vector<const stats::StatSummary*> summaries;
     Interval utility;
-    /// Min-over-members lower bound (see core/evaluate.h): when a link was
-    /// justified by this bound, every member dominated the target.
-    double model_lo = 0.0;
-    /// Probe member whose exact utility lifted utility.lo().
-    ConcretePlan probe;
     /// Number of executed plans the stored utility is conditioned on; -1
     /// when never evaluated. Staleness is checked lazily on access: the
     /// utility is current iff the node is independent of every plan executed
@@ -90,23 +84,18 @@ class StreamerOrderer : public Orderer {
     int from;
     int to;
     bool alive = true;
-    /// True when every member of `from` dominated `to` at creation (plain
-    /// interval justification); false when only the probe member is known to
-    /// dominate. Decides whether a failed witness may be replaced.
-    bool any_member = true;
-    /// A concrete member of `from` known to dominate `to` at creation and
+    /// A concrete member of `from` (every member dominated `to` at creation)
     /// verified independent of everything executed since. Checked
-    /// incrementally per emission; on failure, any-member links search for a
-    /// replacement witness over E(p,q), probe links die.
+    /// incrementally per emission; on failure the link searches for a
+    /// replacement witness over E(p,q), and dies when there is none.
     ConcretePlan witness;
     /// Epoch at creation: E(p,q) is the suffix of the context's executed
     /// list starting here — no per-link storage needed.
     int64_t created_epoch = 0;
   };
 
-  StreamerOrderer(const stats::Workload* workload, utility::UtilityModel* model,
-                  bool probe_lower_bounds)
-      : Orderer(workload, model), probe_lower_bounds_(probe_lower_bounds) {}
+  StreamerOrderer(const stats::Workload* workload, utility::UtilityModel* model)
+      : Orderer(workload, model) {}
 
   int AddNode(AbstractPlan plan);
   void AddLink(int from, int to);
@@ -160,7 +149,6 @@ class StreamerOrderer : public Orderer {
   FrontierHeap concrete_heap_;
   std::vector<uint32_t> node_version_;
   int64_t num_staleness_checks_ = 0;
-  bool probe_lower_bounds_ = true;
 };
 
 }  // namespace planorder::core

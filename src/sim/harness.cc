@@ -63,9 +63,7 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
         ++local.skipped;
         continue;
       }
-      const core::OrdererSpec algo{algo_kind,
-                                   core::AbstractionHeuristic::kByCardinality,
-                                   scenario.probe_lower_bounds};
+      const core::OrdererSpec algo{algo_kind};
 
       // Baseline drain: every other check is differential against it.
       PLANORDER_ASSIGN_OR_RETURN(

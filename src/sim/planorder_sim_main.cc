@@ -15,7 +15,6 @@
 ///   planorder_sim --corpus=tests/sim_corpus.txt
 ///   planorder_sim --artifact=min.scenario      # where to write reproducers
 
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -26,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/parse_number.h"
 #include "sim/harness.h"
 #include "sim/scenario.h"
 #include "sim/shrink.h"
@@ -58,15 +58,6 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   if (arg.rfind(prefix, 0) != 0) return false;
   *value = arg.substr(prefix.size());
   return true;
-}
-
-/// Checked decimal conversion: all of `text` must be a number that fits
-/// in T.
-template <typename T>
-bool ParseNumber(const std::string& text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return !text.empty() && ec == std::errc() && ptr == end;
 }
 
 /// Parses a SEED:STEP pair (the --replay value and each corpus line).

@@ -15,9 +15,9 @@ namespace planorder::sim {
 
 /// Utility-model decorator applying u' = scale * u + shift (scale > 0, a
 /// strictly increasing affine map). Every structural predicate (monotonicity,
-/// diminishing returns, independence, group independence, probe choice)
-/// forwards to the wrapped model: an affine map changes no comparison between
-/// utilities, so a correct orderer must emit the same order. With shift == 0
+/// diminishing returns, independence, group independence) forwards to the
+/// wrapped model: an affine map changes no comparison between utilities, so
+/// a correct orderer must emit the same order. With shift == 0
 /// and scale a power of two the transform is floating-point-exact and the
 /// emission sequence must match bit-for-bit; otherwise rounding can merge
 /// near-ties and only the utility sequences are comparable.
@@ -52,9 +52,6 @@ class AffineModel : public utility::UtilityModel {
       utility::NodeSpan nodes,
       const std::vector<const utility::ConcretePlan*>& others) const override {
     return base_->FindIndependentGroupPlan(nodes, others);
-  }
-  int ProbeMember(const stats::StatSummary& summary) const override {
-    return base_->ProbeMember(summary);
   }
 
  private:

@@ -93,7 +93,6 @@ std::string Scenario::Summary() const {
       << " bs=" << bucket_size << " plans=" << NumPlans()
       << " measures=" << measures.size() << " algos=" << algos.size()
       << " threads=" << JoinInts(thread_counts)
-      << " probes=" << (probe_lower_bounds ? 1 : 0)
       << " runtime=" << (check_runtime ? 1 : 0)
       << " ranked=" << (check_ranked ? 1 : 0)
       << " multi=" << (check_multi ? 1 : 0)
@@ -120,7 +119,6 @@ std::string Scenario::Serialize() const {
     out << core::OrdererKindName(algos[i]);
   }
   out << " thread_counts=" << JoinInts(thread_counts);
-  out << " probe_lower_bounds=" << (probe_lower_bounds ? 1 : 0);
   out << " check_oracle=" << (check_oracle ? 1 : 0)
       << " check_monotone=" << (check_monotone ? 1 : 0)
       << " check_relabel=" << (check_relabel ? 1 : 0)
@@ -205,8 +203,6 @@ StatusOr<Scenario> Scenario::Deserialize(const std::string& line) {
         for (const std::string& item : split_list(value)) {
           s.thread_counts.push_back(std::stoi(item));
         }
-      } else if (key == "probe_lower_bounds") {
-        s.probe_lower_bounds = value != "0";
       } else if (key == "check_oracle") {
         s.check_oracle = value != "0";
       } else if (key == "check_monotone") {
@@ -305,7 +301,9 @@ Scenario MakeScenario(uint64_t base_seed, int step) {
   s.algos = AllAlgoKinds();
   s.thread_counts = {2, int(rng.UniformInt(3, 8))};
   Shuffle(s.thread_counts, rng);
-  s.probe_lower_bounds = rng.Bernoulli(0.5);
+  // Discarded draw (the retired probe-bound axis): keeps every SEED:STEP in
+  // tests/sim_corpus.txt deriving the same values for all later fields.
+  (void)rng.Bernoulli(0.5);
 
   s.check_runtime = rng.Bernoulli(0.5);
   s.num_answers = int(rng.UniformInt(40, 160));

@@ -49,7 +49,6 @@ struct Scenario {
   /// Runtime thread counts whose mediation must match the serial mediator
   /// (1 is implied: the serial run is always the baseline).
   std::vector<int> thread_counts;
-  bool probe_lower_bounds = false;
 
   // --- Property toggles (the shrinker turns these off one by one) ---
   bool check_oracle = true;

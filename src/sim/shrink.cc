@@ -39,9 +39,6 @@ class Shrinker {
     changed |= ShrinkMeasures();
     changed |= ShrinkAlgos();
     changed |= ShrinkThreads();
-    changed |= DisableFlag([](Scenario& s) -> bool& {
-      return s.probe_lower_bounds;
-    });
     // Dropping a whole property class is a big simplification: the failure
     // no longer depends on that machinery at all.
     changed |= DisableFlag([](Scenario& s) -> bool& {

@@ -88,13 +88,4 @@ std::optional<ConcretePlan> CombinedModel::FindIndependentGroupPlan(
   return std::nullopt;
 }
 
-int CombinedModel::ProbeMember(const stats::StatSummary& summary) const {
-  // Defer to the heaviest-weighted component's notion of "promising".
-  const Component* heaviest = &components_.front();
-  for (const Component& c : components_) {
-    if (c.weight > heaviest->weight) heaviest = &c;
-  }
-  return heaviest->model->ProbeMember(summary);
-}
-
 }  // namespace planorder::utility

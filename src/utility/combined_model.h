@@ -46,7 +46,6 @@ class CombinedModel : public UtilityModel {
   std::optional<ConcretePlan> FindIndependentGroupPlan(
       NodeSpan nodes,
       const std::vector<const ConcretePlan*>& others) const override;
-  int ProbeMember(const stats::StatSummary& summary) const override;
 
   CombinedModel(const stats::Workload* workload,
                 std::vector<Component> components)

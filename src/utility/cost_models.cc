@@ -125,23 +125,6 @@ bool BoundJoinCostModel::Independent(const ConcretePlan& a,
   return true;
 }
 
-int BoundJoinCostModel::ProbeMember(const stats::StatSummary& summary) const {
-  int best = summary.members.front();
-  double best_score = 1e300;
-  for (int member : summary.members) {
-    const stats::SourceStats& s = workload().source(summary.bucket, member);
-    const double price =
-        options_.per_tuple_monetary ? s.fee : s.transmission_cost;
-    double score = price * s.cardinality;
-    if (options_.include_failure) score /= (1.0 - s.failure_prob);
-    if (score < best_score) {
-      best_score = score;
-      best = member;
-    }
-  }
-  return best;
-}
-
 bool BoundJoinCostModel::GroupIndependentOf(NodeSpan nodes,
                                             const ConcretePlan& plan) const {
   if (!options_.use_cache) return true;

@@ -93,10 +93,6 @@ class BoundJoinCostModel : public UtilityModel {
       NodeSpan nodes,
       const std::vector<const ConcretePlan*>& others) const override;
 
-  /// Probes the cheapest-looking member (smallest alpha * n, or for the
-  /// monetary measure smallest fee-to-output ratio proxy).
-  int ProbeMember(const stats::StatSummary& summary) const override;
-
   BoundJoinCostModel(const stats::Workload* workload,
                      const BoundJoinOptions& options)
       : UtilityModel(workload), options_(options) {}

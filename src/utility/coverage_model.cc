@@ -81,26 +81,6 @@ bool CoverageModel::PlanIndependenceKeys(const ConcretePlan& plan,
   return true;
 }
 
-int CoverageModel::ProbeMember(const stats::StatSummary& summary) const {
-  const std::vector<double>& weights =
-      workload().region_weights()[summary.bucket];
-  int best = summary.members.front();
-  double best_weight = -1.0;
-  for (int member : summary.members) {
-    uint64_t bits = workload().source(summary.bucket, member).regions.bits;
-    double weight = 0.0;
-    while (bits != 0) {
-      weight += weights[__builtin_ctzll(bits)];
-      bits &= bits - 1;
-    }
-    if (weight > best_weight) {
-      best_weight = weight;
-      best = member;
-    }
-  }
-  return best;
-}
-
 std::optional<ConcretePlan> CoverageModel::FindIndependentGroupPlan(
     NodeSpan nodes, const std::vector<const ConcretePlan*>& others) const {
   const size_t n = others.size();

@@ -51,10 +51,6 @@ class CoverageModel : public UtilityModel {
   std::optional<ConcretePlan> FindIndependentGroupPlan(
       NodeSpan nodes,
       const std::vector<const ConcretePlan*>& others) const override;
-
-  /// Probes the member with the heaviest region set (likeliest best
-  /// coverage).
-  int ProbeMember(const stats::StatSummary& summary) const override;
 };
 
 }  // namespace planorder::utility

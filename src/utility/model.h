@@ -121,17 +121,6 @@ class UtilityModel {
     return FindIndependentGroupPlan(nodes, others).has_value();
   }
 
-  /// Picks the member of `summary` most likely to maximize utility. The
-  /// ordering algorithms evaluate this member exactly (a "probe") to lift an
-  /// abstract plan's utility lower bound from min-over-members to a bound on
-  /// its *best* member — the paper's dominance notion only needs one concrete
-  /// plan of p to beat all of q, and probe bounds are what make interval
-  /// pruning effective for coverage-like measures whose group intersections
-  /// are often empty. Any member is correct; better guesses prune more.
-  virtual int ProbeMember(const stats::StatSummary& summary) const {
-    return summary.members.front();
-  }
-
  protected:
   explicit UtilityModel(const stats::Workload* workload)
       : workload_(workload) {}

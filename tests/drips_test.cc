@@ -130,8 +130,8 @@ TEST(DripsTest, ManyRefinementsSurviveCandidateReallocation) {
   int64_t evaluations = 0;
   auto result = RunDrips({TopPlan(forest)}, *model, ctx, &evaluations);
   ASSERT_TRUE(result.ok()) << result.status();
-  // Without probes every inserted candidate costs exactly one evaluation, so
-  // this asserts the run really outgrew the initial 1 + 64 reservation.
+  // Every inserted candidate costs exactly one evaluation, so this asserts
+  // the run really outgrew the initial 1 + 64 reservation.
   EXPECT_GT(evaluations, 65);
 
   double best = -1e300;

@@ -107,40 +107,6 @@ TEST(ExecutionContextTest, CachingAccumulatesAcrossPlans) {
   EXPECT_FALSE(ctx.IsCached(1, 1));
 }
 
-TEST(ProbeMemberTest, CoveragePicksHeaviestMask) {
-  std::vector<std::vector<stats::SourceStats>> buckets(1);
-  stats::SourceStats small, big;
-  small.regions.bits = 0b0001;
-  big.regions.bits = 0b0111;
-  buckets[0] = {small, big};
-  auto w = stats::Workload::FromParts(
-      buckets, {std::vector<double>(4, 0.25)}, 1.0, {10.0});
-  ASSERT_TRUE(w.ok());
-  CoverageModel model(&*w);
-  stats::StatSummary group = stats::StatSummary::Merge(w->summary(0, 0),
-                                                       w->summary(0, 1));
-  EXPECT_EQ(model.ProbeMember(group), 1);  // big covers 3x the weight
-}
-
-TEST(ProbeMemberTest, CostPicksCheapest) {
-  std::vector<std::vector<stats::SourceStats>> buckets(1);
-  stats::SourceStats pricey, cheap;
-  pricey.cardinality = 100;
-  pricey.transmission_cost = 1.0;
-  pricey.regions.bits = 1;
-  cheap.cardinality = 10;
-  cheap.transmission_cost = 0.1;
-  cheap.regions.bits = 1;
-  buckets[0] = {pricey, cheap};
-  auto w = stats::Workload::FromParts(buckets, {{1.0}}, 1.0, {10.0});
-  ASSERT_TRUE(w.ok());
-  auto model = BoundJoinCostModel::Create(&*w, BoundJoinOptions{});
-  ASSERT_TRUE(model.ok());
-  stats::StatSummary group = stats::StatSummary::Merge(w->summary(0, 0),
-                                                       w->summary(0, 1));
-  EXPECT_EQ((*model)->ProbeMember(group), 1);
-}
-
 TEST(FindIndependentGroupPlanTest, DefaultEnumerationIsSound) {
   // Exercise the base-class fallback through a model that does not override
   // it; the returned witness must actually be independent of the others.

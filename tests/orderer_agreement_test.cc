@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/orderer_factory.h"
 #include "test_util.h"
 
 namespace planorder {
@@ -20,6 +21,7 @@ namespace {
 
 using core::AbstractionHeuristic;
 using core::OrderedPlan;
+using core::OrdererKind;
 using core::PlanSpace;
 using test::Drain;
 using test::MustMakeMeasure;
@@ -75,8 +77,8 @@ TEST_P(OrdererAgreementTest, AllAlgorithmsProduceTheExactOrdering) {
 
   // Reference: naive brute force, full ordering.
   auto ref_model = MustMakeMeasure(c.measure, &w);
-  auto naive = core::PiOrderer::Create(&w, ref_model.get(), spaces,
-                                       /*use_independence=*/false);
+  auto naive = core::MakeOrderer({OrdererKind::kNaive}, &w, ref_model.get(),
+                                 spaces);
   ASSERT_TRUE(naive.ok());
   const std::vector<OrderedPlan> reference = Drain(**naive);
   ASSERT_EQ(static_cast<int>(reference.size()), total);
@@ -87,34 +89,31 @@ TEST_P(OrdererAgreementTest, AllAlgorithmsProduceTheExactOrdering) {
   // PI with independence-based recomputation.
   {
     auto model = MustMakeMeasure(c.measure, &w);
-    auto pi = core::PiOrderer::Create(&w, model.get(), spaces);
+    auto pi = core::MakeOrderer({OrdererKind::kPi}, &w, model.get(), spaces);
     ASSERT_TRUE(pi.ok());
     const auto plans = Drain(**pi);
     ExpectSameUtilitySequence(reference, plans, "pi vs naive");
     ExpectSamePlanSet(reference, plans, "pi vs naive");
   }
 
-  // iDrips, every heuristic, with plain-interval and probe-lifted bounds.
+  // iDrips, every heuristic.
   for (AbstractionHeuristic h :
        {AbstractionHeuristic::kByCardinality,
         AbstractionHeuristic::kByMaskSimilarity, AbstractionHeuristic::kRandom}) {
-    for (bool probes : {false, true}) {
-      auto model = MustMakeMeasure(c.measure, &w);
-      auto idrips = core::IDripsOrderer::Create(&w, model.get(), spaces,
-                                                core::IDripsOptions{h, probes});
-      ASSERT_TRUE(idrips.ok());
-      const auto plans = Drain(**idrips);
-      ExpectSameUtilitySequence(reference, plans, "idrips vs naive");
-      ExpectSamePlanSet(reference, plans, "idrips vs naive");
-    }
+    auto model = MustMakeMeasure(c.measure, &w);
+    auto idrips =
+        core::MakeOrderer({OrdererKind::kIDrips, h}, &w, model.get(), spaces);
+    ASSERT_TRUE(idrips.ok());
+    const auto plans = Drain(**idrips);
+    ExpectSameUtilitySequence(reference, plans, "idrips vs naive");
+    ExpectSamePlanSet(reference, plans, "idrips vs naive");
   }
 
-  // Streamer where applicable (requires diminishing returns), both bound
-  // modes.
-  for (bool probes : {false, true}) {
+  // Streamer where applicable (requires diminishing returns).
+  {
     auto model = MustMakeMeasure(c.measure, &w);
-    auto streamer = core::StreamerOrderer::Create(
-        &w, model.get(), spaces, AbstractionHeuristic::kByCardinality, probes);
+    auto streamer =
+        core::MakeOrderer({OrdererKind::kStreamer}, &w, model.get(), spaces);
     if (model->diminishing_returns()) {
       ASSERT_TRUE(streamer.ok()) << streamer.status();
       const auto plans = Drain(**streamer);
@@ -158,7 +157,8 @@ TEST(OrdererAgreementEdgeTest, SinglePlanWorkload) {
   stats::Workload w = MakeWorkload(2, 1, 0.3, 7);
   const std::vector<PlanSpace> spaces = {PlanSpace::FullSpace(w)};
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
-  auto streamer = core::StreamerOrderer::Create(&w, model.get(), spaces);
+  auto streamer =
+      core::MakeOrderer({OrdererKind::kStreamer}, &w, model.get(), spaces);
   ASSERT_TRUE(streamer.ok());
   const auto plans = Drain(**streamer);
   ASSERT_EQ(plans.size(), 1u);
@@ -174,20 +174,22 @@ TEST(OrdererAgreementEdgeTest, MultipleSpacesAgree) {
   ASSERT_GT(spaces.size(), 1u);
 
   auto ref_model = MustMakeMeasure(Measure::kCoverage, &w);
-  auto naive = core::PiOrderer::Create(&w, ref_model.get(), spaces,
-                                       /*use_independence=*/false);
+  auto naive = core::MakeOrderer({OrdererKind::kNaive}, &w, ref_model.get(),
+                                 spaces);
   ASSERT_TRUE(naive.ok());
   const auto reference = Drain(**naive);
   EXPECT_EQ(reference.size(), full.NumPlans() - 1);
 
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
-  auto streamer = core::StreamerOrderer::Create(&w, model.get(), spaces);
+  auto streamer =
+      core::MakeOrderer({OrdererKind::kStreamer}, &w, model.get(), spaces);
   ASSERT_TRUE(streamer.ok());
   const auto plans = Drain(**streamer);
   ExpectSameUtilitySequence(reference, plans, "streamer multi-space");
 
   auto model2 = MustMakeMeasure(Measure::kCoverage, &w);
-  auto idrips = core::IDripsOrderer::Create(&w, model2.get(), spaces);
+  auto idrips =
+      core::MakeOrderer({OrdererKind::kIDrips}, &w, model2.get(), spaces);
   ASSERT_TRUE(idrips.ok());
   ExpectSameUtilitySequence(reference, Drain(**idrips), "idrips multi-space");
 }
@@ -213,24 +215,11 @@ TEST(OrdererDiscardTest, DiscardedPlansDoNotConditionUtilities) {
   }
   std::sort(unconditioned.rbegin(), unconditioned.rend());
 
-  for (auto make :
-       {+[](const stats::Workload* w, utility::UtilityModel* m,
-            std::vector<PlanSpace> s) -> std::unique_ptr<core::Orderer> {
-          auto o = core::PiOrderer::Create(w, m, std::move(s));
-          return o.ok() ? std::move(*o) : nullptr;
-        },
-        +[](const stats::Workload* w, utility::UtilityModel* m,
-            std::vector<PlanSpace> s) -> std::unique_ptr<core::Orderer> {
-          auto o = core::StreamerOrderer::Create(w, m, std::move(s));
-          return o.ok() ? std::move(*o) : nullptr;
-        },
-        +[](const stats::Workload* w, utility::UtilityModel* m,
-            std::vector<PlanSpace> s) -> std::unique_ptr<core::Orderer> {
-          auto o = core::IDripsOrderer::Create(w, m, std::move(s));
-          return o.ok() ? std::move(*o) : nullptr;
-        }}) {
-    auto orderer = make(&w, model.get(), spaces);
-    ASSERT_NE(orderer, nullptr);
+  for (OrdererKind kind :
+       {OrdererKind::kPi, OrdererKind::kStreamer, OrdererKind::kIDrips}) {
+    auto made = core::MakeOrderer({kind}, &w, model.get(), spaces);
+    ASSERT_TRUE(made.ok()) << made.status();
+    std::unique_ptr<core::Orderer> orderer = std::move(*made);
     std::vector<double> emitted;
     while (true) {
       auto next = orderer->Next();

@@ -267,10 +267,10 @@ TEST(PiTest, GroupIndependentOfIsSound) {
                         "group upper bound moved, trial " +
                             std::to_string(trial));
       // Spot-check the definition member-wise on one concrete plan of the
-      // group (the probe member — deterministically picked, always valid).
+      // group: the first member of each node.
       ConcretePlan member;
       for (const stats::StatSummary* s : summaries) {
-        member.push_back(model->ProbeMember(*s));
+        member.push_back(s->members.front());
       }
       ExecutionContext member_ctx(&w);
       const double member_before = model->EvaluateConcrete(member, member_ctx);

@@ -108,7 +108,6 @@ TEST(ShrinkTest, ReachesSyntheticFixpoint) {
   failing.measures = AllMeasureKinds();
   failing.algos = AllAlgoKinds();
   failing.thread_counts = {2, 8};
-  failing.probe_lower_bounds = true;
   failing.check_oracle = true;
   failing.check_monotone = true;
   failing.check_relabel = true;
@@ -134,7 +133,6 @@ TEST(ShrinkTest, ReachesSyntheticFixpoint) {
   EXPECT_EQ(result.scenario.bucket_size, 2);
   EXPECT_EQ(result.scenario.algos.size(), 1u);
   EXPECT_TRUE(result.scenario.thread_counts.empty());
-  EXPECT_FALSE(result.scenario.probe_lower_bounds);
   EXPECT_FALSE(result.scenario.check_oracle);
   EXPECT_FALSE(result.scenario.check_monotone);
   EXPECT_FALSE(result.scenario.check_relabel);
