@@ -10,7 +10,11 @@
 ///     (the k-th answer is not available any earlier than the whole order).
 /// A full stream drain (anyk_full_ms) is reported alongside so the sweep
 /// shows first-k latency growing sublinearly in the answer count while the
-/// baseline pays the full materialization regardless of k.
+/// baseline pays the full materialization regardless of k. Each point also
+/// records relations_indexed, the distinct source relations the stream
+/// scanned and weighed; the bench aborts unless it equals the distinct
+/// (predicate, arity) pairs in the admitted plans' bodies, i.e. unless every
+/// relation was indexed once no matter how many plans read it.
 /// Results go to BENCH_anyk.json.
 ///
 /// Usage: bench_anyk [output.json] [--k=K[,K2...]] [--repeats=R]
@@ -18,6 +22,9 @@
 
 #include <algorithm>
 #include <iostream>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "anyk/brute_force.h"
@@ -56,6 +63,7 @@ anyk::RankedAnswerStream OpenStream(const exec::SyntheticDomain& domain,
 struct TimedRun {
   double ms = 0.0;
   size_t answers = 0;
+  size_t relations_indexed = 0;  // any-k runs only
 };
 
 /// Time from query issue to the k-th ranked answer (fewer if the union is
@@ -76,16 +84,14 @@ TimedRun TimeAnyK(const exec::SyntheticDomain& domain,
     ++run.answers;
   }
   run.ms = NowWallMs() - start_ms;
+  run.relations_indexed = stream.stats().relations_indexed;
   return run;
 }
 
-/// The materialize-then-sort baseline: every sound, executable rewriting of
-/// the full Cartesian product, evaluated by the naive backtracking join and
-/// globally sorted. The rewriting enumeration is part of the timed region —
-/// the baseline, too, starts from the raw query.
-TimedRun TimeSortAll(const exec::SyntheticDomain& domain,
-                     const anyk::WeightOptions& weights) {
-  const double start_ms = NowWallMs();
+/// Every sound, executable rewriting of the full Cartesian product, in
+/// odometer order: the plans a full-budget stream admits.
+std::vector<datalog::ConjunctiveQuery> UsableRewritings(
+    const exec::SyntheticDomain& domain) {
   std::vector<datalog::ConjunctiveQuery> rewritings;
   const size_t num_buckets = domain.source_ids.size();
   std::vector<int> odometer(num_buckets, 0);
@@ -103,8 +109,30 @@ TimedRun TimeSortAll(const exec::SyntheticDomain& domain,
     }
     if (b == num_buckets) break;
   }
-  auto all = anyk::BruteForceRankedUnion(rewritings, domain.source_facts,
-                                         weights);
+  return rewritings;
+}
+
+/// Distinct (predicate, arity) pairs over the bodies of `rewritings`.
+size_t DistinctRelations(
+    const std::vector<datalog::ConjunctiveQuery>& rewritings) {
+  std::set<std::pair<std::string, size_t>> relations;
+  for (const datalog::ConjunctiveQuery& rewriting : rewritings) {
+    for (const datalog::Atom& atom : rewriting.body) {
+      relations.emplace(atom.predicate, atom.args.size());
+    }
+  }
+  return relations.size();
+}
+
+/// The materialize-then-sort baseline: every sound, executable rewriting of
+/// the full Cartesian product, evaluated by the naive backtracking join and
+/// globally sorted. The rewriting enumeration is part of the timed region —
+/// the baseline, too, starts from the raw query.
+TimedRun TimeSortAll(const exec::SyntheticDomain& domain,
+                     const anyk::WeightOptions& weights) {
+  const double start_ms = NowWallMs();
+  auto all = anyk::BruteForceRankedUnion(UsableRewritings(domain),
+                                         domain.source_facts, weights);
   PLANORDER_CHECK(all.ok()) << all.status();
   benchmark::DoNotOptimize(all->data());
   TimedRun run;
@@ -119,6 +147,7 @@ struct GridPoint {
   size_t answers = 0;
   int k = 0;
   size_t emitted = 0;
+  size_t relations_indexed = 0;
   double anyk_first_k_ms = 0.0;
   double anyk_full_ms = 0.0;
   double sort_all_ms = 0.0;
@@ -158,6 +187,7 @@ int Main(int argc, char** argv) {
     PLANORDER_CHECK(full.answers == sort_all.answers)
         << "stream drained " << full.answers << " answers, sort-all baseline "
         << sort_all.answers;
+    const size_t relations = DistinctRelations(UsableRewritings(d));
 
     for (int k : flags.ks) {
       TimedRun first_k = TimeAnyK(d, weights, int(plans), k);
@@ -171,6 +201,10 @@ int Main(int argc, char** argv) {
       point.answers = sort_all.answers;
       point.k = k;
       point.emitted = first_k.answers;
+      PLANORDER_CHECK(first_k.relations_indexed == relations)
+          << "stream indexed " << first_k.relations_indexed
+          << " relations; the admitted plans read " << relations;
+      point.relations_indexed = first_k.relations_indexed;
       point.anyk_first_k_ms = first_k.ms;
       point.anyk_full_ms = full.ms;
       point.sort_all_ms = sort_all.ms;
@@ -191,6 +225,7 @@ int Main(int argc, char** argv) {
          {"answers", p.answers},
          {"k", p.k},
          {"emitted", p.emitted},
+         {"relations_indexed", p.relations_indexed},
          {"anyk_first_k_ms", p.anyk_first_k_ms},
          {"anyk_full_ms", p.anyk_full_ms},
          {"sort_all_ms", p.sort_all_ms},

@@ -125,6 +125,7 @@ StatusOr<std::vector<RankedAnswer>> BruteForceRankedAnswers(
 StatusOr<std::vector<RankedAnswer>> BruteForceRankedUnion(
     const std::vector<datalog::ConjunctiveQuery>& queries,
     const datalog::Database& facts, const WeightOptions& options) {
+  PLANORDER_RETURN_IF_ERROR(ValidateWeightOptions(options));
   BestMap best;
   for (const datalog::ConjunctiveQuery& query : queries) {
     PLANORDER_RETURN_IF_ERROR(ValidateForRanking(query));

@@ -17,9 +17,9 @@ namespace planorder::anyk {
 /// canonical ranked order (RankedBefore). Exponential in the body size; for
 /// tests and differential checks only.
 ///
-/// Errors mirror the executor's contract: kInvalidArgument on an empty body,
-/// kUnimplemented on comparison atoms or non-ground function arguments, and
-/// the query must be safe.
+/// Errors mirror the executor's contract: kInvalidArgument on an empty body
+/// or a bad WeightOptions::scale, kUnimplemented on comparison atoms or
+/// non-ground function arguments, and the query must be safe.
 StatusOr<std::vector<RankedAnswer>> BruteForceRankedAnswers(
     const datalog::ConjunctiveQuery& query, const datalog::Database& facts,
     const WeightOptions& options);

@@ -1,11 +1,13 @@
 #ifndef PLANORDER_ANYK_EXECUTOR_H_
 #define PLANORDER_ANYK_EXECUTOR_H_
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "anyk/join_tree.h"
+#include "anyk/relation_index.h"
 #include "anyk/weights.h"
 #include "base/status.h"
 #include "datalog/evaluator.h"
@@ -36,19 +38,34 @@ namespace planorder::anyk {
 /// weights (see WeightOptions), so the DP value, the enumerator's emission
 /// weight and any independent recomputation agree bit-for-bit.
 ///
+/// Representation: the enumerator never touches a Term after Build. Rows
+/// come from a RelationIndex as interned id arrays; constant and
+/// repeated-variable filters and join keys compare ids; each row records the
+/// child groups it joins once, during the DP; a witness binds ids into one
+/// slot per query variable, and only the head arguments turn back into
+/// terms.
+///
 /// Emission order contract: weights are non-increasing; the order among
 /// equal-weight witnesses is deterministic but otherwise unspecified —
 /// ranked consumers that need a canonical tie order (the global frontier
 /// merge, the differential oracle) batch equal-weight answers and sort them.
 class AnyKEnumerator {
  public:
-  /// Builds the DP (phase 1) for `query` over `facts`. `facts` must outlive
-  /// the enumerator; `query` must be safe and acyclic (kFailedPrecondition
-  /// otherwise, kUnimplemented on comparison atoms or non-ground function
-  /// arguments).
+  /// Builds the DP (phase 1) for `query` over `facts` through a
+  /// RelationIndex the enumerator owns. `facts` must outlive the enumerator;
+  /// `query` must be safe and acyclic (kFailedPrecondition otherwise,
+  /// kUnimplemented on comparison atoms or non-ground function arguments,
+  /// kInvalidArgument on a bad WeightOptions::scale).
   static StatusOr<std::unique_ptr<AnyKEnumerator>> Create(
       const datalog::ConjunctiveQuery& query, const datalog::Database& facts,
       const WeightOptions& options);
+
+  /// Same, over a shared index (weights come from `index->options()`): the
+  /// relations this query touches are scanned only if no earlier enumerator
+  /// over `index` touched them. `index` must outlive the enumerator. The
+  /// witness sequence is identical to the owning overload's.
+  static StatusOr<std::unique_ptr<AnyKEnumerator>> Create(
+      const datalog::ConjunctiveQuery& query, RelationIndex* index);
 
   /// The next witness's head projection, or nullptr when exhausted. The
   /// pointer stays valid until the following Peek()/Next() call.
@@ -85,47 +102,47 @@ class AnyKEnumerator {
     int last_inc = 0;
   };
 
-  /// All subtree solutions sharing one (node, parent join key): the sorted
-  /// DP entries plus the lazily materialized ranked stream over them.
+  /// All subtree solutions sharing one (node, parent join key): its sorted
+  /// DP entries (NodeState::entries[begin, begin + size)) plus the lazily
+  /// materialized ranked stream over them.
   struct Group {
-    std::vector<Entry> entries;
+    int begin = 0;
+    int size = 0;
     bool open = false;
     std::vector<Solution> produced;
     std::vector<Candidate> frontier;  // heap (std::push_heap/pop_heap)
   };
 
   struct NodeState {
-    /// Admissible rows (constants and repeated variables already enforced).
-    std::vector<const std::vector<datalog::Term>*> rows;
-    std::vector<double> row_weights;
-    /// Argument positions of each variable's first occurrence in the atom.
-    /// BindWitness iterates it, but each variable is assigned into the
-    /// bindings map exactly once, so the fold commutes.
-    // detlint: order-insensitive(keyed writes commute; one write per var)
-    std::unordered_map<std::string, int> var_position;
-    /// Key-extraction positions: towards the parent, and per child.
-    std::vector<int> parent_key_positions;
-    std::vector<std::vector<int>> child_key_positions;
-    /// Keyed lookup only (FindGroup); group ids come from insertion order,
-    /// which follows the deterministic row scan.
-    // detlint: order-insensitive(keyed lookup/insert only; never iterated)
-    std::unordered_map<std::vector<datalog::Term>, int,
-                       datalog::TermVectorHash>
-        group_index;
+    const RelationIndex::Relation* relation = nullptr;
+    /// Admissible relation rows (constants and repeated variables already
+    /// enforced), in relation order.
+    std::vector<int> rows;
+    /// (argument position, variable slot) of each variable's first
+    /// occurrence in the atom.
+    std::vector<std::pair<int, int>> binds;
+    /// child_groups[r * children + c]: the group of child c that admissible
+    /// row r joins, resolved once by the bottom-up pass (only meaningful for
+    /// rows that made it into an entry).
+    std::vector<int> child_groups;
+    /// Every group's entries, group after group, each group sorted by best
+    /// aggregate descending (original tuple ascending on ties).
+    std::vector<Entry> entries;
+    /// Group ids follow the first admissible row of each join key in the
+    /// row scan.
     std::vector<Group> groups;
   };
 
   AnyKEnumerator() = default;
 
-  Status Build(const datalog::ConjunctiveQuery& query,
-               const datalog::Database& facts, const WeightOptions& options);
+  Status Build(const datalog::ConjunctiveQuery& query);
 
   /// Forces production of `rank` in the group's stream; nullptr = exhausted
   /// before `rank`.
   const Solution* GetSolution(int node, int group, int rank);
 
-  /// The group of `node` matching child-or-parent key `key`, or -1.
-  int FindGroup(int node, const std::vector<datalog::Term>& key) const;
+  /// The child groups admissible row `row` of `node` joins, one per child.
+  const int* ChildGroups(int node, int row) const;
 
   /// Aggregate of (entry row weight ⊕ children at `ranks`). All referenced
   /// child solutions must already be produced.
@@ -134,17 +151,19 @@ class AnyKEnumerator {
 
   void PushCandidate(int node, int group, Candidate candidate);
 
-  /// Collects variable bindings of the witness rooted at (node, group, rank).
-  /// The bindings map is read back per head argument by name, never iterated.
-  void BindWitness(int node, int group, int rank,
-                   // detlint: order-insensitive(keyed reads only; never iterated)
-                   std::unordered_map<std::string, datalog::Term>& bindings);
+  /// Writes the term ids of the witness rooted at (node, group, rank) into
+  /// `slots_`, one per query variable.
+  void BindWitness(int node, int group, int rank);
 
-  WeightOptions options_;
+  std::unique_ptr<RelationIndex> owned_index_;  // set by the owning Create
+  RelationIndex* index_ = nullptr;
   JoinTree tree_;
-  std::vector<datalog::Atom> atoms_;  // body, aligned with tree_ node ids
   std::vector<datalog::Term> head_args_;
+  /// Per head argument: its variable slot, or -1 for a constant (emitted as
+  /// the head_args_ term itself).
+  std::vector<int> head_slots_;
   std::vector<NodeState> nodes_;
+  std::vector<int32_t> slots_;  // witness binding: term id per variable slot
   int root_group_ = -1;  // -1 = empty result
   int next_rank_ = 0;
   RankedAnswer peeked_;

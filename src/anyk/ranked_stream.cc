@@ -16,6 +16,8 @@ StatusOr<RankedAnswerStream> RankedAnswerStream::Open(
     return InvalidArgumentError("max_plans must be positive");
   }
   RankedAnswerStream stream;
+  PLANORDER_ASSIGN_OR_RETURN(
+      stream.index_, RelationIndex::Create(source_facts, options.weights));
   while (stream.stats_.plans_considered < options.max_plans) {
     auto next = orderer.Next();
     if (!next.ok()) {
@@ -36,11 +38,11 @@ StatusOr<RankedAnswerStream> RankedAnswerStream::Open(
     // Only the bottom-up DP runs here; enumeration stays lazy.
     PLANORDER_ASSIGN_OR_RETURN(
         auto enumerator,
-        AnyKEnumerator::Create(resolved.plan.rewriting, source_facts,
-                               options.weights));
+        AnyKEnumerator::Create(resolved.plan.rewriting, stream.index_.get()));
     stream.enumerators_.push_back(std::move(enumerator));
     ++stream.stats_.open_plans;
   }
+  stream.stats_.relations_indexed = stream.index_->relations_indexed();
   return stream;
 }
 

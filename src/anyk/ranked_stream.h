@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "anyk/executor.h"
+#include "anyk/relation_index.h"
 #include "anyk/weights.h"
 #include "base/status.h"
 #include "core/orderer.h"
@@ -26,8 +27,10 @@ namespace planorder::anyk {
 ///    and plans with no executable atom order are discarded with
 ///    ReportDiscarded so they do not condition later utilities. Each
 ///    surviving rewriting gets an AnyKEnumerator, i.e. only the cheap
-///    bottom-up DP runs here. Under a tight `max_plans` budget the utility
-///    order decides which plans are admitted at all.
+///    bottom-up DP runs here. All of them share one RelationIndex, so a
+///    source relation is scanned, interned and weighed once per stream no
+///    matter how many plans read it. Under a tight `max_plans` budget the
+///    utility order decides which plans are admitted at all.
 ///  - Answer phase (Next): a global frontier merges the per-plan ranked
 ///    streams. Answers are drained in equal-weight batches — every enumerator
 ///    is non-increasing, so once the best frontier weight is w no later
@@ -51,6 +54,7 @@ class RankedAnswerStream {
     int plans_considered = 0;    // orderer emissions consumed
     size_t sound_plans = 0;      // of which sound
     size_t open_plans = 0;       // sound, executable, DP built
+    size_t relations_indexed = 0;  // distinct relations scanned and weighed
     size_t witnesses_expanded = 0;  // per-plan witnesses pulled by the merge
     size_t answers_emitted = 0;     // distinct answers streamed out
   };
@@ -58,6 +62,8 @@ class RankedAnswerStream {
   /// Runs the plan phase. `source_ids[b][i]` maps workload bucket b, index i
   /// to the catalog SourceId (the orderer speaks bucket-index). All pointer
   /// arguments must outlive the stream; the orderer is only used inside Open.
+  /// kInvalidArgument on a non-positive `max_plans` or a bad
+  /// `weights.scale`.
   static StatusOr<RankedAnswerStream> Open(
       const datalog::Catalog& catalog, const datalog::ConjunctiveQuery& query,
       const datalog::Database& source_facts,
@@ -81,6 +87,9 @@ class RankedAnswerStream {
   /// Drains the next equal-weight batch from all enumerators into batch_.
   void RefillBatch();
 
+  /// Shared by every enumerator; boxed so moving the stream keeps their
+  /// pointers to it valid.
+  std::unique_ptr<RelationIndex> index_;
   std::vector<std::unique_ptr<AnyKEnumerator>> enumerators_;
   std::vector<RankedAnswer> batch_;  // current equal-weight batch, in order
   size_t batch_pos_ = 0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "base/logging.h"
 
@@ -41,6 +42,15 @@ bool IsPowerOfTwo(double value) {
 }
 
 }  // namespace
+
+Status ValidateWeightOptions(const WeightOptions& options) {
+  if (!IsPowerOfTwo(options.scale)) {
+    return InvalidArgumentError(
+        "WeightOptions::scale must be a finite positive power of two, got " +
+        std::to_string(options.scale));
+  }
+  return OkStatus();
+}
 
 double TupleWeight(const WeightOptions& options,
                    const std::vector<datalog::Term>& tuple) {

@@ -40,10 +40,17 @@ StatusOr<Aggregation> AggregationFromName(const std::string& name);
 struct WeightOptions {
   uint64_t seed = 1;
   Aggregation aggregation = Aggregation::kSum;
-  /// Power-of-two multiplier applied to every tuple weight (checked by
-  /// TupleWeight; 1.0 = raw weights in [0, 1)).
+  /// Power-of-two multiplier applied to every tuple weight (1.0 = raw
+  /// weights in [0, 1)). Entry points reject anything else with
+  /// ValidateWeightOptions; TupleWeight checks it as an invariant.
   double scale = 1.0;
 };
+
+/// kInvalidArgument unless `options.scale` is a finite positive power of two.
+/// Every ranked entry point (RelationIndex, AnyKEnumerator,
+/// RankedAnswerStream, the brute-force oracle) calls it before weighing a
+/// tuple, so a bad option from a caller becomes a Status, not an abort.
+Status ValidateWeightOptions(const WeightOptions& options);
 
 /// The weight of one ground tuple: a dyadic rational in [0, scale) derived by
 /// content-hashing the tuple under `options.seed`. Pure function of its

@@ -4,7 +4,11 @@
 
 #include "anyk/ranked_stream.h"
 
+#include <limits>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,10 +50,9 @@ std::vector<RankedAnswer> Drain(RankedAnswerStream& stream) {
   return answers;
 }
 
-/// The sort-everything oracle over every sound, executable rewriting of the
-/// domain's full Cartesian product.
-std::vector<RankedAnswer> Oracle(const exec::SyntheticDomain& d,
-                                 const WeightOptions& weights) {
+/// Every sound, executable rewriting of the domain's full Cartesian product.
+std::vector<datalog::ConjunctiveQuery> UsableRewritings(
+    const exec::SyntheticDomain& d) {
   std::vector<datalog::ConjunctiveQuery> rewritings;
   const size_t num_buckets = d.source_ids.size();
   std::vector<size_t> odometer(num_buckets, 0);
@@ -71,7 +74,14 @@ std::vector<RankedAnswer> Oracle(const exec::SyntheticDomain& d,
     }
     if (b == num_buckets) break;
   }
-  auto oracle = BruteForceRankedUnion(rewritings, d.source_facts, weights);
+  return rewritings;
+}
+
+/// The sort-everything oracle over UsableRewritings.
+std::vector<RankedAnswer> Oracle(const exec::SyntheticDomain& d,
+                                 const WeightOptions& weights) {
+  auto oracle =
+      BruteForceRankedUnion(UsableRewritings(d), d.source_facts, weights);
   EXPECT_TRUE(oracle.ok()) << oracle.status();
   return *oracle;
 }
@@ -217,6 +227,40 @@ TEST(RankedAnswerStreamTest, RejectsNonPositivePlanBudget) {
                                          d.source_ids, **orderer, options);
   ASSERT_FALSE(stream.ok());
   EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RankedAnswerStreamTest, EachRelationIsIndexedOnce) {
+  auto domain = exec::BuildSyntheticDomain(SmallOptions(77), 120);
+  ASSERT_TRUE(domain.ok());
+  const exec::SyntheticDomain& d = **domain;
+  auto stream = OpenFullBudget(d, WeightOptions{});
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  // The plans read every relation of the domain several times over, but
+  // the stream scans each (predicate, arity) once.
+  std::set<std::pair<std::string, size_t>> relations;
+  size_t atoms = 0;
+  for (const datalog::ConjunctiveQuery& rewriting : UsableRewritings(d)) {
+    for (const datalog::Atom& atom : rewriting.body) {
+      relations.emplace(atom.predicate, atom.args.size());
+      ++atoms;
+    }
+  }
+  EXPECT_GT(stream->stats().open_plans, 1u);
+  EXPECT_LT(relations.size(), atoms);
+  EXPECT_EQ(stream->stats().relations_indexed, relations.size());
+}
+
+TEST(RankedAnswerStreamTest, RejectsBadWeightScale) {
+  auto domain = exec::BuildSyntheticDomain(SmallOptions(78), 20);
+  ASSERT_TRUE(domain.ok());
+  for (double scale : {3.0, 0.0, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    WeightOptions weights;
+    weights.scale = scale;
+    auto stream = OpenFullBudget(**domain, weights);
+    ASSERT_FALSE(stream.ok()) << scale;
+    EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument) << scale;
+  }
 }
 
 }  // namespace

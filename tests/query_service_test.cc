@@ -330,6 +330,26 @@ TEST(QueryServiceTest, TooManySubgoalsIsInvalidArgument) {
   EXPECT_EQ(service.Metrics().active_sessions, 0);
 }
 
+TEST(QueryServiceTest, BadRankedWeightScaleIsInvalidArgument) {
+  // A caller-supplied weight scale that is not a power of two is refused
+  // with a Status; the service keeps serving ranked sessions afterwards.
+  auto d = MakeDomain();
+  QueryService service(&d->catalog, &d->source_facts, ServiceOptions{});
+  anyk::RankedAnswerStream::Options options;
+  options.max_plans = 16;
+  options.weights.scale = 3.0;
+  auto bad = service.OpenRankedSession(d->query, options);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+      << bad.status();
+  EXPECT_EQ(service.Metrics().active_sessions, 0);
+
+  options.weights.scale = 2.0;
+  auto good = service.OpenRankedSession(d->query, options);
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_TRUE((*good)->NextRankedAnswer().ok());
+  EXPECT_GT((*good)->ranked_stats()->relations_indexed, 0u);
+}
+
 TEST(QueryServiceTest, PlanStoreSaveFailureIsCounted) {
   // The store's directory does not exist, so the persist after the cold
   // miss fails; the session is served regardless and the failure counted.
