@@ -17,7 +17,8 @@
 //                                      | failure-nocache | failure-cache
 //                                      | monetary | monetary-cache | coverage
 //   algorithm <name>                   greedy | streamer | idrips | pi | naive
-//                                      | idrips-rebuild | auto (Section 6)
+//                                      | idrips-rebuild | auto (greedy when
+//                                      fully monotonic, else idrips)
 //   emit <k>                           how many plans to print (default 10)
 //   query <rule>                       the user query (required, once)
 //   fact <atom>                        a source tuple, e.g. fact v1(ford, m1)

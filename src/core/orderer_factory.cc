@@ -26,11 +26,10 @@ StatusOr<std::unique_ptr<Orderer>> Upcast(StatusOr<std::unique_ptr<T>> built) {
 OrdererKind ResolveOrdererKind(OrdererKind kind,
                                const utility::UtilityModel& model) {
   if (kind != OrdererKind::kAuto) return kind;
-  // Greedy clearly wins when applicable; Streamer when it can recycle
-  // dominance relations (diminishing returns); iDrips otherwise (e.g.
-  // operation caching).
+  // Greedy clearly wins when applicable. Otherwise the persistent iDrips
+  // frontier, which also serves diminishing-returns measures at a fraction
+  // of Streamer's cost per evaluation; Streamer stays a named reference.
   if (model.fully_monotonic()) return OrdererKind::kGreedy;
-  if (model.diminishing_returns()) return OrdererKind::kStreamer;
   return OrdererKind::kIDrips;
 }
 

@@ -14,8 +14,10 @@ namespace planorder::core {
 
 /// The plan-ordering algorithms, by name.
 enum class OrdererKind {
-  /// Section 6's guidance: Greedy when the measure is fully monotonic;
-  /// otherwise Streamer when it has diminishing returns; otherwise iDrips.
+  /// Greedy when the measure is fully monotonic; otherwise persistent
+  /// iDrips. (Section 6 also suggests Streamer under diminishing returns;
+  /// the persistent frontier is cheaper there, so Streamer is kept only as
+  /// the paper's reference, by name.)
   kAuto,
   kGreedy,         // Section 4; fully monotonic measures only
   kIDrips,         // Section 5.2, persistent frontier (DESIGN.md §6)
@@ -42,8 +44,8 @@ struct OrdererSpec {
 bool Applicable(OrdererKind kind, const utility::UtilityModel& model);
 
 /// Builds the orderer `spec` names over `spaces`, resolving kAuto against
-/// `model` by the Section 6 rule. kFailedPrecondition when the algorithm
-/// does not apply to `model`.
+/// `model` (Greedy if fully monotonic, else persistent iDrips).
+/// kFailedPrecondition when the algorithm does not apply to `model`.
 /// `workload` and `model` must outlive the orderer.
 StatusOr<std::unique_ptr<Orderer>> MakeOrderer(const OrdererSpec& spec,
                                                const stats::Workload* workload,

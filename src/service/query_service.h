@@ -37,9 +37,9 @@ struct ServiceOptions {
   double admission_timeout_ms = 1000.0;
 
   /// Utility measure every session's orderer optimizes. The orderer is
-  /// chosen from it by the Section 6 rule (core::OrdererKind::kAuto):
-  /// Greedy for fully monotonic measures, Streamer under diminishing
-  /// returns (coverage), iDrips otherwise (the caching variants).
+  /// chosen from it by core::OrdererKind::kAuto: Greedy for fully
+  /// monotonic measures, persistent iDrips for every other one (coverage
+  /// and the caching variants included).
   utility::MeasureKind measure = utility::MeasureKind::kCoverage;
 
   /// Read-only residency view of a cross-session source-operation cache

@@ -14,8 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "anyk/brute_force.h"
-#include "core/idrips.h"
-#include "core/pi.h"
+#include "core/orderer_factory.h"
 #include "core/plan_space.h"
 #include "datalog/parser.h"
 #include "exec/synthetic_domain.h"
@@ -89,8 +88,8 @@ std::vector<RankedAnswer> Oracle(const exec::SyntheticDomain& d,
 StatusOr<RankedAnswerStream> OpenFullBudget(const exec::SyntheticDomain& d,
                                             const WeightOptions& weights) {
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::IDripsOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   EXPECT_TRUE(orderer.ok()) << orderer.status();
   RankedAnswerStream::Options options;
   options.weights = weights;
@@ -152,8 +151,8 @@ TEST(RankedAnswerStreamTest, PlanBudgetBoundsThePlanPhase) {
   const exec::SyntheticDomain& d = **domain;
   WeightOptions weights;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::PiOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   RankedAnswerStream::Options options;
   options.weights = weights;
@@ -196,8 +195,8 @@ TEST(RankedAnswerStreamTest, ZeroSoundPlansYieldAnEmptyStream) {
 
   const stats::Workload workload = test::MakeWorkload(2, 2, 0.4, 65);
   utility::CoverageModel model(&workload);
-  auto orderer = core::PiOrderer::Create(&workload, &model,
-                                         {core::PlanSpace::FullSpace(workload)});
+  auto orderer = core::MakeOrderer({}, &workload, &model,
+                                   {core::PlanSpace::FullSpace(workload)});
   ASSERT_TRUE(orderer.ok());
   datalog::Database facts;
   RankedAnswerStream::Options options;
@@ -218,8 +217,8 @@ TEST(RankedAnswerStreamTest, RejectsNonPositivePlanBudget) {
   ASSERT_TRUE(domain.ok());
   const exec::SyntheticDomain& d = **domain;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::PiOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   RankedAnswerStream::Options options;
   options.max_plans = 0;

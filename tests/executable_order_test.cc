@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/orderer_factory.h"
 #include "datalog/parser.h"
-#include "core/greedy.h"
 #include "exec/dependent_join.h"
 #include "exec/mediator.h"
 #include "exec/source_access.h"
@@ -136,8 +136,8 @@ TEST_F(BindingPatternFixture, MediatorReordersAndRunsEndToEnd) {
       stats::Workload::FromParts(bucket_stats, {{1.0}, {1.0}}, 5.0, {8.0, 8.0});
   ASSERT_TRUE(workload.ok());
   utility::AdditiveCostModel model(&*workload);
-  auto orderer = core::GreedyOrderer::Create(
-      &*workload, &model, {core::PlanSpace::FullSpace(*workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &*workload, &model, {core::PlanSpace::FullSpace(*workload)});
   ASSERT_TRUE(orderer.ok());
 
   exec::Mediator mediator(&catalog_, query_, &facts, buckets->buckets);
@@ -165,8 +165,8 @@ TEST_F(BindingPatternFixture, UnexecutablePlanIsDiscardedByMediator) {
       stats::Workload::FromParts(bucket_stats, {{1.0}, {1.0}}, 5.0, {8.0, 8.0});
   ASSERT_TRUE(workload.ok());
   utility::AdditiveCostModel model(&*workload);
-  auto orderer = core::GreedyOrderer::Create(
-      &*workload, &model, {core::PlanSpace::FullSpace(*workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &*workload, &model, {core::PlanSpace::FullSpace(*workload)});
   ASSERT_TRUE(orderer.ok());
   exec::Mediator mediator(&catalog_, query_, &facts, buckets->buckets);
   auto result = mediator.Run(**orderer, 4);

@@ -15,10 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/greedy.h"
-#include "core/idrips.h"
-#include "core/pi.h"
-#include "core/streamer.h"
+#include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "exec/dependent_join.h"
 #include "exec/source_access.h"
@@ -184,18 +181,10 @@ TEST_F(MovieIntegrationTest, AllAlgorithmsSameOrderingAndAnswers) {
       core::PlanSpace::FullSpace(workload_)};
 
   std::vector<PipelineResult> results;
-  {
-    auto o = core::PiOrderer::Create(&workload_, model->get(), spaces);
-    ASSERT_TRUE(o.ok());
-    results.push_back(RunPipeline(**o));
-  }
-  {
-    auto o = core::StreamerOrderer::Create(&workload_, model->get(), spaces);
-    ASSERT_TRUE(o.ok());
-    results.push_back(RunPipeline(**o));
-  }
-  {
-    auto o = core::IDripsOrderer::Create(&workload_, model->get(), spaces);
+  for (core::OrdererKind kind :
+       {core::OrdererKind::kPi, core::OrdererKind::kStreamer,
+        core::OrdererKind::kIDrips}) {
+    auto o = core::MakeOrderer({kind}, &workload_, model->get(), spaces);
     ASSERT_TRUE(o.ok());
     results.push_back(RunPipeline(**o));
   }
@@ -216,8 +205,8 @@ TEST_F(MovieIntegrationTest, AllAlgorithmsSameOrderingAndAnswers) {
 TEST_F(MovieIntegrationTest, UnionOfPlansEqualsCertainAnswers) {
   auto model = utility::MakeMeasure(utility::MeasureKind::kCost2, &workload_);
   ASSERT_TRUE(model.ok());
-  auto orderer = core::PiOrderer::Create(
-      &workload_, model->get(), {core::PlanSpace::FullSpace(workload_)});
+  auto orderer = core::MakeOrderer(
+      {}, &workload_, model->get(), {core::PlanSpace::FullSpace(workload_)});
   ASSERT_TRUE(orderer.ok());
   const PipelineResult pipeline = RunPipeline(**orderer);
 
@@ -240,8 +229,9 @@ TEST_F(MovieIntegrationTest, UnionOfPlansEqualsCertainAnswers) {
 
 TEST_F(MovieIntegrationTest, GreedyWorksOnAdditiveMeasure) {
   utility::AdditiveCostModel additive(&workload_);
-  auto greedy = core::GreedyOrderer::Create(
-      &workload_, &additive, {core::PlanSpace::FullSpace(workload_)});
+  auto greedy =
+      core::MakeOrderer({core::OrdererKind::kGreedy}, &workload_, &additive,
+                        {core::PlanSpace::FullSpace(workload_)});
   ASSERT_TRUE(greedy.ok());
   const PipelineResult pipeline = RunPipeline(**greedy);
   EXPECT_EQ(pipeline.utilities.size(), 9u);

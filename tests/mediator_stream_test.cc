@@ -7,8 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pi.h"
-#include "core/streamer.h"
+#include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "exec/synthetic_domain.h"
 #include "test_util.h"
@@ -32,8 +31,8 @@ TEST(MediatorStreamTest, ExhaustionIsSticky) {
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::StreamerOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   auto executor = MakeSetOrientedExecutor(&d.source_facts);
@@ -63,8 +62,8 @@ TEST(MediatorStreamTest, TakeResultCancelsMidRun) {
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::StreamerOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   auto executor = MakeSetOrientedExecutor(&d.source_facts);
@@ -97,15 +96,15 @@ TEST(MediatorStreamTest, StreamedStepsMatchBatchRun) {
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
 
   utility::CoverageModel model_a(&d.workload);
-  auto orderer_a = core::PiOrderer::Create(
-      &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer_a = core::MakeOrderer(
+      {}, &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_a.ok());
   auto batch = mediator.Run(**orderer_a, 16);
   ASSERT_TRUE(batch.ok());
 
   utility::CoverageModel model_b(&d.workload);
-  auto orderer_b = core::PiOrderer::Create(
-      &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer_b = core::MakeOrderer(
+      {}, &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_b.ok());
   auto executor = MakeSetOrientedExecutor(&d.source_facts);
   Mediator::RunLimits limits;
@@ -150,8 +149,8 @@ TEST(MediatorStreamTest, ZeroSoundPlanQueryStreamsDiscardsOnly) {
   // translation is what matters here.
   const stats::Workload workload = test::MakeWorkload(2, 2, 0.4, 64);
   utility::CoverageModel model(&workload);
-  auto orderer = core::PiOrderer::Create(&workload, &model,
-                                         {core::PlanSpace::FullSpace(workload)});
+  auto orderer = core::MakeOrderer({}, &workload, &model,
+                                   {core::PlanSpace::FullSpace(workload)});
   ASSERT_TRUE(orderer.ok());
 
   datalog::Database facts;
@@ -184,8 +183,8 @@ TEST(MediatorStreamTest, RejectsNonPositiveMaxPlans) {
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::PiOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   auto executor = MakeSetOrientedExecutor(&d.source_facts);

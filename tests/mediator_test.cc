@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/orderer_factory.h"
 #include "core/pi.h"
 #include "core/streamer.h"
 #include "exec/source_access.h"
@@ -27,8 +28,8 @@ TEST(MediatorTest, StreamsAnswersAndAccountsSteps) {
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::StreamerOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
 
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
@@ -57,8 +58,8 @@ TEST(MediatorTest, CoverageOrderingFrontLoadsAnswers) {
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::StreamerOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   const int total_plans = 32;
@@ -79,8 +80,8 @@ TEST(MediatorTest, EstimatedUtilityTracksNewAnswers) {
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::StreamerOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   auto result = mediator.Run(**orderer, 12);
@@ -96,8 +97,8 @@ TEST(MediatorTest, StopsWhenOrdererExhausted) {
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::PiOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   auto result = mediator.Run(**orderer, 1'000'000);
@@ -118,8 +119,8 @@ TEST(MediatorTest, AnswerTargetStopsEarly) {
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::StreamerOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   Mediator::RunLimits limits;
@@ -141,8 +142,8 @@ TEST(MediatorTest, CostBudgetStopsEarly) {
   auto model = utility::BoundJoinCostModel::Create(&d.workload,
                                                    utility::BoundJoinOptions{});
   ASSERT_TRUE(model.ok());
-  auto orderer = core::PiOrderer::Create(
-      &d.workload, model->get(), {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, model->get(), {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   Mediator::RunLimits limits;
@@ -163,8 +164,8 @@ TEST(MediatorTest, RejectsNonPositiveMaxPlans) {
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
   utility::CoverageModel model(&d.workload);
-  auto orderer = core::PiOrderer::Create(
-      &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer(
+      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   Mediator::RunLimits limits;
@@ -191,14 +192,14 @@ TEST(MediatorTest, AccessPatternPathMatchesSetOrientedPath) {
 
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   utility::CoverageModel model_a(&d.workload);
-  auto orderer_a = core::StreamerOrderer::Create(
-      &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer_a = core::MakeOrderer(
+      {}, &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_a.ok());
   auto set_oriented = mediator.Run(**orderer_a, 16);
 
   utility::CoverageModel model_b(&d.workload);
-  auto orderer_b = core::StreamerOrderer::Create(
-      &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer_b = core::MakeOrderer(
+      {}, &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_b.ok());
   auto dependent = mediator.Run(**orderer_b, 16, &registry);
 
@@ -227,15 +228,15 @@ TEST(MediatorTest, ZeroAndNegativeLimitsMeanNoLimit) {
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
 
   utility::CoverageModel model_a(&d.workload);
-  auto orderer_a = core::PiOrderer::Create(
-      &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer_a = core::MakeOrderer(
+      {}, &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_a.ok());
   auto plain = mediator.Run(**orderer_a, 64);
   ASSERT_TRUE(plain.ok());
 
   utility::CoverageModel model_b(&d.workload);
-  auto orderer_b = core::PiOrderer::Create(
-      &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer_b = core::MakeOrderer(
+      {}, &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_b.ok());
   Mediator::RunLimits limits;
   limits.max_plans = 64;
@@ -263,16 +264,16 @@ TEST(MediatorTest, AnswerTargetCrossedMidPlanFinishesThatPlan) {
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
 
   utility::CoverageModel model_a(&d.workload);
-  auto orderer_a = core::StreamerOrderer::Create(
-      &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer_a = core::MakeOrderer(
+      {}, &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_a.ok());
   auto full = mediator.Run(**orderer_a, 64);
   ASSERT_TRUE(full.ok());
   ASSERT_GT(full->total_answers, 30u);
 
   utility::CoverageModel model_b(&d.workload);
-  auto orderer_b = core::StreamerOrderer::Create(
-      &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer_b = core::MakeOrderer(
+      {}, &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_b.ok());
   Mediator::RunLimits limits;
   limits.max_plans = 64;
@@ -304,8 +305,8 @@ TEST(MediatorTest, CostBudgetTripsBeforeMaxPlans) {
   auto model = utility::BoundJoinCostModel::Create(&d.workload,
                                                    utility::BoundJoinOptions{});
   ASSERT_TRUE(model.ok());
-  auto probe_orderer = core::PiOrderer::Create(
-      &d.workload, model->get(), {core::PlanSpace::FullSpace(d.workload)});
+  auto probe_orderer = core::MakeOrderer(
+      {}, &d.workload, model->get(), {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(probe_orderer.ok());
   auto probe = (*probe_orderer)->Next();
   ASSERT_TRUE(probe.ok());
@@ -313,8 +314,8 @@ TEST(MediatorTest, CostBudgetTripsBeforeMaxPlans) {
   auto model_b = utility::BoundJoinCostModel::Create(
       &d.workload, utility::BoundJoinOptions{});
   ASSERT_TRUE(model_b.ok());
-  auto orderer = core::PiOrderer::Create(
-      &d.workload, model_b->get(), {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeOrderer({}, &d.workload, model_b->get(),
+                                   {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
   Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   Mediator::RunLimits limits;

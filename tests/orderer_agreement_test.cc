@@ -153,6 +153,65 @@ INSTANTIATE_TEST_SUITE_P(
         AgreementCase{Measure::kMonetaryCache, 2, 5, 0.3, 152}),
     CaseName);
 
+TEST(OrdererAgreementTieTest, DefaultMatchesStreamerUpToTieOrder) {
+  // The production default (kAuto: persistent iDrips for coverage) and the
+  // paper's Streamer may break utility ties differently, and nothing else.
+  // Their utility sequences agree to rounding. Wherever both have executed
+  // the same plan set so far (a tie group permuted still counts), their
+  // next plans tie: each has the emitted utility under that executed set.
+  // A tie broken the other way can keep the executed sets apart for good
+  // (the plan passed over loses coverage), so past that point only the
+  // utilities are compared.
+  constexpr double kTie = 1e-12;
+  constexpr int kPlans = 200;
+  for (int length : {2, 3, 4}) {
+    // Length 4 stops at size 8: Streamer needs seconds at 12^4 plans.
+    for (int size : {4, 8, 12}) {
+      if (length == 4 && size == 12) continue;
+      for (double overlap : {0.2, 0.4, 0.8}) {
+        for (uint64_t seed : {1, 2}) {
+          const std::string label =
+              "m" + std::to_string(length) + " s" + std::to_string(size) +
+              " overlap " + std::to_string(overlap) + " seed " +
+              std::to_string(seed);
+          stats::Workload w = MakeWorkload(length, size, overlap, seed);
+          const std::vector<PlanSpace> spaces = {PlanSpace::FullSpace(w)};
+          auto default_model = MustMakeMeasure(Measure::kCoverage, &w);
+          auto streamer_model = MustMakeMeasure(Measure::kCoverage, &w);
+          auto by_default =
+              core::MakeOrderer({}, &w, default_model.get(), spaces);
+          auto streamer = core::MakeOrderer({OrdererKind::kStreamer}, &w,
+                                            streamer_model.get(), spaces);
+          ASSERT_TRUE(by_default.ok()) << by_default.status();
+          ASSERT_TRUE(streamer.ok()) << streamer.status();
+          const auto a = Drain(**by_default, kPlans);
+          const auto b = Drain(**streamer, kPlans);
+          ASSERT_EQ(a.size(), b.size()) << label;
+
+          auto oracle = MustMakeMeasure(Measure::kCoverage, &w);
+          std::set<utility::ConcretePlan> executed_a, executed_b;
+          for (size_t i = 0; i < a.size(); ++i) {
+            EXPECT_NEAR(a[i].utility, b[i].utility, kTie)
+                << label << " at " << i;
+            if (a[i].plan != b[i].plan && executed_a == executed_b) {
+              utility::ExecutionContext executed(&w);
+              for (const auto& plan : executed_a) executed.MarkExecuted(plan);
+              EXPECT_NEAR(oracle->EvaluateConcrete(a[i].plan, executed),
+                          a[i].utility, kTie)
+                  << label << " default's plan at " << i;
+              EXPECT_NEAR(oracle->EvaluateConcrete(b[i].plan, executed),
+                          a[i].utility, kTie)
+                  << label << " streamer's plan at " << i;
+            }
+            executed_a.insert(a[i].plan);
+            executed_b.insert(b[i].plan);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(OrdererAgreementEdgeTest, SinglePlanWorkload) {
   stats::Workload w = MakeWorkload(2, 1, 0.3, 7);
   const std::vector<PlanSpace> spaces = {PlanSpace::FullSpace(w)};

@@ -33,12 +33,13 @@ TEST(OrdererFactoryTest, AutoFollowsSection6ForEveryMeasure) {
   const Case cases[] = {
       {Measure::kAdditive, OrdererKind::kGreedy},  // fully monotonic
       {Measure::kCost2UniformAlpha, OrdererKind::kGreedy},
-      {Measure::kCost2, OrdererKind::kStreamer},  // diminishing returns
-      {Measure::kFailureNoCache, OrdererKind::kStreamer},
+      // Every other measure, diminishing returns or not: persistent iDrips.
+      {Measure::kCost2, OrdererKind::kIDrips},  // diminishing returns
+      {Measure::kFailureNoCache, OrdererKind::kIDrips},
       {Measure::kFailureCache, OrdererKind::kIDrips},  // caching: neither
-      {Measure::kMonetary, OrdererKind::kStreamer},
+      {Measure::kMonetary, OrdererKind::kIDrips},
       {Measure::kMonetaryCache, OrdererKind::kIDrips},
-      {Measure::kCoverage, OrdererKind::kStreamer},
+      {Measure::kCoverage, OrdererKind::kIDrips},
   };
   const stats::Workload w = UniformAlphaWorkload(3);
   for (const Case& c : cases) {
@@ -54,8 +55,8 @@ TEST(OrdererFactoryTest, AutoFollowsSection6ForEveryMeasure) {
 
 TEST(OrdererFactoryTest, ExplicitKindOverridesAuto) {
   const stats::Workload w = UniformAlphaWorkload(3);
-  auto model = MustMakeMeasure(Measure::kCoverage, &w);  // auto: Streamer
-  for (OrdererKind kind : {OrdererKind::kPi, OrdererKind::kIDrips}) {
+  auto model = MustMakeMeasure(Measure::kCoverage, &w);  // auto: iDrips
+  for (OrdererKind kind : {OrdererKind::kPi, OrdererKind::kStreamer}) {
     auto orderer =
         MakeOrderer({kind}, &w, model.get(), {PlanSpace::FullSpace(w)});
     ASSERT_TRUE(orderer.ok()) << orderer.status();

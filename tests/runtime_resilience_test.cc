@@ -6,8 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pi.h"
-#include "core/streamer.h"
+#include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "exec/dependent_join.h"
 #include "exec/mediator.h"
@@ -102,8 +101,8 @@ class MovieRuntimeTest : public ::testing::Test {
   /// Serial reference: the classic dependent-join mediator run.
   exec::MediatorResult SerialRun(int max_plans) {
     utility::CoverageModel model(&workload_);
-    auto orderer = core::PiOrderer::Create(
-        &workload_, &model, {core::PlanSpace::FullSpace(workload_)});
+    auto orderer = core::MakeOrderer(
+        {}, &workload_, &model, {core::PlanSpace::FullSpace(workload_)});
     EXPECT_TRUE(orderer.ok());
     exec::Mediator mediator = MakeMediator();
     auto result = mediator.Run(**orderer, max_plans, &registry_);
@@ -114,8 +113,8 @@ class MovieRuntimeTest : public ::testing::Test {
   /// Runtime path with the given options.
   exec::MediatorResult RuntimeRun(int max_plans, RuntimeOptions options) {
     utility::CoverageModel model(&workload_);
-    auto orderer = core::PiOrderer::Create(
-        &workload_, &model, {core::PlanSpace::FullSpace(workload_)});
+    auto orderer = core::MakeOrderer(
+        {}, &workload_, &model, {core::PlanSpace::FullSpace(workload_)});
     EXPECT_TRUE(orderer.ok());
     exec::Mediator mediator = MakeMediator();
     SourceRuntime runtime(&registry_, options);
@@ -217,8 +216,8 @@ TEST_F(MovieRuntimeTest, PermanentSourceFailureDegradesGracefully) {
   options.retry.max_attempts = 2;
 
   utility::CoverageModel model(&workload_);
-  auto orderer = core::PiOrderer::Create(
-      &workload_, &model, {core::PlanSpace::FullSpace(workload_)});
+  auto orderer = core::MakeOrderer(
+      {}, &workload_, &model, {core::PlanSpace::FullSpace(workload_)});
   ASSERT_TRUE(orderer.ok());
   exec::Mediator mediator = MakeMediator();
   SourceRuntime runtime(&registry_, options);
@@ -314,15 +313,15 @@ TEST(SyntheticRuntimeTest, ParallelMediatorMatchesSerialOnSyntheticDomain) {
 
   exec::Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   utility::CoverageModel model_a(&d.workload);
-  auto orderer_a = core::StreamerOrderer::Create(
-      &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer_a = core::MakeOrderer(
+      {}, &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_a.ok());
   auto serial = mediator.Run(**orderer_a, 16, &registry);
   ASSERT_TRUE(serial.ok());
 
   utility::CoverageModel model_b(&d.workload);
-  auto orderer_b = core::StreamerOrderer::Create(
-      &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer_b = core::MakeOrderer(
+      {}, &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_b.ok());
   RuntimeOptions options;
   options.num_threads = 8;

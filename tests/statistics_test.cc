@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/streamer.h"
+#include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "exec/mediator.h"
 #include "exec/synthetic_domain.h"
@@ -148,8 +148,8 @@ TEST(EstimateWorkloadTest, EstimatedWorkloadDrivesAccurateOrdering) {
   // robust properties: the first plan is a top-quartile plan by actual
   // answer count, and the curve front-loads at least proportionally.
   utility::CoverageModel model(&*estimated);
-  auto orderer = core::StreamerOrderer::Create(
-      &*estimated, &model, {core::PlanSpace::FullSpace(*estimated)});
+  auto orderer = core::MakeOrderer(
+      {}, &*estimated, &model, {core::PlanSpace::FullSpace(*estimated)});
   ASSERT_TRUE(orderer.ok());
   exec::Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
   auto result = mediator.Run(**orderer, 16);
