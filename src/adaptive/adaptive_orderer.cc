@@ -60,9 +60,7 @@ void AdaptiveOrderer::SetExternallyCached(int bucket, int source, bool cached) {
 }
 
 bool AdaptiveOrderer::NeedsRebuild() const {
-  if (observed_ == nullptr || !options_.drift.react_to_observations) {
-    return false;
-  }
+  if (observed_ == nullptr) return false;
   if (observed_->generation() == built_at_generation_) return false;
   return StatsDiverged(*workload_, names_, *observed_, options_.drift);
 }

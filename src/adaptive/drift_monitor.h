@@ -21,11 +21,6 @@ struct DriftOptions {
   /// A source qualifies only after this many folded calls — one aberrant
   /// call should not throw away a whole plan order.
   int64_t min_calls = 1;
-  /// Test hook for the sim's injected stale-stats bug (DESIGN.md §12): when
-  /// false the adaptive orderer keeps serving its initial ranking no matter
-  /// what the observations say — exactly the bug the check_drift property
-  /// must catch. Production code never clears this.
-  bool react_to_observations = true;
 };
 
 /// The divergence predicate, pure and deterministic: true when any source

@@ -5,7 +5,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "runtime/retry_policy.h"
+#include "base/hash.h"
 
 namespace planorder::adaptive {
 
@@ -121,7 +121,7 @@ StatusOr<StoreContents> PlanStore::Load() const {
   char* end = nullptr;
   const uint64_t declared = std::strtoull(sum_token.c_str(), &end, 16);
   if (end == nullptr || *end != '\0') return Malformed("bad checksum");
-  if (declared != runtime::HashString(payload)) {
+  if (declared != Fnv1a64(payload)) {
     return Malformed("checksum mismatch (corrupted store)");
   }
 
@@ -295,7 +295,7 @@ Status PlanStore::Save(const StoreContents& contents) const {
   const std::string payload = out.str();
   char sum[32];
   std::snprintf(sum, sizeof(sum), "%016llx",
-                static_cast<unsigned long long>(runtime::HashString(payload)));
+                static_cast<unsigned long long>(Fnv1a64(payload)));
   const std::string tmp_path = path_ + ".tmp";
   {
     std::ofstream file(tmp_path, std::ios::binary | std::ios::trunc);

@@ -1,7 +1,9 @@
 #ifndef PLANORDER_CORE_ABSTRACTION_H_
 #define PLANORDER_CORE_ABSTRACTION_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "core/plan_space.h"
@@ -78,6 +80,29 @@ class AbstractionForest {
   std::vector<uint32_t> right_;
   std::vector<int> roots_;
 };
+
+/// The refinement rule of every Drips-style search (Drips, iDrips, Streamer,
+/// batch top-k): split the first non-leaf node with strictly the most
+/// members, so refinement halves the largest remaining group. `nodes` holds
+/// one node id of `forest` per bucket — AbstractPlan::nodes or an iDrips
+/// arena row. Returns -1 when every node is a leaf. The tie order is part of
+/// the emission contract: iDrips sessions must replay Streamer plan for
+/// plan.
+template <typename Nodes>
+int RefinementBucket(const AbstractionForest& forest, const Nodes& nodes) {
+  int best = -1;
+  size_t best_members = 0;
+  for (size_t b = 0; b < std::size(nodes); ++b) {
+    const int node = static_cast<int>(nodes[b]);
+    if (forest.is_leaf(node)) continue;
+    const size_t members = forest.summary(node).members.size();
+    if (members > best_members) {
+      best_members = members;
+      best = static_cast<int>(b);
+    }
+  }
+  return best;
+}
 
 /// An abstract plan: one abstraction-tree node per bucket of one forest. The
 /// plan represents the Cartesian product of its nodes' member sets; it is

@@ -73,17 +73,7 @@ StatusOr<std::vector<OrderedPlan>> BatchTopK(
       continue;
     }
     const AbstractionForest& forest = *node.plan.forest;
-    int bucket = -1;
-    size_t most_members = 0;
-    for (size_t b = 0; b < node.plan.nodes.size(); ++b) {
-      if (forest.is_leaf(node.plan.nodes[b])) continue;
-      const size_t members =
-          forest.summary(node.plan.nodes[b]).members.size();
-      if (members > most_members) {
-        most_members = members;
-        bucket = static_cast<int>(b);
-      }
-    }
+    const int bucket = RefinementBucket(forest, node.plan.nodes);
     PLANORDER_CHECK_GE(bucket, 0);
     AbstractPlan left = node.plan;
     left.nodes[bucket] = forest.left(node.plan.nodes[bucket]);

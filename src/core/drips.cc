@@ -16,27 +16,7 @@ struct Candidate {
   bool alive = true;
 };
 
-/// Picks the bucket to refine: the non-leaf node with the most members, so
-/// refinement halves the largest remaining group.
-int PickRefinementBucket(const AbstractPlan& plan) {
-  int best = -1;
-  size_t best_members = 0;
-  for (size_t b = 0; b < plan.nodes.size(); ++b) {
-    if (plan.forest->is_leaf(plan.nodes[b])) continue;
-    const size_t members = plan.forest->summary(plan.nodes[b]).members.size();
-    if (members > best_members) {
-      best_members = members;
-      best = static_cast<int>(b);
-    }
-  }
-  return best;
-}
-
 }  // namespace
-
-int RefinementBucket(const AbstractPlan& plan) {
-  return PickRefinementBucket(plan);
-}
 
 StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,
                                const utility::UtilityModel& model,
@@ -123,9 +103,10 @@ StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,
 
     // Refinement: replace the most promising abstract plan by the two plans
     // splitting its largest abstract source.
-    const int bucket = PickRefinementBucket(candidates[best_abstract].plan);
-    PLANORDER_CHECK_GE(bucket, 0);
     const AbstractionForest& forest = *candidates[best_abstract].plan.forest;
+    const int bucket =
+        RefinementBucket(forest, candidates[best_abstract].plan.nodes);
+    PLANORDER_CHECK_GE(bucket, 0);
     const int node = candidates[best_abstract].plan.nodes[bucket];
     AbstractPlan left = candidates[best_abstract].plan;
     left.nodes[bucket] = forest.left(node);

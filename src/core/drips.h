@@ -24,11 +24,6 @@ struct DripsResult {
 /// (l_p >= h_q), until a single concrete plan survives — the highest-utility
 /// concrete plan across the starts, found without evaluating most of them.
 ///
-/// The bucket Drips refines next for `plan`: the non-leaf node with the most
-/// members (-1 when the plan is concrete). Shared with the persistent iDrips
-/// frontier so both refine identically.
-int RefinementBucket(const AbstractPlan& plan);
-
 /// Utilities are conditioned on `ctx`; `evaluations` (may be null) is
 /// incremented once per plan evaluation, the paper's cost metric.
 StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "core/evaluate.h"
 
@@ -322,22 +323,11 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
     for (const uint32_t target : targets_) {
       const AbstractionForest& forest = *forests_[forest_of_[target]];
       const uint32_t* parent_row = arena_.row(target);
-      // The bucket Drips refines: first non-leaf node with strictly the most
-      // members (must match PickRefinementBucket in drips.cc).
-      int bucket = -1;
-      size_t best_members = 0;
-      uint32_t staged[kMaxBuckets];
-      for (int b = 0; b < m; ++b) {
-        staged[b] = parent_row[b];
-        const int node = static_cast<int>(parent_row[b]);
-        if (forest.is_leaf(node)) continue;
-        const size_t members = forest.summary(node).members.size();
-        if (members > best_members) {
-          best_members = members;
-          bucket = b;
-        }
-      }
+      const int bucket = RefinementBucket(
+          forest, std::span<const uint32_t>(parent_row, size_t(m)));
       PLANORDER_CHECK_GE(bucket, 0);
+      uint32_t staged[kMaxBuckets];
+      std::copy(parent_row, parent_row + m, staged);
       const int node = static_cast<int>(staged[bucket]);
       const uint32_t right = arena_.Allocate();
       GrowFrontierArrays();

@@ -271,16 +271,7 @@ StatusOr<OrderedPlan> StreamerOrderer::ComputeNext() {
     // AddNode, which may reallocate nodes_ and out_links_.
     const AbstractPlan& plan = nodes_[pick].plan;
     const AbstractionForest& forest = *plan.forest;
-    int bucket = -1;
-    size_t best_members = 0;
-    for (size_t b = 0; b < plan.nodes.size(); ++b) {
-      if (forest.is_leaf(plan.nodes[b])) continue;
-      const size_t members = forest.summary(plan.nodes[b]).members.size();
-      if (members > best_members) {
-        best_members = members;
-        bucket = static_cast<int>(b);
-      }
-    }
+    const int bucket = RefinementBucket(forest, plan.nodes);
     PLANORDER_CHECK_GE(bucket, 0);
     AbstractPlan left = plan;
     left.nodes[bucket] = forest.left(plan.nodes[bucket]);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "base/hash.h"
+
 namespace planorder::datalog {
 
 namespace {
@@ -207,13 +209,7 @@ CanonicalQuery CanonicalizeQuery(const ConjunctiveQuery& query) {
     result.renaming.emplace(name, "V" + std::to_string(id));
   }
   result.key = result.query.ToString();
-  // FNV-1a over the exact canonical text.
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : result.key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  result.hash = h;
+  result.hash = Fnv1a64(result.key);
   return result;
 }
 

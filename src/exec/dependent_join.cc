@@ -150,7 +150,6 @@ StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
     }
     access.tuples_shipped = static_cast<int64_t>(rows.size());
     if (trace != nullptr) trace->atoms.push_back(std::move(access));
-    PLANORDER_RETURN_IF_ERROR(sources.AfterFetch(atom.predicate));
 
     std::vector<Substitution> next;
     for (const Substitution& partial : frontier) {

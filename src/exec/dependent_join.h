@@ -39,7 +39,7 @@ struct ExecutionTrace {
 /// predicate to its source and ships it one batch of binding combinations.
 /// Execution over a SourceRegistry makes one plain call per batch; the
 /// resilient runtime (runtime/parallel_join.h) partitions each batch across
-/// a thread pool, with retries and a plan budget.
+/// a thread pool, with retries.
 class BatchFetcher {
  public:
   virtual ~BatchFetcher() = default;
@@ -57,12 +57,6 @@ class BatchFetcher {
       const std::string& predicate,
       const std::vector<std::map<int, datalog::Term>>& batch,
       int64_t* calls) = 0;
-
-  /// Runs after each source atom's access enters the trace; a non-OK status
-  /// fails the plan at that atom (the runtime's plan budget).
-  virtual Status AfterFetch(const std::string& /*predicate*/) {
-    return OkStatus();
-  }
 };
 
 /// Executes a rewriting p(Y) :- V1(U1), ..., Vn(Un) by left-to-right
@@ -72,8 +66,7 @@ class BatchFetcher {
 /// one batch (the semi-join "feed the titles into V_j"). Returns the
 /// distinct head tuples and, optionally, the access trace — one entry per
 /// body atom, also when the frontier drains early. On a failed fetch the
-/// trace holds the atoms before it; on a failed AfterFetch it includes the
-/// atom itself.
+/// trace holds the atoms before it.
 ///
 /// The rewriting must be safe and every body predicate served.
 StatusOr<std::vector<std::vector<datalog::Term>>> ExecutePlanDependent(

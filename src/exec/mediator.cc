@@ -29,7 +29,9 @@ class SetOrientedExecutor : public PlanExecutor {
 };
 
 /// Serial dependent joins against the binding-pattern sources, with access
-/// accounting.
+/// accounting. NOT safe for concurrent runs (the underlying sources build
+/// indexes and count accesses without locking); concurrent sessions go
+/// through runtime::SourceRuntime instead.
 class DependentJoinExecutor : public PlanExecutor {
  public:
   explicit DependentJoinExecutor(SourceRegistry* registry)
@@ -57,11 +59,6 @@ std::unique_ptr<PlanExecutor> MakeSetOrientedExecutor(
   return std::make_unique<SetOrientedExecutor>(facts);
 }
 
-std::unique_ptr<PlanExecutor> MakeDependentJoinExecutor(
-    SourceRegistry* registry) {
-  return std::make_unique<DependentJoinExecutor>(registry);
-}
-
 StatusOr<MediatorResult> Mediator::Run(core::Orderer& orderer, int max_plans,
                                        SourceRegistry* registry) {
   RunLimits limits;
@@ -72,10 +69,11 @@ StatusOr<MediatorResult> Mediator::Run(core::Orderer& orderer, int max_plans,
 StatusOr<MediatorResult> Mediator::Run(core::Orderer& orderer,
                                        const RunLimits& limits,
                                        SourceRegistry* registry) {
-  std::unique_ptr<PlanExecutor> executor =
-      registry != nullptr ? MakeDependentJoinExecutor(registry)
-                          : MakeSetOrientedExecutor(source_facts_);
-  return Run(orderer, limits, *executor);
+  if (registry != nullptr) {
+    DependentJoinExecutor executor(registry);
+    return Run(orderer, limits, executor);
+  }
+  return Run(orderer, limits, *MakeSetOrientedExecutor(source_facts_));
 }
 
 StatusOr<MediatorResult> Mediator::Run(core::Orderer& orderer,

@@ -24,8 +24,8 @@ struct MediatorStep {
   /// plan).
   bool executable = true;
   /// True when the executor reported the plan lost to source failure
-  /// (permanent outage, retries exhausted, plan budget exceeded). The plan is
-  /// discarded like an unsound one — graceful degradation, not an error.
+  /// (permanent outage, retries exhausted). The plan is discarded like an
+  /// unsound one — graceful degradation, not an error.
   bool failed = false;
   std::string failure_reason;
   size_t answers_from_plan = 0;  // answers the plan returned (sound plans)
@@ -39,7 +39,6 @@ struct MediatorStep {
 struct RuntimeAccounting {
   int64_t retries = 0;             // re-attempts after transient failures
   int64_t transient_failures = 0;  // injected per-attempt failures
-  int64_t deadline_timeouts = 0;   // attempts cut off by the call deadline
   int64_t permanent_failures = 0;  // calls against a permanently dead source
   int64_t hedged_calls = 0;        // backup calls issued past the hedge delay
   int64_t source_cache_hits = 0;   // fetches served by a shared result cache
@@ -49,7 +48,6 @@ struct RuntimeAccounting {
   void Merge(const RuntimeAccounting& other) {
     retries += other.retries;
     transient_failures += other.transient_failures;
-    deadline_timeouts += other.deadline_timeouts;
     permanent_failures += other.permanent_failures;
     hedged_calls += other.hedged_calls;
     source_cache_hits += other.source_cache_hits;
@@ -80,9 +78,9 @@ struct PlanExecution {
   int64_t source_calls = 0;
   int64_t tuples_shipped = 0;
   RuntimeAccounting runtime;
-  /// The plan did not complete because its sources failed (after retries) or
-  /// its budget ran out. The mediator discards it like an unsound plan so the
-  /// run keeps going — the Figure 6 failure-model behavior.
+  /// The plan did not complete because its sources failed (after retries).
+  /// The mediator discards it like an unsound plan so the run keeps going —
+  /// the Figure 6 failure-model behavior.
   bool failed = false;
   std::string failure_reason;
 };
@@ -106,13 +104,6 @@ class PlanExecutor {
 /// mediation runs.
 std::unique_ptr<PlanExecutor> MakeSetOrientedExecutor(
     const datalog::Database* facts);
-
-/// Serial dependent joins against the binding-pattern sources with access
-/// accounting. `registry` must outlive the executor. NOT safe for concurrent
-/// runs (the underlying sources build indexes and count accesses without
-/// locking); concurrent sessions go through runtime::SourceRuntime instead.
-std::unique_ptr<PlanExecutor> MakeDependentJoinExecutor(
-    SourceRegistry* registry);
 
 class MediatorStream;
 

@@ -17,6 +17,13 @@ using datalog::Term;
 
 namespace {
 
+/// The non-derivable per-source statistics every estimated source gets.
+constexpr double kTransmissionCost = 0.25;
+constexpr double kFailureProb = 0.0;
+constexpr double kFee = 1.0;
+/// Domain size N_b as a multiple of the largest estimated cardinality.
+constexpr double kDomainSizeFactor = 4.0;
+
 /// The distinct bindings source `id` can contribute to `goal`: unify the
 /// subgoal with a view atom, project the subgoal's variables through the
 /// source head, and evaluate against the instances. Variables the source
@@ -134,15 +141,9 @@ StatusOr<stats::Workload> EstimateWorkloadFromInstances(
     double max_cardinality = 1.0;
     for (size_t i = 0; i < members; ++i) {
       stats::SourceStats& s = bucket_stats[b][i];
-      auto it = options.overrides.find(
-          catalog.source(buckets.buckets[b][i]).name);
-      if (it != options.overrides.end()) {
-        s = it->second;
-      } else {
-        s.transmission_cost = options.default_transmission_cost;
-        s.failure_prob = options.default_failure_prob;
-        s.fee = options.default_fee;
-      }
+      s.transmission_cost = kTransmissionCost;
+      s.failure_prob = kFailureProb;
+      s.fee = kFee;
       s.cardinality = std::max<double>(1.0, double(cardinalities[i]));
       s.regions.bits = 0;
       for (const auto& [signature, region] : region_of_signature) {
@@ -162,7 +163,7 @@ StatusOr<stats::Workload> EstimateWorkloadFromInstances(
           total > 0.0 ? (weights[r] + 1e-9) / (total + 1e-9 * regions)
                       : 1.0 / regions;
     }
-    domain_sizes[b] = max_cardinality * options.domain_size_factor;
+    domain_sizes[b] = max_cardinality * kDomainSizeFactor;
   }
   return stats::Workload::FromParts(std::move(bucket_stats),
                                     std::move(region_weights),

@@ -1,9 +1,6 @@
 #ifndef PLANORDER_REFORMULATION_STATISTICS_H_
 #define PLANORDER_REFORMULATION_STATISTICS_H_
 
-#include <map>
-#include <string>
-
 #include "base/status.h"
 #include "datalog/evaluator.h"
 #include "datalog/source.h"
@@ -16,18 +13,10 @@ namespace planorder::reformulation {
 struct EstimateOptions {
   /// Regions per bucket domain (hash buckets for coverage estimation).
   int regions_per_bucket = 16;
-  /// Cost-model parameters that cannot be derived from data; either the
-  /// defaults below or per-source overrides.
+  /// The workload's per-call access overhead `h`. The other cost-model
+  /// parameters that cannot be derived from data (per-tuple transmission
+  /// cost, failure probability, fee) take fixed values for every source.
   double access_overhead = 5.0;
-  double default_transmission_cost = 0.25;
-  double default_failure_prob = 0.0;
-  double default_fee = 1.0;
-  /// Per-source-name overrides for the non-derivable statistics
-  /// (transmission_cost, failure_prob, fee; cardinality and regions are
-  /// always estimated from the data).
-  std::map<std::string, stats::SourceStats> overrides;
-  /// Domain size N_b as a multiple of the largest estimated cardinality.
-  double domain_size_factor = 4.0;
 };
 
 /// Estimates a Workload for `buckets` directly from materialized source

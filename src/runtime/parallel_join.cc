@@ -15,17 +15,15 @@ namespace {
 struct PartitionResult {
   StatusOr<std::vector<std::vector<Term>>> rows =
       Status(StatusCode::kInternal, "partition not executed");
-  double simulated_ms = 0.0;
   exec::RuntimeAccounting accounting;
 };
 
 /// Fetches the non-empty `batch` split into at most `max_partitions`
 /// contiguous chunks run concurrently on `pool`, merging chunk results in
 /// chunk order with first-occurrence dedup (the serial FetchBatch row order).
-/// Adds the slowest partition's simulated time to `*elapsed_ms`.
 StatusOr<std::vector<std::vector<Term>>> FetchBatchPartitioned(
     RemoteSource& source, const std::vector<std::map<int, Term>>& batch,
-    ThreadPool& pool, const ParallelJoinOptions& options, double* elapsed_ms,
+    ThreadPool& pool, const ParallelJoinOptions& options,
     int64_t* partition_calls, exec::RuntimeAccounting* accounting) {
   int partitions = std::min({options.max_partitions, pool.num_threads(),
                              static_cast<int>(batch.size())});
@@ -38,7 +36,7 @@ StatusOr<std::vector<std::vector<Term>>> FetchBatchPartitioned(
   partitions = static_cast<int>((batch.size() + chunk - 1) / chunk);
   *partition_calls = partitions;
   if (partitions == 1) {
-    return source.FetchBatch(batch, options.retry, elapsed_ms, accounting);
+    return source.FetchBatch(batch, options.retry, accounting);
   }
 
   std::vector<PartitionResult> results(static_cast<size_t>(partitions));
@@ -51,22 +49,16 @@ StatusOr<std::vector<std::vector<Term>>> FetchBatchPartitioned(
         std::vector<std::map<int, Term>> slice(batch.begin() + long(lo),
                                                batch.begin() + long(hi));
         PartitionResult& result = results[size_t(p)];
-        result.rows = source.FetchBatch(slice, options.retry,
-                                        &result.simulated_ms,
-                                        &result.accounting);
+        result.rows =
+            source.FetchBatch(slice, options.retry, &result.accounting);
       });
     }
     group.Wait();
   }
 
-  // Concurrent partitions overlap in (simulated) time: the call's elapsed
-  // time is the slowest partition, not the sum.
-  double slowest = 0.0;
   for (const PartitionResult& result : results) {
-    slowest = std::max(slowest, result.simulated_ms);
     if (accounting != nullptr) accounting->Merge(result.accounting);
   }
-  if (elapsed_ms != nullptr) *elapsed_ms += slowest;
   // First failing partition (in deterministic chunk order) fails the call.
   for (const PartitionResult& result : results) {
     if (!result.rows.ok()) return result.rows.status();
@@ -82,9 +74,8 @@ StatusOr<std::vector<std::vector<Term>>> FetchBatchPartitioned(
 }
 
 /// The runtime's side of the dependent-join kernel: every batch goes out
-/// partitioned over the pool with retries, the plan's simulated critical
-/// path is metered against its budget, and every call's accounting lands in
-/// the plan-local `accounting`.
+/// partitioned over the pool with retries, and every call's accounting lands
+/// in the plan-local `accounting`.
 class PartitionedFetcher : public exec::BatchFetcher {
  public:
   PartitionedFetcher(RemoteRegistry& sources, ThreadPool& pool,
@@ -105,17 +96,7 @@ class PartitionedFetcher : public exec::BatchFetcher {
       const std::string& predicate,
       const std::vector<std::map<int, Term>>& batch, int64_t* calls) override {
     return FetchBatchPartitioned(*sources_.Find(predicate), batch, pool_,
-                                 options_, &elapsed_ms_, calls, accounting_);
-  }
-
-  Status AfterFetch(const std::string& predicate) override {
-    if (options_.plan_budget_ms > 0.0 &&
-        elapsed_ms_ > options_.plan_budget_ms) {
-      return DeadlineExceededError(
-          "plan budget of " + std::to_string(options_.plan_budget_ms) +
-          "ms exhausted at '" + predicate + "'");
-    }
-    return OkStatus();
+                                 options_, calls, accounting_);
   }
 
  private:
@@ -123,7 +104,6 @@ class PartitionedFetcher : public exec::BatchFetcher {
   ThreadPool& pool_;
   const ParallelJoinOptions& options_;
   exec::RuntimeAccounting* accounting_;
-  double elapsed_ms_ = 0.0;  // simulated critical path across the plan
 };
 
 }  // namespace

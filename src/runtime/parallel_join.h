@@ -19,11 +19,6 @@ struct ParallelJoinOptions {
   /// dependent join over RemoteSources.
   int max_partitions = 4;
   RetryPolicy retry;
-  /// Budget on the plan's *simulated elapsed* time: the sum over atoms of the
-  /// slowest partition of each batched call (the critical path), including
-  /// failed attempts and backoff waits. Exceeding it fails the plan with
-  /// kDeadlineExceeded. <= 0 = no budget.
-  double plan_budget_ms = 0.0;
 };
 
 /// Executes a rewriting with exec::ExecutePlanDependent against resilient
@@ -35,11 +30,10 @@ struct ParallelJoinOptions {
 /// faults disabled this path returns exactly the serial path's answers in
 /// the same order. A trace entry's `calls` counts the partitions.
 ///
-/// Failure semantics: a source outage that survives retries, or an exhausted
-/// plan budget (the sum over atoms of the slowest partition of each batched
-/// call), fails the WHOLE PLAN with kUnavailable / kDeadlineExceeded — the
-/// mediator degrades gracefully by discarding the plan (see
-/// exec::PlanExecution::failed). Other statuses indicate real errors.
+/// Failure semantics: a source outage that survives retries fails the WHOLE
+/// PLAN with kUnavailable — the mediator degrades gracefully by discarding
+/// the plan (see exec::PlanExecution::failed). Other statuses indicate real
+/// errors.
 ///
 /// `*accounting` (if non-null) accumulates the runtime accounting of every
 /// source call this plan made — populated on failure paths too (the work a

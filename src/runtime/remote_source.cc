@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "base/hash.h"
 #include "base/rng.h"
 
 namespace planorder::runtime {
@@ -29,7 +30,7 @@ uint64_t BatchHash(uint64_t seed,
     uint64_t combo = 0x42;
     for (const auto& [position, value] : bindings) {
       combo = CombineHash(combo, uint64_t(position));
-      combo = CombineHash(combo, HashString(value.ToString()));
+      combo = CombineHash(combo, Fnv1a64(value.ToString()));
     }
     h = CombineHash(h, combo);
   }
@@ -38,10 +39,9 @@ uint64_t BatchHash(uint64_t seed,
 
 StatusOr<std::vector<std::vector<datalog::Term>>> RemoteSource::FetchBatch(
     const std::vector<std::map<int, datalog::Term>>& batch,
-    const RetryPolicy& retry, double* simulated_ms,
-    exec::RuntimeAccounting* accounting) {
+    const RetryPolicy& retry, exec::RuntimeAccounting* accounting) {
   if (cache_ == nullptr) {
-    return FetchBatchUncached(batch, retry, simulated_ms, accounting);
+    return FetchBatchUncached(batch, retry, accounting);
   }
   // Single-flight protocol: a hit returns the rows free of charge — no
   // latency draws, no sleeping, no retries — mirroring the zero residual
@@ -66,7 +66,7 @@ StatusOr<std::vector<std::vector<datalog::Term>>> RemoteSource::FetchBatch(
     }
     if (!leader) continue;  // leader aborted before us; try again
     StatusOr<std::vector<std::vector<datalog::Term>>> rows =
-        FetchBatchUncached(batch, retry, simulated_ms, accounting);
+        FetchBatchUncached(batch, retry, accounting);
     if (rows.ok()) {
       cache_->Publish(name(), batch, *rows);
     } else {
@@ -79,8 +79,7 @@ StatusOr<std::vector<std::vector<datalog::Term>>> RemoteSource::FetchBatch(
 StatusOr<std::vector<std::vector<datalog::Term>>>
 RemoteSource::FetchBatchUncached(
     const std::vector<std::map<int, datalog::Term>>& batch,
-    const RetryPolicy& retry, double* simulated_ms,
-    exec::RuntimeAccounting* accounting) {
+    const RetryPolicy& retry, exec::RuntimeAccounting* accounting) {
   // Accounting accrues call-locally and commits on every exit path: once
   // into the shared per-source stats (under the lock) and once into the
   // caller's attribution channel, so concurrent callers never see each
@@ -116,8 +115,7 @@ RemoteSource::FetchBatchUncached(
   }
   const uint64_t call_hash = BatchHash(seed_, batch);
   const int max_attempts = retry.max_attempts < 1 ? 1 : retry.max_attempts;
-  double call_total_ms = 0.0;   // everything this logical call cost
-  double backoff_spent_ms = 0.0;
+  double call_total_ms = 0.0;  // everything this logical call cost
   for (int attempt = 1;; ++attempt) {
     const uint64_t attempt_hash = CombineHash(call_hash, uint64_t(attempt));
     double latency_ms =
@@ -129,25 +127,20 @@ RemoteSource::FetchBatchUncached(
         model_.transient_failure_rate > 0.0 &&
         HashToUnit(CombineHash(attempt_hash, kFaultSalt)) <
             model_.transient_failure_rate;
-    bool hedged = false;
-    if (!transient_fault && model_.hedge_delay_ms > 0.0 &&
-        latency_ms > model_.hedge_delay_ms) {
-      // The primary is slow: race a backup call against it. The attempt
-      // completes when the faster of the two responds.
-      hedged = true;
-      const double backup_ms =
-          (model_.base_latency_ms +
-           model_.per_binding_latency_ms * double(batch.size())) *
-          JitterMultiplier(model_.latency_jitter,
-                           CombineHash(attempt_hash, kHedgeSalt));
-      const double raced = model_.hedge_delay_ms + backup_ms;
-      if (raced < latency_ms) latency_ms = raced;
-    }
-    const bool timed_out =
-        model_.call_deadline_ms > 0.0 && latency_ms > model_.call_deadline_ms;
-    if (timed_out) latency_ms = model_.call_deadline_ms;
-
-    if (!transient_fault && !timed_out) {
+    if (!transient_fault) {
+      bool hedged = false;
+      if (model_.hedge_delay_ms > 0.0 && latency_ms > model_.hedge_delay_ms) {
+        // The primary is slow: race a backup call against it. The attempt
+        // completes when the faster of the two responds.
+        hedged = true;
+        const double backup_ms =
+            (model_.base_latency_ms +
+             model_.per_binding_latency_ms * double(batch.size())) *
+            JitterMultiplier(model_.latency_jitter,
+                             CombineHash(attempt_hash, kHedgeSalt));
+        const double raced = model_.hedge_delay_ms + backup_ms;
+        if (raced < latency_ms) latency_ms = raced;
+      }
       // Attempt succeeds: perform the underlying fetch (fast, in-memory)
       // under the per-source mutex, then pay the simulated shipping time
       // outside it.
@@ -169,7 +162,6 @@ RemoteSource::FetchBatchUncached(
       report(int64_t(rows->size()), attempt, attempt - 1, call_total_ms,
              /*call_failed=*/false);
       clock_->SleepMs(latency_ms, time_dilation_);
-      if (simulated_ms != nullptr) *simulated_ms += call_total_ms;
       return rows;
     }
 
@@ -177,35 +169,18 @@ RemoteSource::FetchBatchUncached(
     call_total_ms += latency_ms;
     acct.latency_ms_total += latency_ms;
     if (latency_ms > acct.latency_ms_max) acct.latency_ms_max = latency_ms;
-    if (timed_out) {
-      ++acct.deadline_timeouts;
-    } else {
-      ++acct.transient_failures;
-    }
-    if (hedged) ++acct.hedged_calls;
+    ++acct.transient_failures;
     clock_->SleepMs(latency_ms, time_dilation_);
     if (attempt >= max_attempts) {
       commit();
       report(/*rows=*/0, attempt, attempt, call_total_ms,
              /*call_failed=*/true);
-      if (simulated_ms != nullptr) *simulated_ms += call_total_ms;
       return UnavailableError("source '" + name() + "' failed " +
                               std::to_string(attempt) +
                               " attempts (retries exhausted)");
     }
     const double backoff_ms =
         retry.BackoffMs(attempt, CombineHash(attempt_hash, kBackoffSalt));
-    backoff_spent_ms += backoff_ms;
-    if (retry.retry_budget_ms > 0.0 &&
-        backoff_spent_ms > retry.retry_budget_ms) {
-      commit();
-      report(/*rows=*/0, attempt, attempt, call_total_ms,
-             /*call_failed=*/true);
-      if (simulated_ms != nullptr) *simulated_ms += call_total_ms;
-      return UnavailableError("source '" + name() +
-                              "': retry budget exhausted after " +
-                              std::to_string(attempt) + " attempts");
-    }
     call_total_ms += backoff_ms;
     ++acct.retries;
     clock_->SleepMs(backoff_ms, time_dilation_);
@@ -225,7 +200,7 @@ RemoteRegistry::RemoteRegistry(exec::SourceRegistry* underlying,
   Rng rng(seed);
   for (const std::string& name : underlying->Names()) {
     const uint64_t source_seed =
-        CombineHash(rng.engine()(), HashString(name));
+        CombineHash(rng.engine()(), Fnv1a64(name));
     sources_.emplace(name, std::make_unique<RemoteSource>(
                                underlying->Find(name), source_seed));
   }

@@ -43,9 +43,6 @@ struct NetworkModel {
   /// The source is down for the entire run; every call fails immediately
   /// with kUnavailable (no retries — the outage is not transient).
   bool permanently_failed = false;
-  /// Attempts whose sampled latency exceeds this are cut off and count as
-  /// retryable timeouts costing exactly the deadline. <= 0 disables.
-  double call_deadline_ms = 0.0;
   /// When an attempt's sampled latency exceeds this, a backup (hedged) call
   /// is issued and the attempt completes at
   /// min(latency, hedge_delay + backup latency). <= 0 disables.
@@ -104,10 +101,8 @@ class RemoteSource {
 
   /// One resilient batched access (semantics of AccessibleSource::FetchBatch,
   /// including the uniform-position-set precondition). Transient failures
-  /// and deadline timeouts are retried per `retry`; exhausting attempts or a
-  /// permanent outage yields kUnavailable. On return `*simulated_ms` (if
-  /// non-null) is increased by the call's total simulated time, including
-  /// failed attempts and backoff waits — the quantity per-plan budgets meter.
+  /// are retried per `retry`; exhausting attempts or a permanent outage
+  /// yields kUnavailable.
   ///
   /// `*accounting` (if non-null) receives this call's accounting — the same
   /// increments recorded in the source's own stats, on success and failure
@@ -117,7 +112,7 @@ class RemoteSource {
   /// concurrency).
   StatusOr<std::vector<std::vector<datalog::Term>>> FetchBatch(
       const std::vector<std::map<int, datalog::Term>>& batch,
-      const RetryPolicy& retry, double* simulated_ms = nullptr,
+      const RetryPolicy& retry,
       exec::RuntimeAccounting* accounting = nullptr) EXCLUDES(mu_);
 
   /// Snapshot of this source's runtime accounting.
@@ -129,8 +124,8 @@ class RemoteSource {
   /// (as single-flight leader) or when no cache is attached.
   StatusOr<std::vector<std::vector<datalog::Term>>> FetchBatchUncached(
       const std::vector<std::map<int, datalog::Term>>& batch,
-      const RetryPolicy& retry, double* simulated_ms,
-      exec::RuntimeAccounting* accounting) EXCLUDES(mu_);
+      const RetryPolicy& retry, exec::RuntimeAccounting* accounting)
+      EXCLUDES(mu_);
 
   exec::AccessibleSource* source_;  // fetches serialized under mu_
   uint64_t seed_;

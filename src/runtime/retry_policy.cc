@@ -5,6 +5,13 @@
 
 namespace planorder::runtime {
 
+namespace {
+
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kJitterFraction = 0.5;
+
+}  // namespace
+
 uint64_t MixHash(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -16,15 +23,6 @@ uint64_t CombineHash(uint64_t a, uint64_t b) {
   return MixHash(a ^ MixHash(b));
 }
 
-uint64_t HashString(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 double HashToUnit(uint64_t h) {
   // 53 high bits -> [0, 1) with full double precision.
   return double(h >> 11) * 0x1.0p-53;
@@ -34,13 +32,11 @@ double RetryPolicy::BackoffMs(int attempt, uint64_t hash) const {
   if (attempt < 1) attempt = 1;
   double backoff = initial_backoff_ms;
   for (int i = 1; i < attempt; ++i) {
-    backoff *= backoff_multiplier;
+    backoff *= kBackoffMultiplier;
     if (backoff >= max_backoff_ms) break;
   }
   backoff = std::min(backoff, max_backoff_ms);
-  if (jitter_fraction > 0.0) {
-    backoff *= 1.0 - jitter_fraction * HashToUnit(MixHash(hash));
-  }
+  backoff *= 1.0 - kJitterFraction * HashToUnit(MixHash(hash));
   return std::max(backoff, 0.0);
 }
 

@@ -2,7 +2,6 @@
 #define PLANORDER_RUNTIME_RETRY_POLICY_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace planorder::runtime {
 
@@ -17,30 +16,25 @@ namespace planorder::runtime {
 /// recorded-seed reproducibility convention of the rest of the library.
 ///
 /// MixHash is the SplitMix64 finalizer (Steele et al.), a strong 64-bit
-/// mixer; CombineHash folds two words; HashString is FNV-1a.
+/// mixer; CombineHash folds two words. Strings enter through Fnv1a64
+/// (base/hash.h).
 uint64_t MixHash(uint64_t x);
 uint64_t CombineHash(uint64_t a, uint64_t b);
-uint64_t HashString(std::string_view s);
 
 /// Maps a hash to a uniform real in [0, 1).
 double HashToUnit(uint64_t h);
 
-/// Capped exponential backoff with deterministic jitter and an optional
-/// per-call retry budget. Attempt numbering is 1-based: attempt 1 is the
-/// initial call; BackoffMs(k, h) is the wait before attempt k+1.
+/// Capped exponential backoff with deterministic jitter. Attempt numbering
+/// is 1-based: attempt 1 is the initial call; BackoffMs(k, h) is the wait
+/// before attempt k+1. The backoff doubles per attempt up to the cap, then
+/// takes "equal jitter": the wait is b * (1 - u / 2) with u ~ U[0,1) drawn
+/// from the hash, so it lies in (b/2, b].
 struct RetryPolicy {
   /// Total attempts per call, including the first. <= 1 disables retries.
   int max_attempts = 4;
   double initial_backoff_ms = 1.0;
-  double backoff_multiplier = 2.0;
   /// Ceiling for a single backoff interval (pre-jitter).
   double max_backoff_ms = 64.0;
-  /// "Equal jitter": the wait is backoff * (1 - jitter_fraction * u) with
-  /// u ~ U[0,1) drawn from `hash`. 0 = full determinism without spread.
-  double jitter_fraction = 0.5;
-  /// Cap on the *summed* backoff a single call may accumulate across its
-  /// retries; once exceeded the call gives up early. <= 0 = no budget.
-  double retry_budget_ms = 0.0;
 
   /// The backoff before attempt `attempt + 1` (so attempt >= 1), jittered
   /// deterministically by `hash`.

@@ -23,7 +23,6 @@ SourceRuntime::SourceRuntime(exec::SourceRegistry* sources,
                                      ? options_.max_partitions_per_call
                                      : pool_.num_threads();
   join_options_.retry = options_.retry;
-  join_options_.plan_budget_ms = options_.plan_budget_ms;
 }
 
 StatusOr<exec::PlanExecution> SourceRuntime::ExecutePlan(
@@ -40,9 +39,7 @@ StatusOr<exec::PlanExecution> SourceRuntime::ExecutePlan(
   exec.source_calls = trace.TotalCalls();
   exec.tuples_shipped = trace.TotalTuplesShipped();
   if (!tuples.ok()) {
-    const StatusCode code = tuples.status().code();
-    if (code == StatusCode::kUnavailable ||
-        code == StatusCode::kDeadlineExceeded) {
+    if (tuples.status().code() == StatusCode::kUnavailable) {
       // Graceful degradation: the plan is lost to its sources, the run is
       // not. The mediator discards it like an unsound plan.
       exec.failed = true;

@@ -34,9 +34,6 @@ struct RuntimeOptions {
   /// Applied to every source; override per source via remotes().Configure.
   NetworkModel default_model;
   RetryPolicy retry;
-  /// Per-plan budget on simulated elapsed time; exceeded plans are reported
-  /// as failed (discarded by the mediator). <= 0 = none.
-  double plan_budget_ms = 0.0;
   /// Shared cross-session source-operation result cache (borrowed, may be
   /// null). When set, every RemoteSource consults it before paying network
   /// latency — see RemoteSource::set_result_cache and src/cluster/.
@@ -60,9 +57,9 @@ struct RuntimeOptions {
 ///   auto result = mediator.Run(orderer, limits, rt);
 ///
 /// Source failures degrade gracefully: a plan whose source dies (permanent
-/// outage, retries exhausted, budget blown) comes back as a failed step and
-/// is reported to the orderer as a discard — the run keeps collecting
-/// answers from the surviving plans, exactly like the unsound-plan protocol.
+/// outage, retries exhausted) comes back as a failed step and is reported to
+/// the orderer as a discard — the run keeps collecting answers from the
+/// surviving plans, exactly like the unsound-plan protocol.
 class SourceRuntime : public exec::PlanExecutor {
  public:
   /// `sources` must outlive the runtime and already hold every source the

@@ -17,7 +17,8 @@ struct SourceObservation {
   int64_t rows = 0;
   /// Call attempts paid, 1 + retries.
   int64_t attempts = 0;
-  /// Failed attempts among them (transient faults + deadline timeouts).
+  /// Failed attempts among them (transient faults, or the one attempt
+  /// against a permanently dead source).
   int64_t failures = 0;
   /// Total simulated latency of the call in microseconds, including failed
   /// attempts and backoff waits (undilated, like RuntimeAccounting).

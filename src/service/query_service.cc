@@ -276,8 +276,8 @@ StatusOr<std::unique_ptr<Session>> QueryService::PrepareSession(
   }
   PLANORDER_RETURN_IF_ERROR(SetUpOrdering(*session));
   if (options_.source_cache_view != nullptr) {
-    // Initial snapshot, so even a never-refreshed session (the injected
-    // stale-utility mode) orders against the open-time cache state.
+    // Initial snapshot: a session orders against the open-time cache state
+    // until its first step refreshes it.
     session->RefreshResidency();
   }
   return session;

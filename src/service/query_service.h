@@ -49,17 +49,6 @@ struct ServiceOptions {
   /// cache-aware measures — see src/cluster/ and DESIGN.md §10.
   SharedOperationView* source_cache_view = nullptr;
 
-  /// Test hook: when false, sessions poll the residency view once at open
-  /// and never again — deliberately reproducing the stale-utility bug the
-  /// sim multi-session property must catch (utilities no longer reflect
-  /// cache state at eval time). Production code never clears this.
-  bool refresh_source_cache_view = true;
-
-  /// Test hook: sessions record the residency snapshot applied before each
-  /// step (Session::residency_history), letting the sim property check each
-  /// step's utility against the exact cache state it was evaluated under.
-  bool record_residency_snapshots = false;
-
   /// Versioned on-disk plan/stats store (borrowed, may be null; DESIGN.md
   /// §12). At construction the service warm-loads every persisted
   /// reformulation into the cache — skipping bucket construction and the

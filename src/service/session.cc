@@ -35,13 +35,7 @@ StatusOr<exec::MediatorStep> Session::NextStep() {
   // next plan: another session's fetch since our last step may have zeroed
   // the residual cost of some source operations, which changes the
   // conditional utilities this emission must be ranked under.
-  if (service_->options_.refresh_source_cache_view) RefreshResidency();
-  if (service_->options_.record_residency_snapshots &&
-      service_->options_.source_cache_view != nullptr) {
-    std::vector<std::vector<char>> snapshot =
-        orderer_->context().external_residency();
-    residency_history_.push_back(std::move(snapshot));
-  }
+  RefreshResidency();
   return stream_->NextStep();
 }
 

@@ -75,13 +75,12 @@ class Session {
   /// True when this session's reformulation came from the cache.
   bool cache_hit() const { return cache_hit_; }
 
-  /// With ServiceOptions::record_residency_snapshots: the external-residency
-  /// snapshot (bucket-major, 1 = resident in the cross-session cache) that
-  /// was applied to the orderer before each NextStep, in step order. The sim
-  /// multi-session property replays utilities against exactly these states.
-  const std::vector<std::vector<std::vector<char>>>& residency_history()
-      const {
-    return residency_history_;
+  /// The external residency (bucket-major, 1 = resident in the
+  /// cross-session cache) the orderer currently orders under. Between two
+  /// NextStep calls it is the snapshot the last step was ranked against:
+  /// only the refresh at the top of NextStep changes it.
+  const std::vector<std::vector<char>>& external_residency() const {
+    return orderer_->context().external_residency();
   }
 
   /// The canonical form the session runs under (hit and cold sessions of
@@ -119,8 +118,6 @@ class Session {
   /// Catalog name of each (bucket, index) source; populated by the service
   /// only when a SharedOperationView is configured.
   std::vector<std::vector<std::string>> source_names_;
-  /// See residency_history().
-  std::vector<std::vector<std::vector<char>>> residency_history_;
   /// Admission timestamp on the service's runtime::Clock — the service layer
   /// never reads the wall clock directly, so an injected VirtualClock makes
   /// latency metrics deterministic too (ServiceOptions::clock).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -15,7 +16,9 @@
 #include "adaptive/observed_stats.h"
 #include "anyk/brute_force.h"
 #include "anyk/ranked_stream.h"
+#include "base/mutex.h"
 #include "base/rng.h"
+#include "base/thread_annotations.h"
 #include "cluster/sharded_service.h"
 #include "cluster/source_cache.h"
 #include "core/orderer_factory.h"
@@ -28,6 +31,7 @@
 #include "runtime/clock.h"
 #include "runtime/retry_policy.h"
 #include "runtime/source_runtime.h"
+#include "service/shared_view.h"
 #include "sim/oracle.h"
 
 namespace planorder::sim {
@@ -643,6 +647,30 @@ Status VerifyStepUtility(const service::Session& session,
   return OkStatus();
 }
 
+/// The injected stale-utility bug, planted from outside the service: a
+/// residency view that answers every poll of a source name with what that
+/// name's first poll answered. Sessions poll once at open and again before
+/// every step, and the property opens every session before any step, so
+/// each session keeps ordering under the open-time cache state. Pass 2
+/// polls from concurrent client threads, hence the lock.
+class FrozenView : public service::SharedOperationView {
+ public:
+  explicit FrozenView(const cluster::SourceOperationCache* cache)
+      : cache_(cache) {}
+
+  bool IsResident(const std::string& source_name) const override {
+    MutexLock lock(mu_);
+    auto [it, first_poll] = first_answer_.try_emplace(source_name, false);
+    if (first_poll) it->second = cache_->IsResident(source_name);
+    return it->second;
+  }
+
+ private:
+  const cluster::SourceOperationCache* cache_;
+  mutable Mutex mu_;
+  mutable std::map<std::string, bool> first_answer_ GUARDED_BY(mu_);
+};
+
 }  // namespace
 
 Status CheckMultiSession(const Scenario& scenario, double tolerance) {
@@ -672,6 +700,7 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance) {
   struct Fixture {
     runtime::VirtualClock clock;
     cluster::SourceOperationCache cache;
+    FrozenView frozen{&cache};
     std::unique_ptr<runtime::SourceRuntime> runtime;
     std::unique_ptr<cluster::ShardedService> service;
   };
@@ -689,15 +718,19 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance) {
 
     cluster::ClusterOptions copts;
     copts.num_shards = std::max(1, std::min(scenario.num_shards, 8));
-    copts.source_cache = &fx->cache;
+    if (scenario.multi_inject_stale) {
+      // Left out of ClusterOptions::source_cache, which would install the
+      // live cache as every shard's view over the frozen one.
+      copts.shard.source_cache_view = &fx->frozen;
+    } else {
+      copts.source_cache = &fx->cache;
+    }
     copts.shard.measure = utility::MeasureKind::kFailureCache;
     // All sessions share one query class and therefore one home shard; size
     // that shard to admit every client with no shedding or waiting.
     copts.shard.max_active_sessions = num_sessions;
     copts.shard.max_queued_admissions = num_sessions;
     copts.shard.admission_timeout_ms = 0.0;
-    copts.shard.refresh_source_cache_view = !scenario.multi_inject_stale;
-    copts.shard.record_residency_snapshots = true;
     copts.shard.clock = &fx->clock;
     fx->service = std::make_unique<cluster::ShardedService>(
         &domain->catalog, &domain->source_facts, copts, fx->runtime.get());
@@ -755,12 +788,14 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance) {
 
   // --- Pass 2: free interleaving, one client thread per session. Answers
   // must match the serial replay byte-for-byte, and every step's utility
-  // must be consistent with the residency snapshot its own session recorded
-  // when it applied the refresh (Session::residency_history).
+  // must be consistent with the residency the session ranked it under, read
+  // by the session's own client thread right after the step
+  // (Session::external_residency).
   std::unique_ptr<Fixture> parallel = make_fixture();
   struct ParallelRun {
     std::unique_ptr<service::Session> session;
     std::vector<exec::MediatorStep> steps;
+    std::vector<std::vector<std::vector<char>>> residency;  // per step
     Status status;
   };
   std::vector<ParallelRun> par(static_cast<size_t>(num_sessions));
@@ -783,6 +818,7 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance) {
           return;
         }
         run.steps.push_back(*std::move(step));
+        run.residency.push_back(run.session->external_residency());
       }
     });
   }
@@ -800,19 +836,10 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance) {
           << ") — interleaving changed the answer set";
       return InternalError(out.str());
     }
-    const std::vector<std::vector<std::vector<char>>>& history =
-        run.session->residency_history();
-    if (history.size() < run.steps.size()) {
-      return InternalError(
-          "multi-parallel session " + std::to_string(s) +
-          ": residency history shorter than the step sequence (" +
-          std::to_string(history.size()) + " < " +
-          std::to_string(run.steps.size()) + ")");
-    }
     for (size_t k = 0; k < run.steps.size(); ++k) {
       PLANORDER_RETURN_IF_ERROR(VerifyStepUtility(
           *run.session, {run.steps.begin(), run.steps.begin() + long(k)},
-          run.steps[k], history[k], tolerance,
+          run.steps[k], run.residency[k], tolerance,
           "multi-parallel session " + std::to_string(s) + " step " +
               std::to_string(k)));
     }
@@ -886,12 +913,10 @@ void FeedDriftObservations(const Scenario& scenario,
   observed.FoldWindow();
 }
 
-adaptive::DriftOptions MakeDriftOptions(const Scenario& scenario,
-                                        bool react) {
+adaptive::DriftOptions MakeDriftOptions(const Scenario& scenario) {
   adaptive::DriftOptions drift;
   drift.band = scenario.drift_band;
   drift.min_calls = 1;
-  drift.react_to_observations = react;
   return drift;
 }
 
@@ -906,11 +931,16 @@ StatusOr<std::vector<core::OrderedPlan>> RunAdaptiveDrift(
   adaptive::AdaptiveOptions options;
   options.inner = core::OrdererKind::kIDrips;
   options.measure = world.kind;
-  options.drift = MakeDriftOptions(scenario, !scenario.drift_inject_stale);
+  options.drift = MakeDriftOptions(scenario);
+  // The injected stale-stats bug: the orderer never sees the observations
+  // it is fed, so it never re-ranks. With nothing observed yet its first
+  // ranking is the same either way (BlendWorkload over no observations is
+  // an exact copy of the estimates).
   PLANORDER_ASSIGN_OR_RETURN(
       std::unique_ptr<adaptive::AdaptiveOrderer> orderer,
-      adaptive::AdaptiveOrderer::Create(&workload, world.names, &observed,
-                                        options));
+      adaptive::AdaptiveOrderer::Create(
+          &workload, world.names,
+          scenario.drift_inject_stale ? nullptr : &observed, options));
   std::vector<core::OrderedPlan> emissions;
   while (true) {
     StatusOr<core::OrderedPlan> next = orderer->Next();
@@ -952,8 +982,7 @@ Status CheckDriftRerank(const Scenario& scenario, double tolerance) {
   // fails, which is the point.
   adaptive::ObservedStats observed(
       adaptive::ObservedStatsOptions{scenario.drift_decay});
-  const adaptive::DriftOptions drift =
-      MakeDriftOptions(scenario, /*react=*/true);
+  const adaptive::DriftOptions drift = MakeDriftOptions(scenario);
   std::vector<core::ConcretePlan> executed;
   std::set<core::ConcretePlan> emitted;
   std::unique_ptr<stats::Workload> blended;

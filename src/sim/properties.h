@@ -119,10 +119,12 @@ Status CheckRankedEmission(const Scenario& scenario,
 ///      each: every session's answer set is byte-identical to its serial
 ///      replay (sorted comparison; answers are interleaving-invariant
 ///      because cached rows equal fetched rows), and each step's utility is
-///      self-consistent with the residency snapshot its session recorded;
-///  (c) with `scenario.multi_inject_stale` the per-step residency refresh is
-///      disabled — the deliberately planted stale-utility bug — and check
-///      (a) must fail (the sim self-test asserts it does).
+///      self-consistent with the residency its session ranked it under
+///      (Session::external_residency, read after the step);
+///  (c) with `scenario.multi_inject_stale` the sessions poll a view frozen
+///      at open time instead of the live cache — the deliberately planted
+///      stale-utility bug — and check (a) must fail (the sim self-test
+///      asserts it does).
 Status CheckMultiSession(const Scenario& scenario, double tolerance);
 
 /// Adaptive re-ranking property (DESIGN.md §12). Drifts the true
@@ -142,9 +144,9 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance);
 ///      brute-force fresh evaluation conditioned on exactly the executed
 ///      prefix, and no not-yet-emitted plan beats it (within `tolerance`)
 ///      under the generation's blended statistics.
-/// With `scenario.drift_inject_stale` the orderer's divergence reaction is
-/// disabled (the planted stale-statistics bug) while the oracle still
-/// reacts, so check (a) must fail once the drift actually flips the ranking
+/// With `scenario.drift_inject_stale` the orderer is built without the
+/// observed statistics (the planted stale-statistics bug) while the oracle
+/// still reacts, so check (a) must fail once the drift actually flips the ranking
 /// — the sim self-test asserts it does. Spaces above 80 plans are skipped
 /// (the oracle re-ranks O(rebuilds * plans^2)).
 Status CheckDriftRerank(const Scenario& scenario, double tolerance);

@@ -72,10 +72,10 @@ struct Scenario {
   // --- Multi-session knobs (check_multi) ---
   int num_sessions = 4;
   int num_shards = 2;
-  /// Fault injection: disable the per-step residency refresh
-  /// (ServiceOptions::refresh_source_cache_view = false), reproducing the
-  /// stale-utility bug the property exists to catch. Used by the sim self
-  /// test; never set by MakeScenario.
+  /// Fault injection: sessions see a residency view frozen at each source
+  /// name's first poll (at session open) instead of the live cache,
+  /// reproducing the stale-utility bug the property exists to catch. Used by
+  /// the sim self test; never set by MakeScenario.
   bool multi_inject_stale = false;
 
   /// Adaptive re-ranking property (DESIGN.md §12): drift the true source
@@ -99,10 +99,10 @@ struct Scenario {
   int drift_sources = 1;
   /// Seeds the drifted-source choice and the measure pick.
   uint64_t drift_seed = 1;
-  /// Fault injection: clear DriftOptions::react_to_observations — the
-  /// orderer keeps serving its stale initial ranking, the planted bug the
-  /// property must catch. Used by the sim self test; never set by
-  /// MakeScenario.
+  /// Fault injection: the adaptive orderer is built without the observed
+  /// statistics it is fed, so it keeps serving its stale initial ranking —
+  /// the planted bug the property must catch. Used by the sim self test;
+  /// never set by MakeScenario.
   bool drift_inject_stale = false;
 
   // --- Ranked-enumeration knobs (check_ranked) ---

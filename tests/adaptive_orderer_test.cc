@@ -212,21 +212,21 @@ TEST(AdaptiveOrdererTest, OutOfBandDriftRebuildsAndStillEmitsEveryPlanOnce) {
             workload.source(0, 0).cardinality);
 }
 
-TEST(AdaptiveOrdererTest, StaleHookSuppressesEveryRebuild) {
-  // The planted bug the sim's check_drift property exists to catch: with
-  // react_to_observations cleared the orderer must keep its initial ranking
-  // no matter how far the observations drift.
+TEST(AdaptiveOrdererTest, NullObservedSuppressesEveryRebuild) {
+  // The planted bug the sim's check_drift property exists to catch: an
+  // orderer built without the statistics its executions are observed into
+  // (null `observed`) must keep its initial ranking no matter how far the
+  // observations drift.
   const stats::Workload workload = MakeWorkload();
   const auto names = Names(workload);
+  AdaptiveOptions options;
+  options.drift.band = 1.5;
 
-  auto run = [&](bool react) -> std::pair<std::vector<core::OrderedPlan>,
+  auto run = [&](bool wired) -> std::pair<std::vector<core::OrderedPlan>,
                                           int64_t> {
     ObservedStats observed;
-    AdaptiveOptions options;
-    options.drift.band = 1.5;
-    options.drift.react_to_observations = react;
-    auto adaptive =
-        AdaptiveOrderer::Create(&workload, names, &observed, options);
+    auto adaptive = AdaptiveOrderer::Create(
+        &workload, names, wired ? &observed : nullptr, options);
     EXPECT_TRUE(adaptive.ok());
     std::vector<core::OrderedPlan> emissions;
     while (true) {
@@ -248,12 +248,13 @@ TEST(AdaptiveOrdererTest, StaleHookSuppressesEveryRebuild) {
   const auto [reactive, reactive_rebuilds] = run(true);
   EXPECT_GE(reactive_rebuilds, 1);
 
-  // And the stale run equals the never-observed ordering (it ignored the
-  // drift entirely).
-  AdaptiveOptions options;
-  auto blind = AdaptiveOrderer::Create(&workload, names, nullptr, options);
-  ASSERT_TRUE(blind.ok());
-  auto want = DrainAll(**blind);
+  // And the stale run equals what a wired orderer serves while nothing is
+  // observed: the blend over no observations is an exact copy of the
+  // estimates, so both start from the same ranking.
+  ObservedStats nothing;
+  auto quiet = AdaptiveOrderer::Create(&workload, names, &nothing, options);
+  ASSERT_TRUE(quiet.ok());
+  auto want = DrainAll(**quiet);
   ASSERT_TRUE(want.ok());
   ASSERT_EQ(stale.size(), want->size());
   for (size_t i = 0; i < stale.size(); ++i) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "exec/synthetic_domain.h"
 #include "gtest/gtest.h"
 #include "runtime/source_runtime.h"
+#include "service/shared_view.h"
 #include "utility/measures.h"
 
 namespace planorder::cluster {
@@ -229,16 +231,36 @@ TEST(ShardedServiceTest, WarmCacheShiftsSecondSessionUtilities) {
   EXPECT_EQ(cold_answers, warm_answers);
 }
 
-/// The test hook behind the sim's injected bug: with the per-step refresh
-/// disabled a warm-cache session reproduces the cold utilities exactly —
-/// stale, since the cache is resident. This pins the hook's semantics (and
-/// with it the property's ability to catch the bug).
+/// A residency view frozen at each source name's first poll — the stale
+/// view the sim plants to inject its stale-utility bug. Polled from one
+/// thread here, so it needs no lock.
+class FrozenView : public service::SharedOperationView {
+ public:
+  explicit FrozenView(const SourceOperationCache* cache) : cache_(cache) {}
+
+  bool IsResident(const std::string& source_name) const override {
+    auto [it, first_poll] = first_answer_.try_emplace(source_name, false);
+    if (first_poll) it->second = cache_->IsResident(source_name);
+    return it->second;
+  }
+
+ private:
+  const SourceOperationCache* cache_;
+  mutable std::map<std::string, bool> first_answer_;
+};
+
+/// The sim's injected bug from outside the service: a session that polls a
+/// view frozen at open time reproduces the cold utilities exactly on a warm
+/// cache — stale, since the cache is resident. This pins what the frozen
+/// view does to a session (and with it the property's ability to catch the
+/// bug).
 TEST(ShardedServiceTest, DisabledRefreshReproducesStaleUtilities) {
   Domain domain = MakeDomain();
   const exec::SyntheticDomain& d = *domain.synthetic;
 
-  auto run_second_session = [&domain, &d](bool refresh) {
+  auto run_second_session = [&domain, &d](bool frozen) {
     SourceOperationCache cache;
+    FrozenView frozen_view(&cache);
     runtime::RuntimeOptions ropts;
     ropts.num_threads = 2;
     ropts.time_dilation = 0.0;
@@ -246,9 +268,12 @@ TEST(ShardedServiceTest, DisabledRefreshReproducesStaleUtilities) {
     runtime::SourceRuntime runtime(&domain.registry, ropts);
     ClusterOptions options;
     options.num_shards = 1;
-    options.source_cache = &cache;
-      options.shard.measure = utility::MeasureKind::kFailureCache;
-    options.shard.refresh_source_cache_view = refresh;
+    if (frozen) {
+      options.shard.source_cache_view = &frozen_view;
+    } else {
+      options.source_cache = &cache;
+    }
+    options.shard.measure = utility::MeasureKind::kFailureCache;
     ShardedService service(&d.catalog, &d.source_facts, options, &runtime);
     const exec::Mediator::RunLimits limits = FullDrain(d);
     // Open BOTH sessions before any execution, so the second session's
@@ -271,12 +296,13 @@ TEST(ShardedServiceTest, DisabledRefreshReproducesStaleUtilities) {
   };
 
   // Both sessions open before any execution, so the open-time snapshot is
-  // empty: a refresh-disabled second session orders exactly like a cold one.
-  const std::vector<double> fresh = run_second_session(true);
-  const std::vector<double> stale = run_second_session(false);
+  // empty: a second session on the frozen view orders exactly like a cold
+  // one.
+  const std::vector<double> fresh = run_second_session(false);
+  const std::vector<double> stale = run_second_session(true);
   ASSERT_EQ(fresh.size(), stale.size());
   EXPECT_NE(fresh, stale)
-      << "refresh on/off made no difference; the stale hook is dead";
+      << "live and frozen views made no difference; the stale view is dead";
 }
 
 TEST(ShardedServiceTest, PerShardPlanStoresPersistAndWarmLoad) {

@@ -1,5 +1,7 @@
 #include "runtime/remote_source.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "datalog/term.h"
@@ -62,11 +64,11 @@ TEST_F(RemoteSourceTest, LatencyModelIsAffineInWorkShipped) {
   model.per_tuple_latency_ms = 1.0;
   ASSERT_TRUE(remotes.Configure("v", model).ok());
   RemoteSource* v = remotes.Find("v");
-  double simulated = 0.0;
-  auto rows = v->FetchBatch(FordBatch(), RetryPolicy{}, &simulated);
+  exec::RuntimeAccounting call;
+  auto rows = v->FetchBatch(FordBatch(), RetryPolicy{}, &call);
   ASSERT_TRUE(rows.ok());
   // 10 (base) + 2*1 (bindings) + 1*2 (tuples) with zero jitter.
-  EXPECT_DOUBLE_EQ(simulated, 14.0);
+  EXPECT_DOUBLE_EQ(call.latency_ms_total, 14.0);
   EXPECT_DOUBLE_EQ(v->stats().latency_ms_total, 14.0);
   EXPECT_DOUBLE_EQ(v->stats().latency_ms_max, 14.0);
 }
@@ -82,10 +84,10 @@ TEST_F(RemoteSourceTest, SameSeedSameBehaviorDifferentSeedDiverges) {
   auto run = [&](uint64_t seed) {
     RemoteRegistry remotes = MakeRemotes(seed);
     [&] { ASSERT_TRUE(remotes.Configure("v", model).ok()); }();
-    double simulated = 0.0;
-    auto rows = remotes.Find("v")->FetchBatch(FordBatch(), retry, &simulated);
+    exec::RuntimeAccounting call;
+    auto rows = remotes.Find("v")->FetchBatch(FordBatch(), retry, &call);
     [&] { ASSERT_TRUE(rows.ok()) << rows.status(); }();
-    return std::pair(simulated, remotes.TotalStats().transient_failures);
+    return std::pair(call.latency_ms_total, call.transient_failures);
   };
   const auto a1 = run(42);
   const auto a2 = run(42);
@@ -139,26 +141,6 @@ TEST_F(RemoteSourceTest, PermanentFailureFailsFastWithoutRetries) {
   EXPECT_EQ(remotes.Find("v")->underlying().stats().calls, 0);
 }
 
-TEST_F(RemoteSourceTest, DeadlineCutsOffSlowAttempts) {
-  RemoteRegistry remotes = MakeRemotes(11);
-  NetworkModel model;
-  model.base_latency_ms = 100.0;   // deterministic: always over the deadline
-  model.call_deadline_ms = 40.0;
-  ASSERT_TRUE(remotes.Configure("v", model).ok());
-  RetryPolicy retry;
-  retry.max_attempts = 4;
-  double simulated = 0.0;
-  auto rows = remotes.Find("v")->FetchBatch(FordBatch(), retry, &simulated);
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kUnavailable);
-  const exec::RuntimeAccounting stats = remotes.TotalStats();
-  EXPECT_EQ(stats.deadline_timeouts, 4);
-  // Each timed-out attempt costs exactly the deadline.
-  EXPECT_DOUBLE_EQ(stats.latency_ms_total, 4 * 40.0);
-  EXPECT_DOUBLE_EQ(stats.latency_ms_max, 40.0);
-  EXPECT_GT(simulated, 4 * 40.0);  // plus backoff waits
-}
-
 TEST_F(RemoteSourceTest, HedgingNeverSlowsACallDown) {
   NetworkModel slow;
   slow.base_latency_ms = 50.0;
@@ -185,45 +167,33 @@ TEST_F(RemoteSourceTest, HedgingNeverSlowsACallDown) {
   EXPECT_LE(hedged_ms, unhedged_ms);
 }
 
-TEST_F(RemoteSourceTest, RetryBudgetGivesUpEarly) {
-  RemoteRegistry remotes = MakeRemotes(11);
-  NetworkModel model;
-  model.transient_failure_rate = 1.0;
-  ASSERT_TRUE(remotes.Configure("v", model).ok());
-  RetryPolicy retry;
-  retry.max_attempts = 100;
-  retry.initial_backoff_ms = 10.0;
-  retry.jitter_fraction = 0.0;
-  retry.retry_budget_ms = 25.0;  // 10 + 20 > 25: gives up before attempt 3
-  auto rows = remotes.Find("v")->FetchBatch(FordBatch(), retry);
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(remotes.TotalStats().transient_failures, 2);
-}
-
-TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndCaps) {
+TEST(RetryPolicyTest, BackoffDoublesAndCaps) {
   RetryPolicy policy;
   policy.initial_backoff_ms = 1.0;
-  policy.backoff_multiplier = 2.0;
   policy.max_backoff_ms = 8.0;
-  policy.jitter_fraction = 0.0;
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(1, 0), 1.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(2, 0), 2.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(3, 0), 4.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(4, 0), 8.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(10, 0), 8.0);  // capped
+  // One hash draws one jitter factor whatever the attempt, so consecutive
+  // attempts compare exactly.
+  for (uint64_t h = 0; h < 50; ++h) {
+    const double first = policy.BackoffMs(1, h);
+    EXPECT_DOUBLE_EQ(policy.BackoffMs(2, h), 2.0 * first);
+    EXPECT_DOUBLE_EQ(policy.BackoffMs(3, h), 4.0 * first);
+    EXPECT_DOUBLE_EQ(policy.BackoffMs(4, h), 8.0 * first);
+    EXPECT_DOUBLE_EQ(policy.BackoffMs(10, h), 8.0 * first);  // capped
+  }
 }
 
-TEST(RetryPolicyTest, JitterStaysWithinTheConfiguredFraction) {
+TEST(RetryPolicyTest, JitterStaysWithinHalfToFullBackoff) {
   RetryPolicy policy;
   policy.initial_backoff_ms = 100.0;
   policy.max_backoff_ms = 100.0;
-  policy.jitter_fraction = 0.5;
+  double lowest = 100.0;
   for (uint64_t h = 0; h < 200; ++h) {
     const double backoff = policy.BackoffMs(1, h);
-    EXPECT_GT(backoff, 50.0 - 1e-9);
+    EXPECT_GT(backoff, 50.0);
     EXPECT_LE(backoff, 100.0);
+    lowest = std::min(lowest, backoff);
   }
+  EXPECT_LT(lowest, 60.0);  // the jitter actually spreads over the band
   // And it is a pure function of (attempt, hash).
   EXPECT_DOUBLE_EQ(policy.BackoffMs(1, 77), policy.BackoffMs(1, 77));
 }

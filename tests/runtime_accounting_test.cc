@@ -9,7 +9,6 @@ RuntimeAccounting Sample(int64_t scale, double latency) {
   RuntimeAccounting a;
   a.retries = 1 * scale;
   a.transient_failures = 2 * scale;
-  a.deadline_timeouts = 3 * scale;
   a.permanent_failures = 4 * scale;
   a.hedged_calls = 5 * scale;
   a.latency_ms_total = latency;
@@ -23,7 +22,6 @@ TEST(RuntimeAccountingTest, MergeSumsCountersAndMaxesLatencyPeak) {
   a.Merge(b);
   EXPECT_EQ(a.retries, 11);
   EXPECT_EQ(a.transient_failures, 22);
-  EXPECT_EQ(a.deadline_timeouts, 33);
   EXPECT_EQ(a.permanent_failures, 44);
   EXPECT_EQ(a.hedged_calls, 55);
   EXPECT_DOUBLE_EQ(a.latency_ms_total, 14.0);

@@ -4,8 +4,17 @@
 /// transient) network, deterministic from its seed, and must degrade
 /// gracefully — not abort — when a source dies permanently.
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "adaptive/observed_stats.h"
+#include "base/mutex.h"
+#include "base/thread_annotations.h"
+#include "cluster/source_cache.h"
 #include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "exec/dependent_join.h"
@@ -15,6 +24,7 @@
 #include "reformulation/bucket.h"
 #include "runtime/parallel_join.h"
 #include "runtime/source_runtime.h"
+#include "runtime/thread_pool.h"
 #include "utility/coverage_model.h"
 
 namespace planorder::runtime {
@@ -248,23 +258,224 @@ TEST_F(MovieRuntimeTest, PermanentSourceFailureDegradesGracefully) {
   EXPECT_LE(result->total_answers, serial.total_answers);
 }
 
-TEST_F(MovieRuntimeTest, PlanBudgetFailsSlowPlansButRunCompletes) {
-  RuntimeOptions options = QuietOptions(4);
-  options.default_model.base_latency_ms = 40.0;  // every call is slow
-  options.plan_budget_ms = 50.0;  // two sequential calls blow the budget
-  const exec::MediatorResult result = RuntimeRun(9, options);
-  EXPECT_EQ(result.steps.size(), 9u);
-  EXPECT_EQ(result.failed_plans, 9u);  // every plan needs two atoms
-  EXPECT_EQ(result.total_answers, 0u);
-  for (const exec::MediatorStep& step : result.steps) {
-    EXPECT_TRUE(step.failed);
-    EXPECT_NE(step.failure_reason.find("budget"), std::string::npos);
+/// The observe edge of the adaptive loop, teed: every observation the
+/// runtime reports goes on into an adaptive::ObservedStats and into integer
+/// per-source totals the tests check against the plan-local accounting.
+class TeeSink : public SourceTraceSink {
+ public:
+  struct Totals {
+    int64_t calls = 0;
+    int64_t failed_calls = 0;
+    int64_t rows = 0;
+    int64_t attempts = 0;
+    int64_t failures = 0;
+  };
+
+  explicit TeeSink(adaptive::ObservedStats* observed) : observed_(observed) {}
+
+  void RecordFetch(const std::string& source_name,
+                   const SourceObservation& observation) override {
+    {
+      MutexLock lock(mu_);
+      Totals& t = totals_[source_name];
+      ++t.calls;
+      if (observation.call_failed) ++t.failed_calls;
+      t.rows += observation.rows;
+      t.attempts += observation.attempts;
+      t.failures += observation.failures;
+    }
+    observed_->RecordFetch(source_name, observation);
   }
-  // Without a budget the same network completes fine.
-  options.plan_budget_ms = 0.0;
-  const exec::MediatorResult unbounded = RuntimeRun(9, options);
-  EXPECT_EQ(unbounded.failed_plans, 0u);
-  EXPECT_GT(unbounded.total_answers, 0u);
+
+  std::map<std::string, Totals> totals() const {
+    MutexLock lock(mu_);
+    return totals_;
+  }
+
+  Totals Sum() const {
+    Totals sum;
+    for (const auto& [unused, t] : totals()) {
+      sum.calls += t.calls;
+      sum.failed_calls += t.failed_calls;
+      sum.rows += t.rows;
+      sum.attempts += t.attempts;
+      sum.failures += t.failures;
+    }
+    return sum;
+  }
+
+ private:
+  adaptive::ObservedStats* observed_;
+  mutable Mutex mu_;
+  std::map<std::string, Totals> totals_ GUARDED_BY(mu_);
+};
+
+/// The nine two-atom plans of the movie query: an actor source (v1-v3)
+/// joined with a review source (v4-v6).
+std::vector<datalog::ConjunctiveQuery> MoviePlans() {
+  std::vector<datalog::ConjunctiveQuery> plans;
+  for (const char* actors : {"v1", "v2", "v3"}) {
+    for (const char* reviews : {"v4", "v5", "v6"}) {
+      auto plan = ParseRule(std::string("q(M,R) :- ") + actors +
+                            "(ford,M), " + reviews + "(R,M)");
+      EXPECT_TRUE(plan.ok()) << plan.status();
+      plans.push_back(*plan);
+    }
+  }
+  return plans;
+}
+
+/// Transient faults with too few attempts to always recover, and v4
+/// permanently dead. One partition per call, so every logical call is one
+/// observation and one trace entry.
+RuntimeOptions FaultyOptions(int threads) {
+  RuntimeOptions options;
+  options.num_threads = threads;
+  options.max_partitions_per_call = 1;
+  options.time_dilation = 0.0;
+  options.seed = 5;
+  options.default_model.base_latency_ms = 2.0;
+  options.default_model.latency_jitter = 0.5;
+  options.default_model.transient_failure_rate = 0.35;
+  options.retry.max_attempts = 2;
+  return options;
+}
+
+void KillV4(SourceRuntime& runtime) {
+  NetworkModel dead;
+  dead.permanently_failed = true;
+  ASSERT_TRUE(runtime.remotes().Configure("v4", dead).ok());
+}
+
+/// Plan-local accounting summed over every plan of `plans`.
+struct PlanTotals {
+  int64_t source_calls = 0;  // successful calls, cache hits included
+  int64_t tuples_shipped = 0;
+  int64_t failed_plans = 0;
+  exec::RuntimeAccounting runtime;
+};
+
+PlanTotals ExecuteAll(SourceRuntime& runtime,
+                      const std::vector<datalog::ConjunctiveQuery>& plans) {
+  PlanTotals totals;
+  for (const datalog::ConjunctiveQuery& plan : plans) {
+    auto exec = runtime.ExecutePlan(plan);
+    EXPECT_TRUE(exec.ok()) << exec.status();
+    totals.source_calls += exec->source_calls;
+    totals.tuples_shipped += exec->tuples_shipped;
+    if (exec->failed) ++totals.failed_plans;
+    totals.runtime.Merge(exec->runtime);
+  }
+  return totals;
+}
+
+TEST_F(MovieRuntimeTest, TraceSinkSeesEveryLogicalCallOnce) {
+  adaptive::ObservedStats observed;
+  TeeSink sink(&observed);
+  RuntimeOptions options = FaultyOptions(4);
+  options.trace_sink = &sink;
+  SourceRuntime runtime(&registry_, options);
+  KillV4(runtime);
+  const PlanTotals plans = ExecuteAll(runtime, MoviePlans());
+
+  // One observation per logical call: the successful ones are exactly the
+  // trace's calls, and a failed plan stopped at exactly one failed call.
+  const TeeSink::Totals all = sink.Sum();
+  EXPECT_EQ(all.calls - all.failed_calls, plans.source_calls);
+  EXPECT_EQ(all.failed_calls, plans.failed_plans);
+  EXPECT_EQ(all.rows, plans.tuples_shipped);
+  EXPECT_EQ(all.attempts - all.calls, plans.runtime.retries);
+  EXPECT_EQ(all.failures, plans.runtime.transient_failures +
+                              plans.runtime.permanent_failures);
+  EXPECT_GT(plans.runtime.transient_failures, 0);
+
+  // The dead source fails every call it gets, shipping nothing.
+  const TeeSink::Totals v4 = sink.totals()["v4"];
+  EXPECT_GT(v4.calls, 0);
+  EXPECT_EQ(v4.failed_calls, v4.calls);
+  EXPECT_EQ(v4.calls, plans.runtime.permanent_failures);
+  EXPECT_EQ(v4.rows, 0);
+
+  // The same calls fold into the learned statistics.
+  EXPECT_GT(observed.FoldWindow(), 0);
+  for (const auto& [name, t] : sink.totals()) {
+    EXPECT_EQ(observed.EstimateFor(name).calls, t.calls) << name;
+  }
+  const adaptive::SourceEstimate dead = observed.EstimateFor("v4");
+  EXPECT_EQ(dead.card_windows, 0);  // no successful call, no cardinality
+  EXPECT_EQ(dead.failure_prob, 1.0);
+}
+
+TEST_F(MovieRuntimeTest, TraceSinkSkipsCacheHits) {
+  adaptive::ObservedStats observed;
+  TeeSink sink(&observed);
+  cluster::SourceOperationCache cache;
+  RuntimeOptions options = FaultyOptions(2);
+  options.trace_sink = &sink;
+  options.source_cache = &cache;
+  SourceRuntime runtime(&registry_, options);
+  KillV4(runtime);
+  // The second pass finds every successful call of the first resident.
+  PlanTotals plans = ExecuteAll(runtime, MoviePlans());
+  const PlanTotals again = ExecuteAll(runtime, MoviePlans());
+  plans.source_calls += again.source_calls;
+  plans.failed_plans += again.failed_plans;
+  plans.runtime.Merge(again.runtime);
+
+  EXPECT_GT(again.runtime.source_cache_hits, 0);
+  const TeeSink::Totals all = sink.Sum();
+  EXPECT_EQ(all.calls - all.failed_calls,
+            plans.source_calls - plans.runtime.source_cache_hits);
+  EXPECT_EQ(all.failed_calls, plans.failed_plans);
+}
+
+TEST_F(MovieRuntimeTest, ObservedFoldIsIndependentOfPoolThreads) {
+  // The determinism claim of adaptive/observed_stats.h: RecordFetch is
+  // integer-only, so the fold is a function of the observation multiset,
+  // never of the interleaving. Plans run as concurrent pool tasks, and the
+  // concurrent run submits them in reverse, so the two runs share only the
+  // multiset. One partition per call keeps the multiset itself independent
+  // of the pool size (partitioning changes the calls, and with them the
+  // draws).
+  auto fold = [this](int threads, bool reversed) {
+    adaptive::ObservedStats observed;
+    RuntimeOptions options = FaultyOptions(threads);
+    options.trace_sink = &observed;
+    SourceRuntime runtime(&registry_, options);
+    KillV4(runtime);
+    std::vector<datalog::ConjunctiveQuery> plans = MoviePlans();
+    if (reversed) std::reverse(plans.begin(), plans.end());
+    {
+      TaskGroup group(&runtime.pool());
+      for (int round = 0; round < 3; ++round) {
+        for (const datalog::ConjunctiveQuery& plan : plans) {
+          group.Submit([&runtime, &plan] {
+            auto exec = runtime.ExecutePlan(plan);
+            EXPECT_TRUE(exec.ok()) << exec.status();
+          });
+        }
+      }
+      group.Wait();
+    }
+    observed.FoldWindow();
+    return observed.Snapshot();
+  };
+  const auto serial = fold(1, /*reversed=*/false);
+  const auto concurrent = fold(4, /*reversed=*/true);
+  ASSERT_EQ(serial.size(), concurrent.size());
+  ASSERT_FALSE(serial.empty());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    const auto& [name, a] = serial[i];
+    const auto& [other, b] = concurrent[i];
+    ASSERT_EQ(name, other);
+    EXPECT_EQ(a.windows, b.windows) << name;
+    EXPECT_EQ(a.card_windows, b.card_windows) << name;
+    EXPECT_EQ(a.calls, b.calls) << name;
+    // Bit-exact, not within a tolerance.
+    EXPECT_EQ(a.cardinality, b.cardinality) << name;
+    EXPECT_EQ(a.latency_ms, b.latency_ms) << name;
+    EXPECT_EQ(a.failure_prob, b.failure_prob) << name;
+  }
 }
 
 TEST_F(MovieRuntimeTest, ParallelJoinPreservesSerialRowOrder) {

@@ -208,9 +208,9 @@ TEST(SimMultiSessionTest, PropertyHoldsOnCorrectCode) {
 }
 
 TEST(SimMultiSessionTest, InjectedStaleUtilityBugIsCaughtAndShrinks) {
-  // The planted bug: sessions poll the shared cache's residency view only at
-  // open, never per step (ServiceOptions::refresh_source_cache_view = false),
-  // so emitted utilities stop reflecting cache state at eval time. The
+  // The planted bug: sessions poll a residency view frozen at open time
+  // instead of the live shared cache, so emitted utilities stop reflecting
+  // cache state at eval time. The
   // serial view-read oracle must fail — and the shrinker must walk the
   // reproducer down while the failure persists.
   Scenario scenario = MultiScenario();
@@ -261,9 +261,9 @@ TEST(SimDriftTest, PropertyHoldsOnCorrectCode) {
 }
 
 TEST(SimDriftTest, InjectedStaleStatsBugIsCaughtAndShrinks) {
-  // The planted bug: the adaptive orderer's divergence reaction is disabled
-  // (stats fold but never trigger a mid-stream re-rank), so once observed
-  // cardinalities drift out of band its emissions diverge from the
+  // The planted bug: the adaptive orderer is built without the observed
+  // statistics (they fold but never trigger a mid-stream re-rank), so once
+  // observed cardinalities drift out of band its emissions diverge from the
   // rebuild-from-observed-stats oracle. The check must fail — and the
   // shrinker must keep both the drift check and the injection while it
   // minimizes.

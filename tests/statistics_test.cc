@@ -83,7 +83,7 @@ TEST(EstimateWorkloadTest, OverlapReflectsSharedBindings) {
   EXPECT_FALSE(mb.Intersects(mc));
 }
 
-TEST(EstimateWorkloadTest, OverridesCarryCostParameters) {
+TEST(EstimateWorkloadTest, FixedCostParametersAndEstimatedCardinality) {
   datalog::Catalog catalog;
   ASSERT_TRUE(catalog.schema().AddRelation("p", 1).ok());
   ASSERT_TRUE(catalog.AddSourceFromText("v(X) :- p(X)").ok());
@@ -94,20 +94,17 @@ TEST(EstimateWorkloadTest, OverridesCarryCostParameters) {
   datalog::Database facts;
   facts.AddFact(MustAtom("v(a)"));
 
-  EstimateOptions options;
-  stats::SourceStats v_stats;
-  v_stats.transmission_cost = 0.77;
-  v_stats.failure_prob = 0.2;
-  v_stats.fee = 3.0;
-  options.overrides["v"] = v_stats;
-  auto workload = EstimateWorkloadFromInstances(*query, catalog, *buckets,
-                                                facts, options);
+  auto workload =
+      EstimateWorkloadFromInstances(*query, catalog, *buckets, facts);
   ASSERT_TRUE(workload.ok());
-  EXPECT_DOUBLE_EQ(workload->source(0, 0).transmission_cost, 0.77);
-  EXPECT_DOUBLE_EQ(workload->source(0, 0).failure_prob, 0.2);
-  EXPECT_DOUBLE_EQ(workload->source(0, 0).fee, 3.0);
-  // Cardinality still estimated from data, not taken from the override.
+  // The parameters the instances cannot reveal take fixed values ...
+  EXPECT_DOUBLE_EQ(workload->source(0, 0).transmission_cost, 0.25);
+  EXPECT_DOUBLE_EQ(workload->source(0, 0).failure_prob, 0.0);
+  EXPECT_DOUBLE_EQ(workload->source(0, 0).fee, 1.0);
+  // ... while cardinality is estimated from the data, and the domain size
+  // is four times the largest cardinality.
   EXPECT_DOUBLE_EQ(workload->source(0, 0).cardinality, 1.0);
+  EXPECT_DOUBLE_EQ(workload->domain_size(0), 4.0);
 }
 
 TEST(EstimateWorkloadTest, EstimatedWorkloadDrivesAccurateOrdering) {
