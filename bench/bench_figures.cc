@@ -313,9 +313,8 @@ class CostlyStatisticsModel : public utility::UtilityModel {
   bool diminishing_returns() const override {
     return inner_->diminishing_returns();
   }
-  bool Independent(const utility::ConcretePlan& a,
-                   const utility::ConcretePlan& b) const override {
-    return inner_->Independent(a, b);
+  bool fully_independent() const override {
+    return inner_->fully_independent();
   }
   bool GroupIndependentOf(utility::NodeSpan nodes,
                           const utility::ConcretePlan& plan) const override {

@@ -47,7 +47,6 @@ void IDripsOrderer::GrowFrontierArrays() {
   const size_t slots = arena_.num_slots();
   if (alive_.size() >= slots) return;
   summaries_.resize(slots * m);
-  group_keys_.resize(slots * m);
   lo_.resize(slots);
   hi_.resize(slots);
   width_.resize(slots);
@@ -92,18 +91,12 @@ void IDripsOrderer::PushHeapEntry(uint32_t slot) {
 }
 
 void IDripsOrderer::CommitCandidate(uint32_t slot, const Interval& utility) {
-  const size_t m = static_cast<size_t>(arena_.width());
   lo_[slot] = utility.lo();
   hi_[slot] = utility.hi();
   width_[slot] = utility.width();
   eval_epoch_[slot] = static_cast<int64_t>(ctx().epoch());
   eval_generation_[slot] = ctx().external_generation();
   alive_[slot] = 1;
-  if (keys_supported_) {
-    const utility::NodeSpan span(&summaries_[static_cast<size_t>(slot) * m],
-                                 m);
-    model().IndependenceKeys(span, &group_keys_[static_cast<size_t>(slot) * m]);
-  }
   ++heap_version_[slot];
   PushHeapEntry(slot);
 }
@@ -150,32 +143,11 @@ void IDripsOrderer::SeedFrontier() {
     rank_[slot] = slot;
   }
   next_rank_ = arena_.num_slots();
-  for (uint32_t slot = 0; slot < arena_.num_slots(); ++slot) FillSlot(slot);
-  // Keyed staleness support is a model property; probe it once on a root.
-  uint64_t scratch[kMaxBuckets];
-  keys_supported_ = model().IndependenceKeys(
-      utility::NodeSpan(summaries_.data(), static_cast<size_t>(m)), scratch);
   for (uint32_t slot = 0; slot < arena_.num_slots(); ++slot) {
+    FillSlot(slot);
     CommitCandidate(slot, EvaluateSlot(slot));
   }
   refreshed_generation_ = ctx().external_generation();
-}
-
-void IDripsOrderer::EnsureExecutedKeys() {
-  if (!keys_supported_) return;
-  const std::vector<ConcretePlan>& executed = ctx().executed();
-  const size_t m = static_cast<size_t>(arena_.width());
-  while (keys_epoch_ < static_cast<int64_t>(executed.size())) {
-    executed_keys_.resize(static_cast<size_t>(keys_epoch_ + 1) * m);
-    if (!model().PlanIndependenceKeys(
-            executed[static_cast<size_t>(keys_epoch_)],
-            &executed_keys_[static_cast<size_t>(keys_epoch_) * m])) {
-      // A model that keys groups but not plans gets the fallback for good.
-      keys_supported_ = false;
-      return;
-    }
-    ++keys_epoch_;
-  }
 }
 
 bool IDripsOrderer::IsStale(uint32_t slot) {
@@ -186,27 +158,11 @@ bool IDripsOrderer::IsStale(uint32_t slot) {
     return false;
   }
   const size_t m = static_cast<size_t>(arena_.width());
-  if (keys_supported_) {
-    const uint64_t* group = &group_keys_[static_cast<size_t>(slot) * m];
-    for (int64_t e = eval_epoch_[slot]; e < epoch; ++e) {
-      const uint64_t* plan = &executed_keys_[static_cast<size_t>(e) * m];
-      bool independent = false;
-      for (size_t b = 0; b < m; ++b) {
-        if ((group[b] & plan[b]) == 0) {
-          independent = true;
-          break;
-        }
-      }
-      if (!independent) return true;
-    }
-  } else {
-    const std::vector<ConcretePlan>& executed = ctx().executed();
-    const utility::NodeSpan span(&summaries_[static_cast<size_t>(slot) * m],
-                                 m);
-    for (size_t e = static_cast<size_t>(eval_epoch_[slot]);
-         e < executed.size(); ++e) {
-      if (!model().GroupIndependentOf(span, executed[e])) return true;
-    }
+  const std::vector<ConcretePlan>& executed = ctx().executed();
+  const utility::NodeSpan span(&summaries_[static_cast<size_t>(slot) * m], m);
+  for (size_t e = static_cast<size_t>(eval_epoch_[slot]); e < executed.size();
+       ++e) {
+    if (!model().GroupIndependentOf(span, executed[e])) return true;
   }
   eval_epoch_[slot] = epoch;
   return false;
@@ -237,7 +193,6 @@ void IDripsOrderer::RefreshSlot(uint32_t slot) {
 void IDripsOrderer::RefreshStaleCandidates() {
   // Fully independent measures: no executed plan ever changes a utility.
   if (model().fully_independent()) return;
-  EnsureExecutedKeys();
   const int64_t generation = ctx().external_generation();
   // A candidate proven group-independent of everything executed since its
   // evaluation keeps its utility and just fast-forwards its epoch (IsStale):
@@ -263,7 +218,6 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
   // (and generation flips, which can raise utilities) take the eager full
   // refresh.
   const bool lazy = model().diminishing_returns();
-  if (lazy && !model().fully_independent()) EnsureExecutedKeys();
   if (!lazy || ctx().external_generation() != refreshed_generation_) {
     RefreshStaleCandidates();
     refreshed_generation_ = ctx().external_generation();

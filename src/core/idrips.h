@@ -87,16 +87,14 @@ class IDripsOrderer : public Orderer {
   /// Lazy path (diminishing-returns models): a candidate evaluated at an
   /// earlier epoch has utility at most its recorded bounds, so its stale heap
   /// key is a sound upper bound and it can stay untouched until it surfaces
-  /// at a heap top. IsStale tests the surfacing slot against the executed
-  /// suffix (keyed word-ANDs or the virtual fallback), fast-forwarding its
-  /// epoch when independent; RefreshSlot re-evaluates it and pushes the
-  /// updated entry when the bounds moved.
+  /// at a heap top. IsStale walks the executed suffix with the model's
+  /// GroupIndependentOf, fast-forwarding the slot's epoch when it is
+  /// independent of every plan there; RefreshSlot re-evaluates it and pushes
+  /// the updated entry when the bounds moved.
   bool IsStale(uint32_t slot);
   void RefreshSlot(uint32_t slot);
   /// Evaluates a slot's plan against the current context, counting it.
   Interval EvaluateSlot(uint32_t slot);
-  /// Appends independence keys of newly executed plans to executed_keys_.
-  void EnsureExecutedKeys();
 
   /// Grows the slot-indexed metadata arrays to the arena's slot count.
   void GrowFrontierArrays();
@@ -130,7 +128,6 @@ class IDripsOrderer : public Orderer {
   /// the free list cannot resurrect a stale heap entry.
   PlanArena arena_;
   std::vector<const stats::StatSummary*> summaries_;
-  std::vector<uint64_t> group_keys_;
   std::vector<double> lo_;
   std::vector<double> hi_;
   std::vector<double> width_;
@@ -144,16 +141,9 @@ class IDripsOrderer : public Orderer {
   FrontierHeap abstract_heap_;
   FrontierHeap concrete_heap_;
   uint64_t next_rank_ = 0;
-  /// Model supports the keyed staleness fast path (set at seed time; turned
-  /// off permanently if PlanIndependenceKeys ever declines).
-  bool keys_supported_ = false;
   /// External cache generation the frontier was last eagerly refreshed
   /// against (lazy mode only re-runs the full scan when this moves).
   int64_t refreshed_generation_ = 0;
-  /// Independence keys of executed[0..keys_epoch_), keys_epoch_ * width
-  /// words, appended per emission for the keyed staleness test.
-  std::vector<uint64_t> executed_keys_;
-  int64_t keys_epoch_ = 0;
 
   /// Reusable scratch (cleared per use; kept to avoid per-round allocation).
   std::vector<uint32_t> targets_;

@@ -157,19 +157,9 @@ StatusOr<MediatorStep> MediatorStream::NextStep() {
     }
   }
   step.total_answers = answers_.size();
-  if (step.sound && step.executable && !step.failed) {
-    estimated_cost_spent_ -= step.estimated_utility;
-  }
   ++plans_emitted_;
   result_.steps.push_back(step);
   result_.total_answers = answers_.size();
-  if (limits_.answer_target > 0 && answers_.size() >= limits_.answer_target) {
-    done_ = true;
-  }
-  if (limits_.cost_budget > 0.0 &&
-      estimated_cost_spent_ >= limits_.cost_budget) {
-    done_ = true;
-  }
   return step;
 }
 

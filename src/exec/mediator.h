@@ -125,18 +125,12 @@ class Mediator {
         source_facts_(source_facts),
         source_ids_(std::move(source_ids)) {}
 
-  /// Stopping criteria for a mediation run (Section 1: "query execution can
-  /// be aborted as soon as the user has found a satisfactory answer, or when
-  /// allotted resource limits have been reached"). Whichever limit trips
-  /// first ends the run; zero/negative values mean "no limit" except
-  /// max_plans, which must be positive.
+  /// Stopping criterion for a mediation run: at most `max_plans` plans
+  /// (must be positive). A client that wants to stop earlier, on answers or
+  /// on spend (Section 1: "query execution can be aborted as soon as the user
+  /// has found a satisfactory answer"), stops pulling steps from the stream.
   struct RunLimits {
     int max_plans = 0;
-    /// Stop once this many distinct answers have been collected.
-    size_t answer_target = 0;
-    /// Stop once the accumulated *estimated* plan cost (the negated utility
-    /// of the executed plans, meaningful for cost measures) exceeds this.
-    double cost_budget = 0.0;
   };
 
   /// Pulls up to `max_plans` plans from `orderer` and runs the pipeline.
@@ -148,7 +142,7 @@ class Mediator {
   StatusOr<MediatorResult> Run(core::Orderer& orderer, int max_plans,
                                SourceRegistry* registry = nullptr);
 
-  /// As above with full stopping criteria.
+  /// As above with the limits as a struct.
   StatusOr<MediatorResult> Run(core::Orderer& orderer, const RunLimits& limits,
                                SourceRegistry* registry = nullptr);
 
@@ -181,8 +175,8 @@ class Mediator {
 /// An in-flight mediation run exposed as a pull stream. Each NextStep() call
 /// advances the pipeline by exactly one orderer plan — translate, soundness
 /// test, executable-order search, execution, answer dedup — and returns that
-/// step. The stream ends (kNotFound) when the orderer is exhausted or a
-/// RunLimits stopping criterion trips; any other error status aborts the
+/// step. The stream ends (kNotFound) when the orderer is exhausted or
+/// `max_plans` plans have been pulled; any other error status aborts the
 /// stream permanently. Movable, not copyable; Mediator::Run is now a thin
 /// loop over this class, so both paths are behavior-identical by
 /// construction.
@@ -229,7 +223,6 @@ class MediatorStream {
   Mediator::RunLimits limits_;
   PlanExecutor* executor_;
   int plans_emitted_ = 0;
-  double estimated_cost_spent_ = 0.0;
   AnswerSet answers_;
   MediatorResult result_;
   bool done_ = false;

@@ -37,7 +37,7 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   /// Advances the run by one plan. kNotFound = run over (orderer exhausted
-  /// or a RunLimits criterion tripped) — not an error. Plan-mode sessions
+  /// or max_plans reached) — not an error. Plan-mode sessions
   /// only (kNotFound on ranked sessions).
   StatusOr<exec::MediatorStep> NextStep();
 

@@ -15,12 +15,12 @@ namespace planorder::sim {
 
 /// Utility-model decorator applying u' = scale * u + shift (scale > 0, a
 /// strictly increasing affine map). Every structural predicate (monotonicity,
-/// diminishing returns, independence, group independence) forwards to the
-/// wrapped model: an affine map changes no comparison between utilities, so
-/// a correct orderer must emit the same order. With shift == 0
-/// and scale a power of two the transform is floating-point-exact and the
-/// emission sequence must match bit-for-bit; otherwise rounding can merge
-/// near-ties and only the utility sequences are comparable.
+/// diminishing returns, full and group independence, witness search)
+/// forwards to the wrapped model: an affine map changes no comparison
+/// between utilities, so a correct orderer must emit the same order. With
+/// shift == 0 and scale a power of two the transform is floating-point-exact
+/// and the emission sequence must match bit-for-bit; otherwise rounding can
+/// merge near-ties and only the utility sequences are comparable.
 class AffineModel : public utility::UtilityModel {
  public:
   /// `base` must outlive the decorator and be built over `workload`.
@@ -39,10 +39,6 @@ class AffineModel : public utility::UtilityModel {
   }
   bool fully_independent() const override {
     return base_->fully_independent();
-  }
-  bool Independent(const utility::ConcretePlan& a,
-                   const utility::ConcretePlan& b) const override {
-    return base_->Independent(a, b);
   }
   bool GroupIndependentOf(utility::NodeSpan nodes,
                           const utility::ConcretePlan& plan) const override {

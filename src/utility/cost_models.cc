@@ -114,22 +114,13 @@ double BoundJoinCostModel::MonotoneScore(int bucket, int source) const {
   return -workload().source(bucket, source).cardinality;
 }
 
-bool BoundJoinCostModel::Independent(const ConcretePlan& a,
-                                     const ConcretePlan& b) const {
-  if (!options_.use_cache) return true;
-  // With caching, executing one plan can zero a term of the other exactly
-  // when they share a source operation (same source at the same subgoal).
-  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    if (a[i] == b[i]) return false;
-  }
-  return true;
-}
-
 bool BoundJoinCostModel::GroupIndependentOf(NodeSpan nodes,
                                             const ConcretePlan& plan) const {
   if (!options_.use_cache) return true;
-  // Some concrete group plan shares an operation with `plan` iff `plan`'s
-  // source at some bucket is among the group's members there.
+  // With caching, executing `plan` zeroes exactly the terms of its own source
+  // operations (same source at the same subgoal). Some concrete group plan
+  // shares one iff `plan`'s source at some bucket is among the group's
+  // members there.
   for (size_t b = 0; b < nodes.size(); ++b) {
     const std::vector<int>& members = nodes[b]->members;
     if (std::find(members.begin(), members.end(), plan[b]) != members.end()) {

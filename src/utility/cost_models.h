@@ -22,12 +22,6 @@ class AdditiveCostModel : public UtilityModel {
   double MonotoneScore(int bucket, int source) const override;
   bool diminishing_returns() const override { return true; }
   bool fully_independent() const override { return true; }
-  bool Independent(const ConcretePlan& a,
-                   const ConcretePlan& b) const override {
-    (void)a;
-    (void)b;
-    return true;
-  }
   bool GroupIndependentOf(NodeSpan nodes,
                           const ConcretePlan& plan) const override {
     (void)nodes;
@@ -85,8 +79,6 @@ class BoundJoinCostModel : public UtilityModel {
   double MonotoneScore(int bucket, int source) const override;
   bool diminishing_returns() const override { return !options_.use_cache; }
   bool fully_independent() const override { return !options_.use_cache; }
-  bool Independent(const ConcretePlan& a,
-                   const ConcretePlan& b) const override;
   bool GroupIndependentOf(NodeSpan nodes,
                           const ConcretePlan& plan) const override;
   std::optional<ConcretePlan> FindIndependentGroupPlan(

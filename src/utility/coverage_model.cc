@@ -44,18 +44,6 @@ Interval CoverageModel::Evaluate(NodeSpan nodes,
   return Interval(std::min(lo, hi), hi);
 }
 
-bool CoverageModel::Independent(const ConcretePlan& a,
-                                const ConcretePlan& b) const {
-  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    const stats::RegionMask ma =
-        workload().source(static_cast<int>(i), a[i]).regions;
-    const stats::RegionMask mb =
-        workload().source(static_cast<int>(i), b[i]).regions;
-    if (!ma.Intersects(mb)) return true;
-  }
-  return false;
-}
-
 bool CoverageModel::GroupIndependentOf(NodeSpan nodes,
                                        const ConcretePlan& plan) const {
   for (size_t b = 0; b < nodes.size(); ++b) {
@@ -64,21 +52,6 @@ bool CoverageModel::GroupIndependentOf(NodeSpan nodes,
     if (!nodes[b]->mask_union.Intersects(mp)) return true;
   }
   return false;
-}
-
-bool CoverageModel::IndependenceKeys(NodeSpan nodes, uint64_t* keys) const {
-  for (size_t b = 0; b < nodes.size(); ++b) {
-    keys[b] = nodes[b]->mask_union.bits;
-  }
-  return true;
-}
-
-bool CoverageModel::PlanIndependenceKeys(const ConcretePlan& plan,
-                                         uint64_t* keys) const {
-  for (size_t b = 0; b < plan.size(); ++b) {
-    keys[b] = workload().source(static_cast<int>(b), plan[b]).regions.bits;
-  }
-  return true;
 }
 
 std::optional<ConcretePlan> CoverageModel::FindIndependentGroupPlan(

@@ -24,25 +24,13 @@ class CoverageModel : public UtilityModel {
   Interval Evaluate(NodeSpan nodes, const ExecutionContext& ctx) const override;
   bool diminishing_returns() const override { return true; }
 
-  /// Complete in this model: plans are independent exactly when their boxes
-  /// are disjoint, i.e. some pair of corresponding sources does not overlap
-  /// (the paper's Section 3 inference procedure).
-  bool Independent(const ConcretePlan& a,
-                   const ConcretePlan& b) const override;
-
   /// True when some bucket's group union mask misses `plan`'s source there:
-  /// then every concrete plan of the group is box-disjoint from `plan`.
+  /// then every concrete plan of the group is box-disjoint from `plan`. On
+  /// point summaries this is complete: two plans are independent exactly
+  /// when their boxes are disjoint, i.e. some pair of corresponding sources
+  /// does not overlap (the paper's Section 3 inference procedure).
   bool GroupIndependentOf(NodeSpan nodes,
                           const ConcretePlan& plan) const override;
-
-  /// Keyed form of the same test: group keys are the per-bucket union masks,
-  /// plan keys the per-bucket source region masks, so the keyed AND-scan is
-  /// exactly GroupIndependentOf. Region masks are at most 64 bits by
-  /// construction (stats::CoverageUniverse checks), so one word per bucket
-  /// always suffices.
-  bool IndependenceKeys(NodeSpan nodes, uint64_t* keys) const override;
-  bool PlanIndependenceKeys(const ConcretePlan& plan,
-                            uint64_t* keys) const override;
 
   /// Exact backtracking over buckets: per bucket, each candidate source
   /// "kills" (is disjoint from) a subset of `others`; searches for a choice

@@ -4,6 +4,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "base/interval.h"
 #include "base/logging.h"
@@ -65,61 +66,29 @@ class UtilityModel {
   /// utilities) and by stream merging across separately-ordered plan spaces.
   virtual bool fully_independent() const { return false; }
 
-  /// Sound (possibly incomplete) independence test: true only if executing
-  /// either plan cannot change the utility of the other. Used by Streamer's
-  /// link recycling and by the PI baseline's recomputation filter.
-  virtual bool Independent(const ConcretePlan& a,
-                           const ConcretePlan& b) const = 0;
-
-  /// Group-level independence: true only if NO concrete plan represented by
-  /// `nodes` can have its utility changed by executing `plan`. Streamer uses
-  /// this to decide which abstract plans need re-evaluation after an
-  /// emission. The default is maximally conservative (always dependent).
+  /// The measure's one dependence rule: true only if NO concrete plan
+  /// represented by `nodes` can have its utility changed by executing `plan`
+  /// (sound, possibly incomplete). Every other independence question is
+  /// answered through it: Streamer decides which abstract plans need
+  /// re-evaluation after an emission, and the persistent iDrips fast-forwards
+  /// a stale candidate, by walking the executed suffix with this test.
   virtual bool GroupIndependentOf(NodeSpan nodes,
-                                  const ConcretePlan& plan) const {
-    (void)nodes;
-    (void)plan;
-    return false;
-  }
+                                  const ConcretePlan& plan) const = 0;
 
-  /// Batched form of GroupIndependentOf (DESIGN.md §11): when both key
-  /// methods return true, the group is independent of the plan iff
-  /// `keys_g[b] & keys_p[b] == 0` for SOME bucket b — a few word-ANDs
-  /// instead of a virtual call per (candidate, emission) pair, which is what
-  /// the persistent frontier's staleness scan performs millions of times per
-  /// drain. A model that can express its GroupIndependentOf this way fills
-  /// `keys[0..nodes.size())` and returns true; the default declines and
-  /// callers fall back to the virtual test. Returning keys is a promise of
-  /// exact agreement with GroupIndependentOf, not an approximation — the
-  /// scan's outcome decides which utilities are re-evaluated, so a mismatch
-  /// would change evaluation counts.
-  virtual bool IndependenceKeys(NodeSpan nodes, uint64_t* keys) const {
-    (void)nodes;
-    (void)keys;
-    return false;
-  }
-
-  /// Key form of an executed plan, matched against IndependenceKeys above.
-  virtual bool PlanIndependenceKeys(const ConcretePlan& plan,
-                                    uint64_t* keys) const {
-    (void)plan;
-    (void)keys;
-    return false;
-  }
+  /// Pairwise independence, derived: GroupIndependentOf over a's point
+  /// summaries. True only if executing either plan cannot change the utility
+  /// of the other (every measure's rule is symmetric on concrete plans).
+  /// Used by Streamer's link recycling and by the PI baseline's
+  /// recomputation filter.
+  bool Independent(const ConcretePlan& a, const ConcretePlan& b) const;
 
   /// Existential group independence, the core of Streamer's link-validity
   /// check (Figure 5, CheckValidity): finds a concrete plan represented by
-  /// `nodes` that is independent of every plan in `others`, or nullopt.
-  /// Sound; may miss (nullopt despite existence). The default enumerates up
-  /// to a small budget of concrete plans.
+  /// `nodes` that is Independent of every plan in `others`, or nullopt.
+  /// Sound; may miss (nullopt despite existence), but an empty `others`
+  /// always yields a witness.
   virtual std::optional<ConcretePlan> FindIndependentGroupPlan(
-      NodeSpan nodes, const std::vector<const ConcretePlan*>& others) const;
-
-  /// Convenience wrapper over FindIndependentGroupPlan.
-  bool GroupContainsIndependentPlan(
-      NodeSpan nodes, const std::vector<const ConcretePlan*>& others) const {
-    return FindIndependentGroupPlan(nodes, others).has_value();
-  }
+      NodeSpan nodes, const std::vector<const ConcretePlan*>& others) const = 0;
 
  protected:
   explicit UtilityModel(const stats::Workload* workload)
@@ -128,52 +97,40 @@ class UtilityModel {
   const stats::Workload& workload() const { return *workload_; }
 
  private:
+  static constexpr size_t kMaxConcreteBuckets = 16;
+
+  /// Fills `nodes` with the plan's point summaries (a handful of pointers,
+  /// no copies) and returns them as a span: the concrete plan in the form
+  /// Evaluate and GroupIndependentOf take.
+  NodeSpan PointNodes(const ConcretePlan& plan,
+                      const stats::StatSummary** nodes) const;
+
   const stats::Workload* workload_;
 };
 
-inline std::optional<ConcretePlan> UtilityModel::FindIndependentGroupPlan(
-    NodeSpan nodes, const std::vector<const ConcretePlan*>& others) const {
-  // Enumerate concrete plans of the group up to a budget; sound to give up.
-  constexpr int kBudget = 512;
-  ConcretePlan candidate(nodes.size());
-  std::vector<size_t> cursor(nodes.size(), 0);
-  int tried = 0;
-  while (tried < kBudget) {
-    for (size_t b = 0; b < nodes.size(); ++b) {
-      candidate[b] = nodes[b]->members[cursor[b]];
-    }
-    bool independent_of_all = true;
-    for (const ConcretePlan* other : others) {
-      if (!Independent(candidate, *other)) {
-        independent_of_all = false;
-        break;
-      }
-    }
-    if (independent_of_all) return candidate;
-    ++tried;
-    // Odometer increment over member sets.
-    size_t b = 0;
-    for (; b < nodes.size(); ++b) {
-      if (++cursor[b] < nodes[b]->members.size()) break;
-      cursor[b] = 0;
-    }
-    if (b == nodes.size()) return std::nullopt;  // exhausted the group
+inline NodeSpan UtilityModel::PointNodes(
+    const ConcretePlan& plan, const stats::StatSummary** nodes) const {
+  PLANORDER_CHECK_LE(plan.size(), kMaxConcreteBuckets);
+  for (size_t b = 0; b < plan.size(); ++b) {
+    nodes[b] = &workload_->summary(static_cast<int>(b), plan[b]);
   }
-  return std::nullopt;
+  return NodeSpan(nodes, plan.size());
 }
 
 inline double UtilityModel::EvaluateConcrete(const ConcretePlan& plan,
                                              const ExecutionContext& ctx) const {
-  // Assemble the plan's point summaries; a handful of pointers, no copies.
-  const stats::StatSummary* nodes[16];
-  PLANORDER_CHECK_LE(plan.size(), size_t{16});
-  for (size_t b = 0; b < plan.size(); ++b) {
-    nodes[b] = &workload_->summary(static_cast<int>(b), plan[b]);
-  }
-  const Interval u = Evaluate(NodeSpan(nodes, plan.size()), ctx);
+  const stats::StatSummary* nodes[kMaxConcreteBuckets];
+  const Interval u = Evaluate(PointNodes(plan, nodes), ctx);
   PLANORDER_DCHECK(u.is_point())
       << name() << " returned non-point utility for a concrete plan";
   return u.lo();
+}
+
+inline bool UtilityModel::Independent(const ConcretePlan& a,
+                                      const ConcretePlan& b) const {
+  PLANORDER_CHECK_EQ(a.size(), b.size());
+  const stats::StatSummary* nodes[kMaxConcreteBuckets];
+  return GroupIndependentOf(PointNodes(a, nodes), b);
 }
 
 }  // namespace planorder::utility

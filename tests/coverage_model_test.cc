@@ -141,7 +141,8 @@ TEST(CoverageModelTest, GroupContainsIndependentPlanSoundAndUseful) {
     std::vector<const ConcretePlan*> executed;
     for (const auto& e : executed_storage) executed.push_back(&e);
 
-    const bool claimed = model.GroupContainsIndependentPlan(nodes, executed);
+    const bool claimed =
+        model.FindIndependentGroupPlan(nodes, executed).has_value();
     // Brute-force ground truth over all concrete members.
     bool truth = false;
     for (int a = 0; a < w.bucket_size(0) && !truth; ++a) {
@@ -170,7 +171,8 @@ TEST(CoverageModelTest, EmptyOthersAlwaysContainsIndependentPlan) {
   const auto& summary = w.summary(0, 0);
   const stats::StatSummary* one[] = {&summary, &w.summary(1, 0),
                                      &w.summary(2, 0)};
-  EXPECT_TRUE(model.GroupContainsIndependentPlan(NodeSpan(one, 3), {}));
+  EXPECT_TRUE(
+      model.FindIndependentGroupPlan(NodeSpan(one, 3), {}).has_value());
 }
 
 /// Abstract coverage intervals must enclose all members, under execution.

@@ -1,7 +1,13 @@
 #include "utility/measures.h"
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/plan_space.h"
 #include "test_util.h"
 
 namespace planorder::utility {
@@ -107,21 +113,58 @@ TEST(ExecutionContextTest, CachingAccumulatesAcrossPlans) {
   EXPECT_FALSE(ctx.IsCached(1, 1));
 }
 
-TEST(FindIndependentGroupPlanTest, DefaultEnumerationIsSound) {
-  // Exercise the base-class fallback through a model that does not override
-  // it; the returned witness must actually be independent of the others.
-  stats::Workload w = test::MakeWorkload(2, 4, 0.5, 13);
-  CoverageModel model(&w);
-  const stats::StatSummary* nodes[] = {&w.summary(0, 0), &w.summary(1, 0)};
-  ConcretePlan other = {0, 0};
-  std::vector<const ConcretePlan*> others = {&other};
-  auto witness = model.FindIndependentGroupPlan(
-      NodeSpan(nodes, 2), others);
-  if (witness.has_value()) {
-    EXPECT_TRUE(model.Independent(*witness, other));
-  } else {
-    // Singleton group vs itself: correctly reports no independent member.
-    EXPECT_FALSE(model.Independent({0, 0}, other));
+TEST(FindIndependentGroupPlanTest, WitnessIsAMemberIndependentOfOthers) {
+  // Every measure runs its own witness search. Whatever it returns must pick
+  // a member of each node and be Independent of every plan in `others`; an
+  // empty `others` must always yield a witness.
+  test::SeededScenario scenario("measures_test", 2718);
+  std::mt19937_64& rng = scenario.rng();
+  const stats::Workload varying =
+      test::MakeWorkload(3, 6, 0.3, scenario.seed());
+  const stats::Workload uniform =
+      test::MakeWorkload(3, 6, 0.3, scenario.seed(), /*uniform_alpha=*/true);
+  const core::PlanSpace full = core::PlanSpace::FullSpace(varying);
+  const std::vector<ConcretePlan> plans = core::EnumeratePlans(full);
+
+  for (MeasureKind kind : test::kAllMeasures) {
+    SCOPED_TRACE(MeasureKindName(kind));
+    const stats::Workload& w =
+        kind == MeasureKind::kCost2UniformAlpha ? uniform : varying;
+    auto model = test::MustMakeMeasure(kind, &w);
+    const core::AbstractionForest forest = core::AbstractionForest::Build(
+        w, full, core::AbstractionHeuristic::kByCardinality);
+    int witnesses_with_others = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      const core::AbstractPlan group = test::RandomAbstractPlan(forest, rng);
+      const std::vector<const stats::StatSummary*> summaries =
+          group.Summaries();
+      const NodeSpan span(summaries.data(), summaries.size());
+      std::vector<ConcretePlan> others(rng() % 4);
+      for (ConcretePlan& other : others) other = plans[rng() % plans.size()];
+      std::vector<const ConcretePlan*> other_ptrs;
+      for (const ConcretePlan& other : others) other_ptrs.push_back(&other);
+
+      const std::optional<ConcretePlan> witness =
+          model->FindIndependentGroupPlan(span, other_ptrs);
+      if (others.empty()) {
+        EXPECT_TRUE(witness.has_value()) << "trial " << trial;
+      }
+      if (!witness.has_value()) continue;
+      if (!others.empty()) ++witnesses_with_others;
+      ASSERT_EQ(witness->size(), summaries.size());
+      for (size_t b = 0; b < summaries.size(); ++b) {
+        const std::vector<int>& members = summaries[b]->members;
+        EXPECT_TRUE(std::binary_search(members.begin(), members.end(),
+                                       (*witness)[b]))
+            << "trial " << trial << " bucket " << b;
+      }
+      for (const ConcretePlan& other : others) {
+        EXPECT_TRUE(model->Independent(*witness, other)) << "trial " << trial;
+      }
+    }
+    // The sampler must have found witnesses against non-empty `others`, or
+    // the independence checks above are vacuous.
+    EXPECT_GT(witnesses_with_others, 0);
   }
 }
 

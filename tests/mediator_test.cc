@@ -7,7 +7,6 @@
 #include "core/streamer.h"
 #include "exec/source_access.h"
 #include "exec/synthetic_domain.h"
-#include "utility/cost_models.h"
 #include "utility/coverage_model.h"
 
 namespace planorder::exec {
@@ -114,51 +113,6 @@ TEST(MediatorTest, StopsWhenOrdererExhausted) {
   }
 }
 
-TEST(MediatorTest, AnswerTargetStopsEarly) {
-  auto domain = BuildSyntheticDomain(SmallOptions(48), 400);
-  ASSERT_TRUE(domain.ok());
-  const SyntheticDomain& d = **domain;
-  utility::CoverageModel model(&d.workload);
-  auto orderer = core::MakeOrderer(
-      {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
-  ASSERT_TRUE(orderer.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
-  Mediator::RunLimits limits;
-  limits.max_plans = 64;
-  limits.answer_target = 30;
-  auto result = mediator.Run(**orderer, limits);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result->total_answers, 30u);
-  // Stopped as soon as the target was reached: the previous step was below.
-  ASSERT_GE(result->steps.size(), 2u);
-  EXPECT_LT(result->steps[result->steps.size() - 2].total_answers, 30u);
-  EXPECT_LT(result->steps.size(), 64u);
-}
-
-TEST(MediatorTest, CostBudgetStopsEarly) {
-  auto domain = BuildSyntheticDomain(SmallOptions(49), 100);
-  ASSERT_TRUE(domain.ok());
-  const SyntheticDomain& d = **domain;
-  auto model = utility::BoundJoinCostModel::Create(&d.workload,
-                                                   utility::BoundJoinOptions{});
-  ASSERT_TRUE(model.ok());
-  auto orderer = core::MakeOrderer(
-      {}, &d.workload, model->get(), {core::PlanSpace::FullSpace(d.workload)});
-  ASSERT_TRUE(orderer.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
-  Mediator::RunLimits limits;
-  limits.max_plans = 64;
-  // Roughly the estimated cost of the cheapest plan: stops after one or two.
-  auto probe = (*orderer)->Next();
-  ASSERT_TRUE(probe.ok());
-  (*orderer)->ReportDiscarded();
-  limits.cost_budget = -probe->utility * 1.5;
-  auto result = mediator.Run(**orderer, limits);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(result->steps.size(), 3u);
-  EXPECT_GE(result->steps.size(), 1u);
-}
-
 TEST(MediatorTest, RejectsNonPositiveMaxPlans) {
   auto domain = BuildSyntheticDomain(SmallOptions(50), 20);
   ASSERT_TRUE(domain.ok());
@@ -217,126 +171,6 @@ TEST(MediatorTest, AccessPatternPathMatchesSetOrientedPath) {
   EXPECT_EQ(set_oriented->source_calls, 0);
   EXPECT_GT(dependent->source_calls, 0);
   EXPECT_GT(dependent->tuples_shipped, 0);
-}
-
-TEST(MediatorTest, ZeroAndNegativeLimitsMeanNoLimit) {
-  // answer_target = 0 and cost_budget <= 0 both mean "no limit": the run is
-  // identical to one bounded by max_plans alone.
-  auto domain = BuildSyntheticDomain(SmallOptions(51), 150);
-  ASSERT_TRUE(domain.ok());
-  const SyntheticDomain& d = **domain;
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
-
-  utility::CoverageModel model_a(&d.workload);
-  auto orderer_a = core::MakeOrderer(
-      {}, &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
-  ASSERT_TRUE(orderer_a.ok());
-  auto plain = mediator.Run(**orderer_a, 64);
-  ASSERT_TRUE(plain.ok());
-
-  utility::CoverageModel model_b(&d.workload);
-  auto orderer_b = core::MakeOrderer(
-      {}, &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
-  ASSERT_TRUE(orderer_b.ok());
-  Mediator::RunLimits limits;
-  limits.max_plans = 64;
-  limits.answer_target = 0;
-  limits.cost_budget = -5.0;
-  auto limited = mediator.Run(**orderer_b, limits);
-  ASSERT_TRUE(limited.ok());
-
-  EXPECT_EQ(limited->steps.size(), 64u);  // 4^3 plans, nothing tripped early
-  ASSERT_EQ(plain->steps.size(), limited->steps.size());
-  EXPECT_EQ(plain->total_answers, limited->total_answers);
-  for (size_t i = 0; i < plain->steps.size(); ++i) {
-    EXPECT_EQ(plain->steps[i].total_answers, limited->steps[i].total_answers);
-  }
-}
-
-TEST(MediatorTest, AnswerTargetCrossedMidPlanFinishesThatPlan) {
-  // The target is checked between plans, never inside one: the run's steps
-  // are an exact prefix of the unlimited run's steps, so the plan that
-  // crossed the target still contributed its complete answer set (the total
-  // may overshoot the target).
-  auto domain = BuildSyntheticDomain(SmallOptions(52), 400);
-  ASSERT_TRUE(domain.ok());
-  const SyntheticDomain& d = **domain;
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
-
-  utility::CoverageModel model_a(&d.workload);
-  auto orderer_a = core::MakeOrderer(
-      {}, &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
-  ASSERT_TRUE(orderer_a.ok());
-  auto full = mediator.Run(**orderer_a, 64);
-  ASSERT_TRUE(full.ok());
-  ASSERT_GT(full->total_answers, 30u);
-
-  utility::CoverageModel model_b(&d.workload);
-  auto orderer_b = core::MakeOrderer(
-      {}, &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
-  ASSERT_TRUE(orderer_b.ok());
-  Mediator::RunLimits limits;
-  limits.max_plans = 64;
-  limits.answer_target = 30;
-  auto limited = mediator.Run(**orderer_b, limits);
-  ASSERT_TRUE(limited.ok());
-
-  ASSERT_LE(limited->steps.size(), full->steps.size());
-  for (size_t i = 0; i < limited->steps.size(); ++i) {
-    EXPECT_EQ(limited->steps[i].plan, full->steps[i].plan) << "step " << i;
-    EXPECT_EQ(limited->steps[i].answers_from_plan,
-              full->steps[i].answers_from_plan)
-        << "step " << i;
-    EXPECT_EQ(limited->steps[i].total_answers, full->steps[i].total_answers)
-        << "step " << i;
-  }
-  EXPECT_GE(limited->total_answers, 30u);
-  EXPECT_EQ(limited->total_answers,
-            full->steps[limited->steps.size() - 1].total_answers);
-}
-
-TEST(MediatorTest, CostBudgetTripsBeforeMaxPlans) {
-  // With a budget worth a handful of plans, the budget — not max_plans —
-  // ends the run: estimated spend stays within budget until the final step,
-  // which is the first to push it over.
-  auto domain = BuildSyntheticDomain(SmallOptions(53), 100);
-  ASSERT_TRUE(domain.ok());
-  const SyntheticDomain& d = **domain;
-  auto model = utility::BoundJoinCostModel::Create(&d.workload,
-                                                   utility::BoundJoinOptions{});
-  ASSERT_TRUE(model.ok());
-  auto probe_orderer = core::MakeOrderer(
-      {}, &d.workload, model->get(), {core::PlanSpace::FullSpace(d.workload)});
-  ASSERT_TRUE(probe_orderer.ok());
-  auto probe = (*probe_orderer)->Next();
-  ASSERT_TRUE(probe.ok());
-
-  auto model_b = utility::BoundJoinCostModel::Create(
-      &d.workload, utility::BoundJoinOptions{});
-  ASSERT_TRUE(model_b.ok());
-  auto orderer = core::MakeOrderer({}, &d.workload, model_b->get(),
-                                   {core::PlanSpace::FullSpace(d.workload)});
-  ASSERT_TRUE(orderer.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
-  Mediator::RunLimits limits;
-  limits.max_plans = 64;
-  // ~4x the cheapest plan's estimated cost: trips long before 64 plans.
-  limits.cost_budget = -probe->utility * 4.0;
-  auto result = mediator.Run(**orderer, limits);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LT(result->steps.size(), 64u);
-  EXPECT_GE(result->steps.size(), 1u);
-  // The spend crosses the budget exactly at the last executed step: before
-  // every step it was still under budget, after the final one it is not.
-  double spent = 0.0;
-  for (size_t i = 0; i < result->steps.size(); ++i) {
-    EXPECT_LT(spent, limits.cost_budget) << "step " << i;
-    if (result->steps[i].sound && result->steps[i].executable &&
-        !result->steps[i].failed) {
-      spent += -result->steps[i].estimated_utility;
-    }
-  }
-  EXPECT_GE(spent, limits.cost_budget);
 }
 
 TEST(MediatorTest, PiAndStreamerCollectSameAnswers) {

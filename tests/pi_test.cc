@@ -168,20 +168,25 @@ TEST(PiTest, MeasureClassificationMatrix) {
 
 // Soundness of the pairwise predicate: whenever Independent(a, b) is true,
 // executing b must leave a's utility unchanged (and vice versa — the
-// definition is symmetric in what it licenses).
+// definition is symmetric in what it licenses). Independent is derived from
+// each measure's GroupIndependentOf, so every measure is checked against the
+// evaluation oracle, the always-independent ones included.
 TEST(PiTest, IndependentPredicateIsSound) {
   test::SeededScenario scenario("pi_test", 4242);
   std::mt19937_64& rng = scenario.rng();
-  const stats::Workload w = MakeWorkload(3, 5, 0.3, scenario.seed());
+  const stats::Workload varying = MakeWorkload(3, 5, 0.3, scenario.seed());
+  const stats::Workload uniform =
+      MakeWorkload(3, 5, 0.3, scenario.seed(), /*uniform_alpha=*/true);
   const std::vector<ConcretePlan> plans =
-      EnumeratePlans(PlanSpace::FullSpace(w));
+      EnumeratePlans(PlanSpace::FullSpace(varying));
   auto random_plan = [&]() { return plans[rng() % plans.size()]; };
 
-  int independent_pairs = 0;
-  for (Measure measure :
-       {Measure::kFailureCache, Measure::kMonetaryCache, Measure::kCoverage}) {
+  for (Measure measure : test::kAllMeasures) {
     SCOPED_TRACE(test::MeasureName(measure));
+    const stats::Workload& w =
+        measure == Measure::kCost2UniformAlpha ? uniform : varying;
     auto model = MustMakeMeasure(measure, &w);
+    int independent_pairs = 0;
     for (int trial = 0; trial < 200; ++trial) {
       const ConcretePlan a = random_plan();
       const ConcretePlan b = random_plan();
@@ -208,9 +213,9 @@ TEST(PiTest, IndependentPredicateIsSound) {
                         "u(b) changed by executing a, trial " +
                             std::to_string(trial));
     }
+    // The sampler must have exercised the true branch or the test is vacuous.
+    EXPECT_GT(independent_pairs, 0);
   }
-  // The sampler must have exercised the true branch or the test is vacuous.
-  EXPECT_GT(independent_pairs, 0);
 }
 
 // Soundness of group independence, the contract iDrips' frontier refresh
@@ -221,32 +226,22 @@ TEST(PiTest, IndependentPredicateIsSound) {
 TEST(PiTest, GroupIndependentOfIsSound) {
   test::SeededScenario scenario("pi_test", 777);
   std::mt19937_64& rng = scenario.rng();
-  const stats::Workload w = MakeWorkload(3, 6, 0.3, scenario.seed());
-  const PlanSpace full = PlanSpace::FullSpace(w);
-  const AbstractionForest forest = AbstractionForest::Build(
-      w, full, AbstractionHeuristic::kByCardinality);
+  const stats::Workload varying = MakeWorkload(3, 6, 0.3, scenario.seed());
+  const stats::Workload uniform =
+      MakeWorkload(3, 6, 0.3, scenario.seed(), /*uniform_alpha=*/true);
+  const PlanSpace full = PlanSpace::FullSpace(varying);
   const std::vector<ConcretePlan> plans = EnumeratePlans(full);
 
-  // Random abstract plans: any tree node per bucket, leaves included.
-  auto random_node_in = [&](int bucket) {
-    int node = forest.root(bucket);
-    while (!forest.is_leaf(node) && rng() % 2 == 0) {
-      node = rng() % 2 == 0 ? forest.left(node) : forest.right(node);
-    }
-    return node;
-  };
-
-  int independent_groups = 0;
-  for (Measure measure :
-       {Measure::kFailureCache, Measure::kMonetaryCache, Measure::kCoverage}) {
+  for (Measure measure : test::kAllMeasures) {
     SCOPED_TRACE(test::MeasureName(measure));
+    const stats::Workload& w =
+        measure == Measure::kCost2UniformAlpha ? uniform : varying;
     auto model = MustMakeMeasure(measure, &w);
+    const AbstractionForest forest = AbstractionForest::Build(
+        w, full, AbstractionHeuristic::kByCardinality);
+    int independent_groups = 0;
     for (int trial = 0; trial < 300; ++trial) {
-      AbstractPlan group;
-      group.forest = &forest;
-      for (int b = 0; b < w.num_buckets(); ++b) {
-        group.nodes.push_back(random_node_in(b));
-      }
+      const AbstractPlan group = test::RandomAbstractPlan(forest, rng);
       const std::vector<const stats::StatSummary*> summaries =
           group.Summaries();
       const utility::NodeSpan span(summaries.data(), summaries.size());
@@ -279,8 +274,8 @@ TEST(PiTest, GroupIndependentOfIsSound) {
                         model->EvaluateConcrete(member, member_ctx),
                         "member utility moved, trial " + std::to_string(trial));
     }
+    EXPECT_GT(independent_groups, 0);
   }
-  EXPECT_GT(independent_groups, 0);
 }
 
 }  // namespace

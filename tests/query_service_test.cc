@@ -195,19 +195,6 @@ TEST(QueryServiceTest, StreamingStepsMatchBatchRun) {
   EXPECT_EQ(result.total_answers, batch->total_answers);
 }
 
-TEST(QueryServiceTest, AnswerTargetStopsSessionEarly) {
-  auto d = MakeDomain();
-  QueryService service(&d->catalog, &d->source_facts, ServiceOptions{});
-  exec::Mediator::RunLimits limits = Limits(64);
-  limits.answer_target = 1;
-  auto result = service.RunQuery(d->query, limits);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_GE(result->total_answers, 1u);
-  auto unlimited = service.RunQuery(d->query, Limits(64));
-  ASSERT_TRUE(unlimited.ok());
-  EXPECT_LE(result->steps.size(), unlimited->steps.size());
-}
-
 TEST(QueryServiceTest, ShedsWhenQueueFullAndNoTimeout) {
   auto d = MakeDomain();
   ServiceOptions options;

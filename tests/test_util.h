@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/abstraction.h"
 #include "core/greedy.h"
 #include "core/idrips.h"
 #include "core/orderer.h"
@@ -21,20 +22,50 @@
 namespace planorder::test {
 
 inline stats::Workload MakeWorkload(int query_length, int bucket_size,
-                                    double overlap, uint64_t seed) {
+                                    double overlap, uint64_t seed,
+                                    bool uniform_alpha = false) {
   stats::WorkloadOptions options;
   options.query_length = query_length;
   options.bucket_size = bucket_size;
   options.overlap_rate = overlap;
   options.regions_per_bucket = 12;
   options.seed = seed;
+  if (uniform_alpha) {
+    // One transmission cost for every source: what kCost2UniformAlpha needs.
+    options.alpha_min = 0.4;
+    options.alpha_max = 0.4;
+  }
   auto w = stats::Workload::Generate(options);
   EXPECT_TRUE(w.ok()) << w.status();
   return std::move(*w);
 }
 
+/// A random abstract plan over `forest`: per bucket, a walk down from the
+/// root that stops at each level with probability 1/2 (leaves included).
+inline core::AbstractPlan RandomAbstractPlan(
+    const core::AbstractionForest& forest, std::mt19937_64& rng) {
+  core::AbstractPlan plan;
+  plan.forest = &forest;
+  for (int b = 0; b < forest.num_buckets(); ++b) {
+    int node = forest.root(b);
+    while (!forest.is_leaf(node) && rng() % 2 == 0) {
+      node = rng() % 2 == 0 ? forest.left(node) : forest.right(node);
+    }
+    plan.nodes.push_back(node);
+  }
+  return plan;
+}
+
 /// The utility measures of Section 6, via the library factory.
 using Measure = utility::MeasureKind;
+
+/// Every measure, in declaration order.
+inline constexpr Measure kAllMeasures[] = {
+    Measure::kAdditive,       Measure::kCost2UniformAlpha,
+    Measure::kCost2,          Measure::kFailureNoCache,
+    Measure::kFailureCache,   Measure::kMonetary,
+    Measure::kMonetaryCache,  Measure::kCoverage,
+};
 
 inline std::string MeasureName(Measure m) {
   return utility::MeasureKindName(m);
