@@ -69,7 +69,7 @@ double TimedRun(const exec::SyntheticDomain& d, exec::SourceRegistry& registry,
   auto orderer = core::StreamerOrderer::Create(
       &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   PLANORDER_CHECK(orderer.ok()) << orderer.status();
-  exec::Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  exec::Mediator mediator(&d.catalog, d.query, d.source_ids);
   runtime::SourceRuntime rt(&registry, options);
   exec::Mediator::RunLimits limits;
   limits.max_plans = kMaxPlans;
@@ -165,8 +165,7 @@ std::vector<FailurePoint> RunFailureRecovery(const exec::SyntheticDomain& d,
     auto orderer = core::StreamerOrderer::Create(
         &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
     PLANORDER_CHECK(orderer.ok());
-    exec::Mediator mediator(&d.catalog, d.query, &d.source_facts,
-                            d.source_ids);
+    exec::Mediator mediator(&d.catalog, d.query, d.source_ids);
     runtime::SourceRuntime rt(&registry, options);
     runtime::NetworkModel dead;
     dead.permanently_failed = true;

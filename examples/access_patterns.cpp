@@ -76,7 +76,6 @@ int main() {
       (*orderer)->ReportDiscarded();
       continue;
     }
-    registry.ResetStats();
     exec::ExecutionTrace trace;
     auto answers =
         exec::ExecutePlanDependent(resolved->plan.rewriting, registry, &trace);

@@ -103,8 +103,9 @@ int main() {
 
   std::vector<std::vector<datalog::SourceId>> source_ids;
   for (const auto& bucket : buckets->buckets) source_ids.push_back(bucket);
-  exec::Mediator mediator(&catalog, *query, &facts, source_ids);
-  auto result = mediator.Run(**orderer, 6);
+  exec::Mediator mediator(&catalog, *query, source_ids);
+  auto result = mediator.Run(**orderer, {.max_plans = 6},
+                             *exec::MakeSetOrientedExecutor(&facts));
   if (!result.ok()) return Fail(result.status());
 
   std::printf("\nplan stream (estimated conditional coverage):\n");

@@ -12,6 +12,7 @@
 // Build & run:  cmake --build build && ./build/examples/mediator_demo
 
 #include <cstdio>
+#include <memory>
 
 #include "core/orderer_factory.h"
 #include "exec/mediator.h"
@@ -80,7 +81,9 @@ int main() {
               d.query.ToString().c_str(), d.catalog.num_sources(),
               d.num_answers);
 
-  exec::Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  exec::Mediator mediator(&d.catalog, d.query, d.source_ids);
+  const std::unique_ptr<exec::PlanExecutor> executor =
+      exec::MakeSetOrientedExecutor(&d.source_facts);
   const int plans_to_run = 24;
 
   utility::CoverageModel model_a(&d.workload);
@@ -91,11 +94,13 @@ int main() {
     std::fprintf(stderr, "error: %s\n", streamer.status().ToString().c_str());
     return 1;
   }
-  auto ordered = mediator.Run(**streamer, plans_to_run);
+  auto ordered =
+      mediator.Run(**streamer, {.max_plans = plans_to_run}, *executor);
 
   utility::CoverageModel model_b(&d.workload);
   ArbitraryOrderer arbitrary(&d.workload, &model_b);
-  auto unordered = mediator.Run(arbitrary, plans_to_run);
+  auto unordered =
+      mediator.Run(arbitrary, {.max_plans = plans_to_run}, *executor);
 
   if (!ordered.ok() || !unordered.ok()) {
     std::fprintf(stderr, "mediator failed\n");

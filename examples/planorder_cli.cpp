@@ -270,10 +270,11 @@ Status Run(const std::string& path) {
     // Full mediation: execute the ordered plans over the declared facts and
     // print the anytime answer table.
     std::vector<std::vector<datalog::SourceId>> source_ids = buckets.buckets;
-    exec::Mediator mediator(&config.catalog, *config.query, &config.facts,
-                            source_ids);
-    PLANORDER_ASSIGN_OR_RETURN(exec::MediatorResult result,
-                               mediator.Run(*orderer, config.emit));
+    exec::Mediator mediator(&config.catalog, *config.query, source_ids);
+    PLANORDER_ASSIGN_OR_RETURN(
+        exec::MediatorResult result,
+        mediator.Run(*orderer, {.max_plans = config.emit},
+                     *exec::MakeSetOrientedExecutor(&config.facts)));
     std::printf("\nmediation with %s under '%s':\n", orderer->name().c_str(),
                 model->name().c_str());
     std::printf("%4s  %10s  %6s  %6s  %6s\n", "plan", "utility", "sound",

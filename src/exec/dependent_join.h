@@ -38,7 +38,7 @@ struct ExecutionTrace {
 /// The source access behind ExecutePlanDependent: resolves each body atom's
 /// predicate to its source and ships it one batch of binding combinations.
 /// Execution over a SourceRegistry makes one plain call per batch; the
-/// resilient runtime (runtime/parallel_join.h) partitions each batch across
+/// resilient runtime (runtime::SourceRuntime) partitions each batch across
 /// a thread pool, with retries.
 class BatchFetcher {
  public:

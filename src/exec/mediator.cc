@@ -28,28 +28,26 @@ class SetOrientedExecutor : public PlanExecutor {
   const datalog::Database* facts_;
 };
 
-/// Serial dependent joins against the binding-pattern sources, with access
-/// accounting. NOT safe for concurrent runs (the underlying sources build
-/// indexes and count accesses without locking); concurrent sessions go
-/// through runtime::SourceRuntime instead.
+/// Serial dependent joins against the registry's sources; a plan's calls
+/// and shipped tuples come from its own execution trace.
 class DependentJoinExecutor : public PlanExecutor {
  public:
-  explicit DependentJoinExecutor(SourceRegistry* registry)
-      : registry_(registry) {}
+  explicit DependentJoinExecutor(SourceRegistry* sources)
+      : sources_(sources) {}
 
   StatusOr<PlanExecution> ExecutePlan(
       const datalog::ConjunctiveQuery& rewriting) override {
     PlanExecution exec;
     ExecutionTrace trace;
     PLANORDER_ASSIGN_OR_RETURN(
-        exec.tuples, ExecutePlanDependent(rewriting, *registry_, &trace));
+        exec.tuples, ExecutePlanDependent(rewriting, *sources_, &trace));
     exec.source_calls = trace.TotalCalls();
     exec.tuples_shipped = trace.TotalTuplesShipped();
     return exec;
   }
 
  private:
-  SourceRegistry* registry_;
+  SourceRegistry* sources_;
 };
 
 }  // namespace
@@ -59,21 +57,9 @@ std::unique_ptr<PlanExecutor> MakeSetOrientedExecutor(
   return std::make_unique<SetOrientedExecutor>(facts);
 }
 
-StatusOr<MediatorResult> Mediator::Run(core::Orderer& orderer, int max_plans,
-                                       SourceRegistry* registry) {
-  RunLimits limits;
-  limits.max_plans = max_plans;
-  return Run(orderer, limits, registry);
-}
-
-StatusOr<MediatorResult> Mediator::Run(core::Orderer& orderer,
-                                       const RunLimits& limits,
-                                       SourceRegistry* registry) {
-  if (registry != nullptr) {
-    DependentJoinExecutor executor(registry);
-    return Run(orderer, limits, executor);
-  }
-  return Run(orderer, limits, *MakeSetOrientedExecutor(source_facts_));
+std::unique_ptr<PlanExecutor> MakeDependentJoinExecutor(
+    SourceRegistry* sources) {
+  return std::make_unique<DependentJoinExecutor>(sources);
 }
 
 StatusOr<MediatorResult> Mediator::Run(core::Orderer& orderer,

@@ -105,24 +105,31 @@ class PlanExecutor {
 std::unique_ptr<PlanExecutor> MakeSetOrientedExecutor(
     const datalog::Database* facts);
 
+/// Serial dependent joins (exec::ExecutePlanDependent) against the
+/// binding-pattern sources, one call per batch; each PlanExecution carries
+/// its plan's calls and shipped tuples. Every body predicate must be
+/// registered; `sources` must outlive the executor. Not safe for concurrent
+/// runs (sources build their indexes lazily, without locking): concurrent
+/// sessions go through runtime::SourceRuntime.
+std::unique_ptr<PlanExecutor> MakeDependentJoinExecutor(
+    SourceRegistry* sources);
+
 class MediatorStream;
 
 /// The full pipeline of Section 2: pull plans from an ordering algorithm in
 /// decreasing-utility order, build the rewriting and test soundness, discard
 /// unsound plans (reporting the discard to the orderer so they do not
-/// condition later utilities), execute sound plans against the source facts,
-/// and accumulate the union of their answers.
+/// condition later utilities), execute sound plans with a PlanExecutor, and
+/// accumulate the union of their answers.
 class Mediator {
  public:
   /// `source_ids[b][i]` is the catalog SourceId behind workload bucket b,
   /// index i (the orderer speaks bucket-index; the catalog speaks SourceId).
-  /// All referenced objects must outlive the mediator.
+  /// The catalog must outlive the mediator.
   Mediator(const datalog::Catalog* catalog, datalog::ConjunctiveQuery query,
-           const datalog::Database* source_facts,
            std::vector<std::vector<datalog::SourceId>> source_ids)
       : catalog_(catalog),
         query_(std::move(query)),
-        source_facts_(source_facts),
         source_ids_(std::move(source_ids)) {}
 
   /// Stopping criterion for a mediation run: at most `max_plans` plans
@@ -133,24 +140,13 @@ class Mediator {
     int max_plans = 0;
   };
 
-  /// Pulls up to `max_plans` plans from `orderer` and runs the pipeline.
-  /// Stops early when the orderer is exhausted. With a non-null `registry`
-  /// plans execute by dependent joins against the binding-pattern sources
-  /// (every body predicate must be registered) and the result carries the
-  /// access accounting; otherwise they evaluate set-oriented against the
-  /// source-facts database.
-  StatusOr<MediatorResult> Run(core::Orderer& orderer, int max_plans,
-                               SourceRegistry* registry = nullptr);
-
-  /// As above with the limits as a struct.
-  StatusOr<MediatorResult> Run(core::Orderer& orderer, const RunLimits& limits,
-                               SourceRegistry* registry = nullptr);
-
-  /// Runs the pipeline with a caller-supplied execution strategy — the
-  /// entry point of the resilient concurrent runtime (build a
-  /// runtime::SourceRuntime from RuntimeOptions and pass it here). Plans the
-  /// executor reports as failed are discarded gracefully, exactly like
-  /// unsound plans.
+  /// Pulls up to `limits.max_plans` plans from `orderer` and runs the
+  /// pipeline, executing each usable plan with `executor`: set-oriented
+  /// (MakeSetOrientedExecutor), serial dependent joins
+  /// (MakeDependentJoinExecutor) or the resilient concurrent runtime
+  /// (runtime::SourceRuntime). Stops early when the orderer is exhausted.
+  /// Plans the executor reports as failed are discarded gracefully, exactly
+  /// like unsound plans.
   StatusOr<MediatorResult> Run(core::Orderer& orderer, const RunLimits& limits,
                                PlanExecutor& executor);
 
@@ -168,7 +164,6 @@ class Mediator {
 
   const datalog::Catalog* catalog_;
   datalog::ConjunctiveQuery query_;
-  const datalog::Database* source_facts_;
   std::vector<std::vector<datalog::SourceId>> source_ids_;
 };
 

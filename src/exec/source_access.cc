@@ -67,13 +67,9 @@ std::string AccessibleSource::KeyFor(
   return key;
 }
 
-const std::vector<std::vector<datalog::Term>>& AccessibleSource::Fetch(
+const std::vector<std::vector<datalog::Term>>& AccessibleSource::Lookup(
     const std::map<int, datalog::Term>& bindings) {
-  ++stats_.calls;
-  if (bindings.empty()) {
-    stats_.tuples_shipped += static_cast<int64_t>(tuples_.size());
-    return tuples_;
-  }
+  if (bindings.empty()) return tuples_;
   // Index key over the bound position set (e.g. "0" or "0,2").
   std::string position_key;
   std::vector<int> positions;
@@ -90,7 +86,6 @@ const std::vector<std::vector<datalog::Term>>& AccessibleSource::Fetch(
   }
   auto rows = it->second.rows.find(KeyFor(bindings));
   if (rows == it->second.rows.end()) return empty_;
-  stats_.tuples_shipped += static_cast<int64_t>(rows->second.size());
   return rows->second;
 }
 
@@ -121,14 +116,19 @@ StatusOr<std::vector<std::vector<datalog::Term>>> AccessibleSource::FetchBatch(
           " binds a different position set than combination 0");
     }
   }
-  ++stats_.calls;
-  // Temporarily neutralize per-combination accounting: the batch is one
-  // call and ships the deduplicated union.
-  const AccessStats before = stats_;
+  // Lookup indexes tuple[p] for every bound position p.
+  for (const auto& [position, unused] : batch.front()) {
+    if (position < 0 || static_cast<size_t>(position) >= arity_) {
+      return InvalidArgumentError(
+          "FetchBatch against '" + name_ + "' binds position " +
+          std::to_string(position) + " outside arity " +
+          std::to_string(arity_));
+    }
+  }
   // detlint: order-insensitive(membership-only dedup; result keeps row order)
   std::unordered_map<std::string, bool> seen;
   for (const auto& bindings : batch) {
-    for (const auto& row : Fetch(bindings)) {
+    for (const auto& row : Lookup(bindings)) {
       std::string key;
       for (const datalog::Term& t : row) {
         key += t.ToString();
@@ -137,8 +137,6 @@ StatusOr<std::vector<std::vector<datalog::Term>>> AccessibleSource::FetchBatch(
       if (seen.emplace(std::move(key), true).second) result.push_back(row);
     }
   }
-  stats_ = before;
-  stats_.tuples_shipped += static_cast<int64_t>(result.size());
   return result;
 }
 
@@ -167,19 +165,6 @@ std::vector<std::string> SourceRegistry::Names() const {
   names.reserve(sources_.size());
   for (const auto& [name, unused] : sources_) names.push_back(name);
   return names;
-}
-
-void SourceRegistry::ResetStats() {
-  for (auto& [unused, source] : sources_) source.ResetStats();
-}
-
-AccessStats SourceRegistry::TotalStats() const {
-  AccessStats total;
-  for (const auto& [unused, source] : sources_) {
-    total.calls += source.stats().calls;
-    total.tuples_shipped += source.stats().tuples_shipped;
-  }
-  return total;
 }
 
 }  // namespace planorder::exec

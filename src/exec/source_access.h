@@ -1,7 +1,6 @@
 #ifndef PLANORDER_EXEC_SOURCE_ACCESS_H_
 #define PLANORDER_EXEC_SOURCE_ACCESS_H_
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -11,15 +10,6 @@
 #include "datalog/term.h"
 
 namespace planorder::exec {
-
-/// Accounting for calls against one source: how often it was contacted and
-/// how many tuples it shipped back. These are exactly the quantities cost
-/// measure (2) estimates — h per call, alpha per shipped item — so a plan's
-/// trace can be compared against its modeled cost (see dependent_join.h).
-struct AccessStats {
-  int64_t calls = 0;
-  int64_t tuples_shipped = 0;
-};
 
 /// A queryable data source holding ground tuples, accessed by *binding
 /// pattern*: the caller fixes values for some argument positions and the
@@ -48,25 +38,19 @@ class AccessibleSource {
   /// Adds a ground tuple (checked). Duplicates are kept out.
   Status Add(std::vector<datalog::Term> tuple);
 
-  /// One access: returns the tuples matching `bindings` (position -> value;
-  /// empty means a full scan) and records the call in `stats_`.
-  const std::vector<std::vector<datalog::Term>>& Fetch(
-      const std::map<int, datalog::Term>& bindings);
-
   /// One *batched* access: ships all binding combinations at once (the
   /// semi-join of cost measure (2): "feed the titles into V_j") and returns
-  /// the union of the matches, deduplicated. Counts as a single call; the
-  /// shipped count is the union's size. An empty batch is a no-op returning
-  /// nothing.
+  /// the union of the matches, deduplicated, in first-occurrence order. It
+  /// is a single source call shipping the union's size — what the caller's
+  /// exec::ExecutionTrace records. A combination binding no position is a
+  /// full scan. An empty batch is a no-op returning nothing.
   ///
   /// Every combination must bind the same position set (one semi-join ships
-  /// one column set); a mixed batch is rejected with kInvalidArgument before
-  /// any tuple is fetched or any accounting is recorded.
+  /// one column set), and every bound position must lie in [0, arity); a
+  /// batch breaking either is rejected with kInvalidArgument before any
+  /// tuple is fetched.
   StatusOr<std::vector<std::vector<datalog::Term>>> FetchBatch(
       const std::vector<std::map<int, datalog::Term>>& batch);
-
-  const AccessStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = AccessStats{}; }
 
  private:
   struct Index {
@@ -76,6 +60,11 @@ class AccessibleSource {
     std::unordered_map<std::string, std::vector<std::vector<datalog::Term>>>
         rows;
   };
+
+  /// The tuples matching one combination, from the index over its bound
+  /// position set (built on first use).
+  const std::vector<std::vector<datalog::Term>>& Lookup(
+      const std::map<int, datalog::Term>& bindings);
 
   static std::string KeyFor(const std::vector<int>& positions,
                             const std::vector<datalog::Term>& tuple);
@@ -87,7 +76,6 @@ class AccessibleSource {
   std::vector<std::vector<datalog::Term>> tuples_;
   // detlint: order-insensitive(keyed probe by position-set key only)
   std::unordered_map<std::string, Index> indexes_;
-  AccessStats stats_;
   std::vector<std::vector<datalog::Term>> empty_;
 };
 
@@ -106,11 +94,6 @@ class SourceRegistry {
   /// order (used by wrappers that shadow every source, e.g. the runtime's
   /// RemoteRegistry).
   std::vector<std::string> Names() const;
-
-  void ResetStats();
-
-  /// Total across sources.
-  AccessStats TotalStats() const;
 
  private:
   std::map<std::string, AccessibleSource> sources_;

@@ -55,13 +55,7 @@ StatusOr<std::vector<std::vector<datalog::Term>>> RemoteSource::FetchBatch(
     std::optional<std::vector<std::vector<datalog::Term>>> hit =
         cache_->Acquire(name(), batch, &leader);
     if (hit.has_value()) {
-      exec::RuntimeAccounting acct;
-      ++acct.source_cache_hits;
-      {
-        MutexLock lock(mu_);
-        stats_.Merge(acct);
-      }
-      if (accounting != nullptr) accounting->Merge(acct);
+      if (accounting != nullptr) ++accounting->source_cache_hits;
       return *std::move(hit);
     }
     if (!leader) continue;  // leader aborted before us; try again
@@ -80,16 +74,11 @@ StatusOr<std::vector<std::vector<datalog::Term>>>
 RemoteSource::FetchBatchUncached(
     const std::vector<std::map<int, datalog::Term>>& batch,
     const RetryPolicy& retry, exec::RuntimeAccounting* accounting) {
-  // Accounting accrues call-locally and commits on every exit path: once
-  // into the shared per-source stats (under the lock) and once into the
-  // caller's attribution channel, so concurrent callers never see each
-  // other's work in their own numbers.
+  // Accounting accrues call-locally and commits into the caller's channel
+  // on every exit path, so concurrent callers never see each other's work in
+  // their own numbers.
   exec::RuntimeAccounting acct;
   const auto commit = [&] {
-    {
-      MutexLock lock(mu_);
-      stats_.Merge(acct);
-    }
     if (accounting != nullptr) accounting->Merge(acct);
   };
   // Trace export (the observe edge of the adaptive loop): one observation
@@ -187,11 +176,6 @@ RemoteSource::FetchBatchUncached(
   }
 }
 
-exec::RuntimeAccounting RemoteSource::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
-
 RemoteRegistry::RemoteRegistry(exec::SourceRegistry* underlying,
                                uint64_t seed) {
   // Sorted-name iteration + one Rng stream: each source's key depends only on
@@ -251,12 +235,6 @@ void RemoteRegistry::set_result_cache(SourceResultCache* cache) {
 
 void RemoteRegistry::set_trace_sink(SourceTraceSink* sink) {
   for (auto& [unused, source] : sources_) source->set_trace_sink(sink);
-}
-
-exec::RuntimeAccounting RemoteRegistry::TotalStats() const {
-  exec::RuntimeAccounting total;
-  for (const auto& [unused, source] : sources_) total.Merge(source->stats());
-  return total;
 }
 
 }  // namespace planorder::runtime

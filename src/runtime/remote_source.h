@@ -51,10 +51,11 @@ struct NetworkModel {
 
 /// A resilient proxy over one exec::AccessibleSource: simulates the network
 /// model, injects faults, retries transient ones per a RetryPolicy, and
-/// accounts latency/retries/failures/hedges. Underlying fetches are
-/// serialized by a per-source mutex, so one RemoteSource may be called from
-/// many pool workers concurrently; the simulated latency (the expensive part)
-/// is paid outside the lock.
+/// reports each call's latency/retries/failures/hedges to its caller.
+/// Underlying fetches are serialized by a per-source mutex (the source builds
+/// its indexes lazily), so one RemoteSource may be called from many pool
+/// workers concurrently; the simulated latency (the expensive part) is paid
+/// outside the lock.
 ///
 /// Configuration (set_model / set_time_dilation) must happen before
 /// concurrent calls begin — it is not synchronized against FetchBatch.
@@ -104,19 +105,14 @@ class RemoteSource {
   /// are retried per `retry`; exhausting attempts or a permanent outage
   /// yields kUnavailable.
   ///
-  /// `*accounting` (if non-null) receives this call's accounting — the same
-  /// increments recorded in the source's own stats, on success and failure
-  /// paths alike. It is the caller-local attribution channel: many sessions
-  /// can share one RemoteSource and still account their own calls exactly,
-  /// without diffing the shared monotone stats (which interleave under
-  /// concurrency).
+  /// `*accounting` (if non-null) receives this call's accounting, on
+  /// success and failure paths alike. It is the only accounting channel:
+  /// many sessions can share one RemoteSource and each still accounts its
+  /// own calls exactly.
   StatusOr<std::vector<std::vector<datalog::Term>>> FetchBatch(
       const std::vector<std::map<int, datalog::Term>>& batch,
       const RetryPolicy& retry,
       exec::RuntimeAccounting* accounting = nullptr) EXCLUDES(mu_);
-
-  /// Snapshot of this source's runtime accounting.
-  exec::RuntimeAccounting stats() const EXCLUDES(mu_);
 
  private:
   /// The pre-cache fetch path: the full resilient access (network model,
@@ -134,8 +130,7 @@ class RemoteSource {
   Clock* clock_ = RealClock::Instance();
   SourceResultCache* cache_ = nullptr;
   SourceTraceSink* trace_sink_ = nullptr;
-  mutable Mutex mu_;
-  exec::RuntimeAccounting stats_ GUARDED_BY(mu_);
+  Mutex mu_;
 };
 
 /// The runtime's view of the mediator's sources: one RemoteSource per entry
@@ -162,9 +157,6 @@ class RemoteRegistry {
   /// Attaches one execution-trace sink to every source (borrowed, may be
   /// null to detach) — see RemoteSource::set_trace_sink.
   void set_trace_sink(SourceTraceSink* sink);
-
-  /// Aggregated runtime accounting across sources.
-  exec::RuntimeAccounting TotalStats() const;
 
  private:
   std::map<std::string, std::unique_ptr<RemoteSource>> sources_;

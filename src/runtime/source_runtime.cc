@@ -1,15 +1,115 @@
 #include "runtime/source_runtime.h"
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <unordered_set>
 #include <utility>
+#include <vector>
+
+#include "exec/dependent_join.h"
 
 namespace planorder::runtime {
+
+using datalog::Term;
+
+namespace {
+
+/// The runtime's side of the dependent-join kernel: every batch goes out
+/// partitioned over the pool with retries, and every call's accounting lands
+/// in the plan-local `accounting`.
+class PartitionedFetcher : public exec::BatchFetcher {
+ public:
+  PartitionedFetcher(RemoteRegistry& sources, ThreadPool& pool,
+                     int max_partitions, const RetryPolicy& retry,
+                     exec::RuntimeAccounting* accounting)
+      : sources_(sources),
+        pool_(pool),
+        max_partitions_(max_partitions),
+        retry_(retry),
+        accounting_(accounting) {}
+
+  const exec::AccessibleSource* Find(
+      const std::string& predicate) const override {
+    const RemoteSource* source = sources_.Find(predicate);
+    return source == nullptr ? nullptr : &source->underlying();
+  }
+
+  /// Splits the non-empty `batch` into at most `max_partitions_` contiguous
+  /// chunks run concurrently on the pool, merging chunk results in chunk
+  /// order with first-occurrence dedup (the serial FetchBatch row order).
+  StatusOr<std::vector<std::vector<Term>>> Fetch(
+      const std::string& predicate,
+      const std::vector<std::map<int, Term>>& batch, int64_t* calls) override {
+    RemoteSource& source = *sources_.Find(predicate);
+    int partitions = std::min({max_partitions_, pool_.num_threads(),
+                               static_cast<int>(batch.size())});
+    if (partitions < 1) partitions = 1;
+    // Ceiling-divide can leave trailing chunks empty (e.g. 5 items over 4
+    // partitions -> chunks of 2 fill after 3); recompute so every chunk is
+    // non-empty and in range.
+    const size_t chunk =
+        (batch.size() + size_t(partitions) - 1) / size_t(partitions);
+    partitions = static_cast<int>((batch.size() + chunk - 1) / chunk);
+    *calls = partitions;
+    if (partitions == 1) return source.FetchBatch(batch, retry_, accounting_);
+
+    struct Partition {
+      StatusOr<std::vector<std::vector<Term>>> rows =
+          Status(StatusCode::kInternal, "partition not executed");
+      exec::RuntimeAccounting accounting;
+    };
+    std::vector<Partition> results(static_cast<size_t>(partitions));
+    {
+      TaskGroup group(&pool_);
+      for (int p = 0; p < partitions; ++p) {
+        const size_t lo = size_t(p) * chunk;
+        const size_t hi = std::min(batch.size(), lo + chunk);
+        group.Submit([this, &source, &batch, &results, p, lo, hi] {
+          std::vector<std::map<int, Term>> slice(batch.begin() + long(lo),
+                                                 batch.begin() + long(hi));
+          Partition& result = results[size_t(p)];
+          result.rows = source.FetchBatch(slice, retry_, &result.accounting);
+        });
+      }
+      group.Wait();
+    }
+
+    for (const Partition& result : results) {
+      if (accounting_ != nullptr) accounting_->Merge(result.accounting);
+    }
+    // First failing partition (in deterministic chunk order) fails the call.
+    for (const Partition& result : results) {
+      if (!result.rows.ok()) return result.rows.status();
+    }
+    std::vector<std::vector<Term>> merged;
+    std::unordered_set<std::vector<Term>, datalog::TermVectorHash> seen;
+    for (Partition& result : results) {
+      for (std::vector<Term>& row : *result.rows) {
+        if (seen.insert(row).second) merged.push_back(std::move(row));
+      }
+    }
+    return merged;
+  }
+
+ private:
+  RemoteRegistry& sources_;
+  ThreadPool& pool_;
+  const int max_partitions_;
+  const RetryPolicy& retry_;
+  exec::RuntimeAccounting* accounting_;
+};
+
+}  // namespace
 
 SourceRuntime::SourceRuntime(exec::SourceRegistry* sources,
                              const RuntimeOptions& options)
     : options_(options),
-      sources_(sources),
       pool_(options.num_threads),
-      remotes_(sources, options.seed) {
+      remotes_(sources, options.seed),
+      max_partitions_(options.max_partitions_per_call > 0
+                          ? options.max_partitions_per_call
+                          : pool_.num_threads()) {
   remotes_.ConfigureAll(options_.default_model);
   remotes_.set_time_dilation(options_.time_dilation);
   if (options_.clock != nullptr) remotes_.set_clock(options_.clock);
@@ -19,23 +119,19 @@ SourceRuntime::SourceRuntime(exec::SourceRegistry* sources,
   if (options_.trace_sink != nullptr) {
     remotes_.set_trace_sink(options_.trace_sink);
   }
-  join_options_.max_partitions = options_.max_partitions_per_call > 0
-                                     ? options_.max_partitions_per_call
-                                     : pool_.num_threads();
-  join_options_.retry = options_.retry;
 }
 
 StatusOr<exec::PlanExecution> SourceRuntime::ExecutePlan(
     const datalog::ConjunctiveQuery& rewriting) {
   // Accounting is collected plan-locally (threaded down through every
-  // FetchBatch of this execution), never by diffing the shared registry
-  // totals: concurrent plans from other sessions interleave with this one,
-  // so registry deltas would attribute their work to us. Call and shipping
-  // counts come from the plan's own execution trace for the same reason.
+  // FetchBatch of this execution): concurrent plans from other sessions
+  // share the RemoteSources, and only the plan's own channel and trace
+  // attribute its work exactly.
   exec::PlanExecution exec;
   exec::ExecutionTrace trace;
-  auto tuples = ExecutePlanDependentParallel(
-      rewriting, remotes_, pool_, join_options_, &trace, &exec.runtime);
+  PartitionedFetcher fetcher(remotes_, pool_, max_partitions_, options_.retry,
+                             &exec.runtime);
+  auto tuples = exec::ExecutePlanDependent(rewriting, fetcher, &trace);
   exec.source_calls = trace.TotalCalls();
   exec.tuples_shipped = trace.TotalTuplesShipped();
   if (!tuples.ok()) {

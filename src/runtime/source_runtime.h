@@ -7,7 +7,6 @@
 #include "datalog/conjunctive_query.h"
 #include "exec/mediator.h"
 #include "exec/source_access.h"
-#include "runtime/parallel_join.h"
 #include "runtime/remote_source.h"
 #include "runtime/retry_policy.h"
 #include "runtime/thread_pool.h"
@@ -47,14 +46,14 @@ struct RuntimeOptions {
 
 /// The runtime assembled: a thread pool + a RemoteRegistry over an
 /// exec::SourceRegistry, exposed to the mediator as an exec::PlanExecutor.
-/// Plug it into Mediator::Run(orderer, limits, runtime):
+/// Plug it into Mediator::Run or Mediator::OpenStream:
 ///
 ///   runtime::RuntimeOptions options;
 ///   options.num_threads = 8;
 ///   options.default_model.per_binding_latency_ms = 0.5;
 ///   options.default_model.transient_failure_rate = 0.05;
 ///   runtime::SourceRuntime rt(&registry, options);
-///   auto result = mediator.Run(orderer, limits, rt);
+///   auto result = mediator.Run(orderer, {.max_plans = 16}, rt);
 ///
 /// Source failures degrade gracefully: a plan whose source dies (permanent
 /// outage, retries exhausted) comes back as a failed step and is reported to
@@ -71,18 +70,28 @@ class SourceRuntime : public exec::PlanExecutor {
   const RemoteRegistry& remotes() const { return remotes_; }
   ThreadPool& pool() { return pool_; }
 
-  /// Executes one rewriting by parallel resilient dependent joins. Source
-  /// failure is reported via PlanExecution::failed (never a non-OK status),
-  /// so the mediator can discard the plan and continue.
+  /// Executes one rewriting with exec::ExecutePlanDependent against the
+  /// RemoteSources, each atom's batched semi-join partitioned across the
+  /// pool: the batch is split into at most `max_partitions_per_call`
+  /// contiguous chunks fetched concurrently (with retries) and merged back
+  /// in chunk order with first-occurrence dedup — the serial batch's row
+  /// sequence, so with faults disabled the answers equal a SourceRegistry
+  /// run's, in the same order. Every partition counts as one source call.
+  ///
+  /// The PlanExecution carries the plan's own calls, shipped tuples and
+  /// runtime accounting (also for a failed plan: the work it burned is part
+  /// of its cost), exact however many plans run concurrently. Source
+  /// failure that survives retries is reported via PlanExecution::failed
+  /// (never a non-OK status), so the mediator can discard the plan and
+  /// continue.
   StatusOr<exec::PlanExecution> ExecutePlan(
       const datalog::ConjunctiveQuery& rewriting) override;
 
  private:
   RuntimeOptions options_;
-  exec::SourceRegistry* sources_;
   ThreadPool pool_;
   RemoteRegistry remotes_;
-  ParallelJoinOptions join_options_;
+  int max_partitions_;
 };
 
 }  // namespace planorder::runtime

@@ -18,7 +18,7 @@ namespace planorder::runtime {
 /// work.
 ///
 /// The pool is the concurrency substrate of the resilient source-access
-/// runtime: parallel dependent-join partitions (see parallel_join.h) and any
+/// runtime: parallel dependent-join partitions (see SourceRuntime) and any
 /// future parallel work (plan evaluation sharding, statistics estimation) go
 /// through here rather than spawning ad-hoc threads.
 class ThreadPool {

@@ -77,6 +77,10 @@ struct ServiceMetricsSnapshot {
   // Plan-store persistence (ServiceOptions::plan_store).
   /// Reformulations restored from the store at construction (warm start).
   int64_t plan_store_entries_loaded = 0;
+  /// Entries of a loaded store skipped as malformed (unparsable query,
+  /// SourceId outside the catalog, invalid workload, or SourceId buckets
+  /// shaped unlike the workload); the rest of the store still loads.
+  int64_t plan_store_entries_rejected = 0;
   /// Stores rejected at load (corruption, version/catalog mismatch) — each
   /// one is a survived cold start, not a crash.
   int64_t plan_store_load_failures = 0;
@@ -119,6 +123,7 @@ struct ServiceMetricsSnapshot {
     cache_verifications += other.cache_verifications;
     cache_verification_failures += other.cache_verification_failures;
     plan_store_entries_loaded += other.plan_store_entries_loaded;
+    plan_store_entries_rejected += other.plan_store_entries_rejected;
     plan_store_load_failures += other.plan_store_load_failures;
     plan_store_saves += other.plan_store_saves;
     plan_store_save_failures += other.plan_store_save_failures;

@@ -14,6 +14,41 @@
 
 namespace planorder::service {
 
+namespace {
+
+/// Rebuilds one persisted reformulation, or returns null when the entry does
+/// not parse, names a SourceId outside the catalog, holds an invalid
+/// workload, or has SourceId buckets shaped unlike its workload's buckets
+/// (sessions index the one by the other).
+std::shared_ptr<CachedReformulation> RestoreEntry(
+    const adaptive::StoredReformulation& stored, int num_sources) {
+  StatusOr<datalog::ConjunctiveQuery> parsed =
+      datalog::ParseRule(stored.canonical_text);
+  if (!parsed.ok()) return nullptr;
+  for (const std::vector<int>& bucket : stored.buckets) {
+    for (int id : bucket) {
+      if (id < 0 || id >= num_sources) return nullptr;
+    }
+  }
+  StatusOr<stats::Workload> workload = stats::Workload::FromParts(
+      stored.stat_buckets, stored.region_weights, stored.access_overhead,
+      stored.domain_sizes);
+  if (!workload.ok()) return nullptr;
+  if (stored.buckets.size() != size_t(workload->num_buckets())) return nullptr;
+  for (int b = 0; b < workload->num_buckets(); ++b) {
+    if (stored.buckets[size_t(b)].size() != size_t(workload->bucket_size(b))) {
+      return nullptr;
+    }
+  }
+  auto entry = std::make_shared<CachedReformulation>();
+  entry->canonical = datalog::CanonicalizeQuery(*parsed);
+  entry->buckets.buckets = stored.buckets;
+  entry->workload = *std::move(workload);
+  return entry;
+}
+
+}  // namespace
+
 QueryService::QueryService(const datalog::Catalog* catalog,
                            const datalog::Database* source_facts,
                            ServiceOptions options,
@@ -51,27 +86,16 @@ void QueryService::WarmLoadPlanStore() {
     return;
   }
   int64_t restored = 0;
+  int64_t rejected = 0;
   // The store lists entries most-recently-used first; inserting in reverse
   // reproduces that LRU order in the warm cache.
   for (auto it = loaded->entries.rbegin(); it != loaded->entries.rend(); ++it) {
-    StatusOr<datalog::ConjunctiveQuery> parsed =
-        datalog::ParseRule(it->canonical_text);
-    if (!parsed.ok()) continue;
-    bool ids_valid = true;
-    for (const std::vector<int>& bucket : it->buckets) {
-      for (int id : bucket) {
-        if (id < 0 || id >= catalog_->num_sources()) ids_valid = false;
-      }
+    std::shared_ptr<CachedReformulation> entry =
+        RestoreEntry(*it, catalog_->num_sources());
+    if (entry == nullptr) {
+      ++rejected;
+      continue;
     }
-    if (!ids_valid) continue;
-    StatusOr<stats::Workload> workload = stats::Workload::FromParts(
-        it->stat_buckets, it->region_weights, it->access_overhead,
-        it->domain_sizes);
-    if (!workload.ok()) continue;
-    auto entry = std::make_shared<CachedReformulation>();
-    entry->canonical = datalog::CanonicalizeQuery(*parsed);
-    entry->buckets.buckets = it->buckets;
-    entry->workload = *std::move(workload);
     cache_.Insert(std::move(entry));
     ++restored;
   }
@@ -82,6 +106,7 @@ void QueryService::WarmLoadPlanStore() {
   }
   MutexLock lock(mu_);
   plan_store_entries_loaded_ += restored;
+  plan_store_entries_rejected_ += rejected;
 }
 
 Status QueryService::PersistPlanStore() {
@@ -289,7 +314,7 @@ StatusOr<std::unique_ptr<Session>> QueryService::OpenSession(
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<Session> session,
                              PrepareSession(query));
   session->mediator_ = std::make_unique<exec::Mediator>(
-      catalog_, session->reformulation_->canonical.query, source_facts_,
+      catalog_, session->reformulation_->canonical.query,
       session->reformulation_->buckets.buckets);
   PLANORDER_ASSIGN_OR_RETURN(
       exec::MediatorStream stream,
@@ -348,6 +373,7 @@ ServiceMetricsSnapshot QueryService::Metrics() const {
     snapshot.total_answers = total_answers_;
     snapshot.total_steps = total_steps_;
     snapshot.plan_store_entries_loaded = plan_store_entries_loaded_;
+    snapshot.plan_store_entries_rejected = plan_store_entries_rejected_;
     snapshot.plan_store_load_failures = plan_store_load_failures_;
     snapshot.plan_store_saves = plan_store_saves_;
     snapshot.plan_store_save_failures = plan_store_save_failures_;

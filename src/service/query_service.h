@@ -204,6 +204,7 @@ class QueryService {
   int64_t total_answers_ GUARDED_BY(mu_) = 0;
   int64_t total_steps_ GUARDED_BY(mu_) = 0;
   int64_t plan_store_entries_loaded_ GUARDED_BY(mu_) = 0;
+  int64_t plan_store_entries_rejected_ GUARDED_BY(mu_) = 0;
   int64_t plan_store_load_failures_ GUARDED_BY(mu_) = 0;
   int64_t plan_store_saves_ GUARDED_BY(mu_) = 0;
   int64_t plan_store_save_failures_ GUARDED_BY(mu_) = 0;

@@ -278,12 +278,11 @@ Status CheckRuntimeEquivalence(const Scenario& scenario) {
     }
   }
 
-  exec::Mediator mediator(&domain->catalog, domain->query,
-                          &domain->source_facts, domain->source_ids);
+  exec::Mediator mediator(&domain->catalog, domain->query, domain->source_ids);
   const int max_plans =
       int(std::min<uint64_t>(scenario.NumPlans(), uint64_t{12}));
 
-  auto run = [&](exec::PlanExecutor* executor)
+  auto run = [&](exec::PlanExecutor& executor)
       -> StatusOr<exec::MediatorResult> {
     PLANORDER_ASSIGN_OR_RETURN(
         std::unique_ptr<utility::UtilityModel> model,
@@ -294,17 +293,14 @@ Status CheckRuntimeEquivalence(const Scenario& scenario) {
         core::MakeOrderer({core::OrdererKind::kPi}, &domain->workload,
                           model.get(),
                           {core::PlanSpace::FullSpace(domain->workload)}));
-    exec::Mediator::RunLimits limits;
-    limits.max_plans = max_plans;
-    if (executor != nullptr) {
-      return mediator.Run(*orderer, limits, *executor);
-    }
-    return mediator.Run(*orderer, max_plans, &registry);
+    return mediator.Run(*orderer, {.max_plans = max_plans}, executor);
   };
 
   // Serial reference: the classic dependent-join mediator, no simulated
   // network at all.
-  PLANORDER_ASSIGN_OR_RETURN(exec::MediatorResult reference, run(nullptr));
+  PLANORDER_ASSIGN_OR_RETURN(
+      exec::MediatorResult reference,
+      run(*exec::MakeDependentJoinExecutor(&registry)));
 
   auto runtime_run = [&](int threads, int max_partitions, double* elapsed_ms)
       -> StatusOr<exec::MediatorResult> {
@@ -318,7 +314,7 @@ Status CheckRuntimeEquivalence(const Scenario& scenario) {
     options.default_model = scenario.MakeNetworkModel();
     options.retry.max_attempts = scenario.retry_max_attempts;
     runtime::SourceRuntime runtime(&registry, options);
-    PLANORDER_ASSIGN_OR_RETURN(exec::MediatorResult result, run(&runtime));
+    PLANORDER_ASSIGN_OR_RETURN(exec::MediatorResult result, run(runtime));
     if (elapsed_ms != nullptr) *elapsed_ms = clock.NowMs();
     return result;
   };

@@ -14,8 +14,10 @@
 
 #include "adaptive/observed_stats.h"
 #include "adaptive/plan_store.h"
+#include "datalog/canonicalize.h"
 #include "exec/synthetic_domain.h"
 #include "service/query_service.h"
+#include "service/shared_view.h"
 
 namespace planorder::service {
 namespace {
@@ -194,6 +196,75 @@ TEST(AdaptiveServiceTest, CorruptStoreFallsBackToAColdStart) {
   auto reloaded = adaptive::PlanStore(file.path()).Load();
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
   EXPECT_EQ(reloaded->entries.size(), 1u);
+}
+
+/// Reports every source resident, so every session marks every (bucket,
+/// index) of its reformulation externally cached.
+class AllResidentView : public SharedOperationView {
+ public:
+  bool IsResident(const std::string&) const override { return true; }
+};
+
+TEST(AdaptiveServiceTest, MisShapedStoreEntryIsRejectedAndItsClassRunsCold) {
+  // Regression: a store entry whose SourceId buckets have another shape than
+  // its workload used to load, and a session over a residency view then
+  // marked a (bucket, index) outside the orderer's execution context.
+  auto d = MakeDomain();
+  datalog::ConjunctiveQuery projected = d->query;  // a second query class
+  projected.head.args.pop_back();
+  StoreFile file("misshaped");
+  {
+    adaptive::PlanStore store(file.path());
+    ServiceOptions options;
+    options.plan_store = &store;
+    QueryService service(&d->catalog, &d->source_facts, options);
+    for (const datalog::ConjunctiveQuery& query : {d->query, projected}) {
+      ASSERT_TRUE(service.RunQuery(query, Limits(16)).ok());
+    }
+  }
+  // Give the projected class's entry one SourceId more in bucket 0 than its
+  // workload has sources there.
+  {
+    adaptive::PlanStore store(file.path());
+    auto contents = store.Load();
+    ASSERT_TRUE(contents.ok()) << contents.status();
+    ASSERT_EQ(contents->entries.size(), 2u);
+    const std::string bad_key = datalog::CanonicalizeQuery(projected).key;
+    int edited = 0;
+    for (adaptive::StoredReformulation& entry : contents->entries) {
+      if (entry.canonical_text != bad_key) continue;
+      entry.buckets[0].push_back(entry.buckets[0].front());
+      ++edited;
+    }
+    ASSERT_EQ(edited, 1);
+    ASSERT_TRUE(store.Save(*contents).ok());
+  }
+
+  AllResidentView view;
+  ServiceOptions options;
+  options.source_cache_view = &view;
+  QueryService reference(&d->catalog, &d->source_facts, options);
+  adaptive::PlanStore store(file.path());
+  options.plan_store = &store;
+  QueryService warm(&d->catalog, &d->source_facts, options);
+  EXPECT_EQ(warm.Metrics().plan_store_entries_loaded, 1);
+  EXPECT_EQ(warm.Metrics().plan_store_entries_rejected, 1);
+  EXPECT_EQ(warm.Metrics().plan_store_load_failures, 0);
+
+  for (const datalog::ConjunctiveQuery* query : {&d->query, &projected}) {
+    auto session = warm.OpenSession(*query, Limits(16));
+    ASSERT_TRUE(session.ok()) << session.status();
+    // Only the well-formed entry was restored; the other class reformulates
+    // cold.
+    EXPECT_EQ((*session)->cache_hit(), query == &d->query);
+    while ((*session)->NextStep().ok()) {
+    }
+    const MediatorResult got = (*session)->Finish();
+    auto want = reference.RunQuery(*query, Limits(16));
+    ASSERT_TRUE(want.ok()) << want.status();
+    ExpectSameTrace(*want, got);
+    EXPECT_GT(got.total_answers, 0u);
+  }
 }
 
 TEST(AdaptiveServiceTest, AdaptiveSessionsWithoutDriftMatchPlainOnes) {

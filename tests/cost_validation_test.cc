@@ -71,7 +71,6 @@ TEST_P(CostValidationTest, ModeledCostTracksMeasuredAccessCost) {
         auto qp = reformulation::BuildSoundPlan(d.query, d.catalog, choice);
         ASSERT_TRUE(qp.ok());
         ASSERT_TRUE(qp->has_value());
-        registry.ResetStats();
         auto answers =
             ExecutePlanDependent((*qp)->rewriting, registry, &mp.trace);
         ASSERT_TRUE(answers.ok()) << answers.status();

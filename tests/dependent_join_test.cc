@@ -1,7 +1,9 @@
 #include "exec/dependent_join.h"
 
+#include <map>
 #include <random>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -41,54 +43,53 @@ TEST(AccessibleSourceTest, AddValidatesTuples) {
   EXPECT_EQ(source.size(), 1u);
 }
 
-TEST(AccessibleSourceTest, FetchByBindingPattern) {
+/// A source v(actor, movie) holding three tuples.
+AccessibleSource MovieSource() {
   AccessibleSource source("v", 2);
-  ASSERT_TRUE(source.Add({Term::Constant("ford"), Term::Constant("m1")}).ok());
-  ASSERT_TRUE(source.Add({Term::Constant("ford"), Term::Constant("m2")}).ok());
-  ASSERT_TRUE(source.Add({Term::Constant("kate"), Term::Constant("m3")}).ok());
+  const std::pair<const char*, const char*> tuples[] = {
+      {"ford", "m1"}, {"ford", "m2"}, {"kate", "m3"}};
+  for (const auto& [actor, movie] : tuples) {
+    EXPECT_TRUE(
+        source.Add({Term::Constant(actor), Term::Constant(movie)}).ok());
+  }
+  return source;
+}
 
-  // Full scan.
-  EXPECT_EQ(source.Fetch({}).size(), 3u);
-  EXPECT_EQ(source.stats().calls, 1);
-  EXPECT_EQ(source.stats().tuples_shipped, 3);
-
-  // Point lookup on position 0.
-  const auto& ford = source.Fetch({{0, Term::Constant("ford")}});
-  EXPECT_EQ(ford.size(), 2u);
-  const auto& nobody = source.Fetch({{0, Term::Constant("bogart")}});
-  EXPECT_TRUE(nobody.empty());
-  EXPECT_EQ(source.stats().calls, 3);
-  EXPECT_EQ(source.stats().tuples_shipped, 5);
-
-  // Lookup on both positions.
-  EXPECT_EQ(source
-                .Fetch({{0, Term::Constant("ford")},
-                        {1, Term::Constant("m2")}})
-                .size(),
+TEST(AccessibleSourceTest, FetchByBindingPattern) {
+  AccessibleSource source = MovieSource();
+  // One combination per batch: its matches through the index over its
+  // bound position set.
+  auto matches = [&source](std::map<int, Term> bindings) {
+    auto rows = source.FetchBatch({std::move(bindings)});
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    return rows.ok() ? rows->size() : size_t{0};
+  };
+  EXPECT_EQ(matches({}), 3u);  // full scan
+  EXPECT_EQ(matches({{0, Term::Constant("ford")}}), 2u);
+  EXPECT_EQ(matches({{0, Term::Constant("bogart")}}), 0u);
+  EXPECT_EQ(matches({{0, Term::Constant("ford")}, {1, Term::Constant("m2")}}),
             1u);
 }
 
-TEST(AccessibleSourceTest, FetchBatchShipsUnionAsOneCall) {
-  AccessibleSource source("v", 2);
-  ASSERT_TRUE(source.Add({Term::Constant("ford"), Term::Constant("m1")}).ok());
-  ASSERT_TRUE(source.Add({Term::Constant("ford"), Term::Constant("m2")}).ok());
-  ASSERT_TRUE(source.Add({Term::Constant("kate"), Term::Constant("m3")}).ok());
-  auto rows = source.FetchBatch({{{0, Term::Constant("ford")}},
-                                 {{0, Term::Constant("kate")}},
-                                 {{0, Term::Constant("ford")}}});
+TEST(AccessibleSourceTest, FetchBatchShipsUnionInFirstOccurrenceOrder) {
+  AccessibleSource source = MovieSource();
+  auto rows = source.FetchBatch({{{0, Term::Constant("kate")}},
+                                 {{0, Term::Constant("ford")}},
+                                 {{0, Term::Constant("kate")}}});
   ASSERT_TRUE(rows.ok()) << rows.status();
-  EXPECT_EQ(rows->size(), 3u);  // union, deduplicated
-  EXPECT_EQ(source.stats().calls, 1);
-  EXPECT_EQ(source.stats().tuples_shipped, 3);
+  // Union, deduplicated, in the order the combinations matched.
+  const std::vector<std::vector<Term>> want = {
+      {Term::Constant("kate"), Term::Constant("m3")},
+      {Term::Constant("ford"), Term::Constant("m1")},
+      {Term::Constant("ford"), Term::Constant("m2")}};
+  EXPECT_EQ(*rows, want);
 }
 
 TEST(AccessibleSourceTest, FetchBatchRejectsMixedPositionSets) {
   // Regression: the documented precondition ("all combinations must bind the
   // same position set") used to be unchecked — a mixed batch silently
-  // consulted different indexes per combination. Now it is a hard error,
-  // reported before any accounting is recorded.
-  AccessibleSource source("v", 2);
-  ASSERT_TRUE(source.Add({Term::Constant("ford"), Term::Constant("m1")}).ok());
+  // consulted different indexes per combination. Now it is a hard error.
+  AccessibleSource source = MovieSource();
   auto mixed = source.FetchBatch({{{0, Term::Constant("ford")}},
                                   {{1, Term::Constant("m1")}}});
   ASSERT_FALSE(mixed.ok());
@@ -99,14 +100,39 @@ TEST(AccessibleSourceTest, FetchBatchRejectsMixedPositionSets) {
        {{0, Term::Constant("ford")}, {1, Term::Constant("m1")}}});
   ASSERT_FALSE(ragged.ok());
   EXPECT_EQ(ragged.status().code(), StatusCode::kInvalidArgument);
-  // No call or shipping was recorded for the rejected batches.
-  EXPECT_EQ(source.stats().calls, 0);
-  EXPECT_EQ(source.stats().tuples_shipped, 0);
   // An empty batch remains a free no-op.
   auto empty = source.FetchBatch({});
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
-  EXPECT_EQ(source.stats().calls, 0);
+}
+
+TEST(AccessibleSourceTest, FetchBatchRejectsPositionsOutsideArity) {
+  // Regression: bound positions index each tuple unchecked when the lookup
+  // builds its index, so one outside [0, arity) read out of bounds. Now the
+  // batch is rejected before any lookup (ASan builds catch a regression).
+  struct Case {
+    const char* name;
+    std::vector<int> positions;
+  };
+  const std::vector<Case> cases = {
+      {"negative", {-1}},
+      {"equal to the arity", {2}},
+      {"one of two past the arity", {0, 2}},
+  };
+  AccessibleSource source = MovieSource();
+  for (const Case& c : cases) {
+    std::map<int, Term> bindings;
+    for (int p : c.positions) bindings[p] = Term::Constant("ford");
+    // Every combination binds the same positions, so only the range check
+    // can reject the batch.
+    auto rows = source.FetchBatch({bindings, bindings});
+    ASSERT_FALSE(rows.ok()) << c.name;
+    EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument) << c.name;
+  }
+  // The source still serves in-range lookups.
+  auto rows = source.FetchBatch({{{1, Term::Constant("m3")}}});
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->size(), 1u);
 }
 
 TEST(SourceRegistryTest, RegisterAndFind) {

@@ -140,8 +140,9 @@ TEST_F(BindingPatternFixture, MediatorReordersAndRunsEndToEnd) {
       {}, &*workload, &model, {core::PlanSpace::FullSpace(*workload)});
   ASSERT_TRUE(orderer.ok());
 
-  exec::Mediator mediator(&catalog_, query_, &facts, buckets->buckets);
-  auto result = mediator.Run(**orderer, 4);
+  exec::Mediator mediator(&catalog_, query_, buckets->buckets);
+  auto result = mediator.Run(**orderer, {.max_plans = 4},
+                             *exec::MakeSetOrientedExecutor(&facts));
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->steps.size(), 1u);
   EXPECT_TRUE(result->steps[0].sound);
@@ -168,8 +169,9 @@ TEST_F(BindingPatternFixture, UnexecutablePlanIsDiscardedByMediator) {
   auto orderer = core::MakeOrderer(
       {}, &*workload, &model, {core::PlanSpace::FullSpace(*workload)});
   ASSERT_TRUE(orderer.ok());
-  exec::Mediator mediator(&catalog_, query_, &facts, buckets->buckets);
-  auto result = mediator.Run(**orderer, 4);
+  exec::Mediator mediator(&catalog_, query_, buckets->buckets);
+  auto result = mediator.Run(**orderer, {.max_plans = 4},
+                             *exec::MakeSetOrientedExecutor(&facts));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->steps.size(), 1u);
   EXPECT_TRUE(result->steps[0].sound);

@@ -34,7 +34,7 @@ TEST(MediatorStreamTest, ExhaustionIsSticky) {
   auto orderer = core::MakeOrderer(
       {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
   auto executor = MakeSetOrientedExecutor(&d.source_facts);
   Mediator::RunLimits limits;
   limits.max_plans = 5;
@@ -65,7 +65,7 @@ TEST(MediatorStreamTest, TakeResultCancelsMidRun) {
   auto orderer = core::MakeOrderer(
       {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
   auto executor = MakeSetOrientedExecutor(&d.source_facts);
   Mediator::RunLimits limits;
   limits.max_plans = 64;
@@ -93,20 +93,20 @@ TEST(MediatorStreamTest, StreamedStepsMatchBatchRun) {
   auto domain = BuildSyntheticDomain(SmallOptions(63), 150);
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
 
   utility::CoverageModel model_a(&d.workload);
   auto orderer_a = core::MakeOrderer(
       {}, &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_a.ok());
-  auto batch = mediator.Run(**orderer_a, 16);
+  auto executor = MakeSetOrientedExecutor(&d.source_facts);
+  auto batch = mediator.Run(**orderer_a, {.max_plans = 16}, *executor);
   ASSERT_TRUE(batch.ok());
 
   utility::CoverageModel model_b(&d.workload);
   auto orderer_b = core::MakeOrderer(
       {}, &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_b.ok());
-  auto executor = MakeSetOrientedExecutor(&d.source_facts);
   Mediator::RunLimits limits;
   limits.max_plans = 16;
   auto stream = mediator.OpenStream(**orderer_b, limits, *executor);
@@ -154,7 +154,7 @@ TEST(MediatorStreamTest, ZeroSoundPlanQueryStreamsDiscardsOnly) {
   ASSERT_TRUE(orderer.ok());
 
   datalog::Database facts;
-  Mediator mediator(&catalog, *query, &facts, {{0, 1}, {2, 3}});
+  Mediator mediator(&catalog, *query, {{0, 1}, {2, 3}});
   auto executor = MakeSetOrientedExecutor(&facts);
   Mediator::RunLimits limits;
   limits.max_plans = 16;
@@ -186,7 +186,7 @@ TEST(MediatorStreamTest, RejectsNonPositiveMaxPlans) {
   auto orderer = core::MakeOrderer(
       {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
   auto executor = MakeSetOrientedExecutor(&d.source_facts);
   Mediator::RunLimits limits;
   limits.max_plans = 0;

@@ -31,8 +31,9 @@ TEST(MediatorTest, StreamsAnswersAndAccountsSteps) {
       {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
 
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
-  auto result = mediator.Run(**orderer, /*max_plans=*/10);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
+  const auto facts = MakeSetOrientedExecutor(&d.source_facts);
+  auto result = mediator.Run(**orderer, {.max_plans = 10}, *facts);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->steps.size(), 10u);
   // Identity views: every plan sound.
@@ -60,9 +61,10 @@ TEST(MediatorTest, CoverageOrderingFrontLoadsAnswers) {
   auto orderer = core::MakeOrderer(
       {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
+  const auto facts = MakeSetOrientedExecutor(&d.source_facts);
   const int total_plans = 32;
-  auto result = mediator.Run(**orderer, total_plans);
+  auto result = mediator.Run(**orderer, {.max_plans = total_plans}, *facts);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->steps.size(), size_t{total_plans});
   const size_t after_quarter = result->steps[total_plans / 4 - 1].total_answers;
@@ -82,8 +84,9 @@ TEST(MediatorTest, EstimatedUtilityTracksNewAnswers) {
   auto orderer = core::MakeOrderer(
       {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
-  auto result = mediator.Run(**orderer, 12);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
+  const auto facts = MakeSetOrientedExecutor(&d.source_facts);
+  auto result = mediator.Run(**orderer, {.max_plans = 12}, *facts);
   ASSERT_TRUE(result.ok());
   for (const MediatorStep& step : result->steps) {
     const double realized = double(step.new_answers) / double(d.num_answers);
@@ -99,8 +102,9 @@ TEST(MediatorTest, StopsWhenOrdererExhausted) {
   auto orderer = core::MakeOrderer(
       {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
-  auto result = mediator.Run(**orderer, 1'000'000);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
+  const auto facts = MakeSetOrientedExecutor(&d.source_facts);
+  auto result = mediator.Run(**orderer, {.max_plans = 1'000'000}, *facts);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->steps.size(), 64u);  // 4^3 plans
   // Identity views: every plan passes the gate, in non-increasing
@@ -121,10 +125,11 @@ TEST(MediatorTest, RejectsNonPositiveMaxPlans) {
   auto orderer = core::MakeOrderer(
       {}, &d.workload, &model, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
+  const auto facts = MakeSetOrientedExecutor(&d.source_facts);
   Mediator::RunLimits limits;
   limits.max_plans = 0;
-  EXPECT_FALSE(mediator.Run(**orderer, limits).ok());
+  EXPECT_FALSE(mediator.Run(**orderer, limits, *facts).ok());
 }
 
 TEST(MediatorTest, AccessPatternPathMatchesSetOrientedPath) {
@@ -144,18 +149,20 @@ TEST(MediatorTest, AccessPatternPathMatchesSetOrientedPath) {
     }
   }
 
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
+  const auto facts = MakeSetOrientedExecutor(&d.source_facts);
   utility::CoverageModel model_a(&d.workload);
   auto orderer_a = core::MakeOrderer(
       {}, &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_a.ok());
-  auto set_oriented = mediator.Run(**orderer_a, 16);
+  auto set_oriented = mediator.Run(**orderer_a, {.max_plans = 16}, *facts);
 
   utility::CoverageModel model_b(&d.workload);
   auto orderer_b = core::MakeOrderer(
       {}, &d.workload, &model_b, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_b.ok());
-  auto dependent = mediator.Run(**orderer_b, 16, &registry);
+  auto dependent = mediator.Run(**orderer_b, {.max_plans = 16},
+                                *MakeDependentJoinExecutor(&registry));
 
   ASSERT_TRUE(set_oriented.ok() && dependent.ok());
   ASSERT_EQ(set_oriented->steps.size(), dependent->steps.size());
@@ -184,9 +191,10 @@ TEST(MediatorTest, PiAndStreamerCollectSameAnswers) {
   auto pi = core::PiOrderer::Create(&d.workload, &model_b,
                                     {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(streamer.ok() && pi.ok());
-  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
-  auto ra = mediator.Run(**streamer, 64);
-  auto rb = mediator.Run(**pi, 64);
+  Mediator mediator(&d.catalog, d.query, d.source_ids);
+  const auto facts = MakeSetOrientedExecutor(&d.source_facts);
+  auto ra = mediator.Run(**streamer, {.max_plans = 64}, *facts);
+  auto rb = mediator.Run(**pi, {.max_plans = 64}, *facts);
   ASSERT_TRUE(ra.ok() && rb.ok());
   EXPECT_EQ(ra->total_answers, rb->total_answers);
   // And the per-step answer curves agree (exact same ordering).

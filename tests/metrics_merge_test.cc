@@ -87,6 +87,7 @@ TEST(ServiceMetricsSnapshotMergeTest, CountersSumPeaksMax) {
   a.cache.hits = 3;
   a.cache.misses = 4;
   a.total_answers = 100;
+  a.plan_store_entries_rejected = 1;
   a.runtime.source_cache_hits = 7;
 
   ServiceMetricsSnapshot b;
@@ -96,6 +97,7 @@ TEST(ServiceMetricsSnapshotMergeTest, CountersSumPeaksMax) {
   b.queue_depth_peak = 3;
   b.cache.hits = 1;
   b.total_answers = 50;
+  b.plan_store_entries_rejected = 2;
   b.runtime.source_cache_hits = 2;
 
   a.Merge(b);
@@ -107,6 +109,7 @@ TEST(ServiceMetricsSnapshotMergeTest, CountersSumPeaksMax) {
   EXPECT_EQ(a.cache.hits, 4);
   EXPECT_EQ(a.cache.misses, 4);
   EXPECT_EQ(a.total_answers, 150);
+  EXPECT_EQ(a.plan_store_entries_rejected, 3);
   EXPECT_EQ(a.runtime.source_cache_hits, 9);
 }
 

@@ -1,17 +1,71 @@
 #include "runtime/remote_source.h"
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "datalog/term.h"
 #include "exec/source_access.h"
 #include "runtime/retry_policy.h"
+#include "runtime/source_result_cache.h"
+#include "runtime/trace_sink.h"
 
 namespace planorder::runtime {
 namespace {
 
 using datalog::Term;
+
+/// Keeps every observation it is sent (the tests call from one thread).
+class RecordingSink : public SourceTraceSink {
+ public:
+  void RecordFetch(const std::string& source_name,
+                   const SourceObservation& observation) override {
+    sources.push_back(source_name);
+    observations.push_back(observation);
+  }
+
+  std::vector<std::string> sources;
+  std::vector<SourceObservation> observations;
+};
+
+/// A result cache holding one resident entry: every Acquire hits with
+/// `rows`. Counts the protocol calls it receives.
+class ResidentCache : public SourceResultCache {
+ public:
+  explicit ResidentCache(std::vector<std::vector<Term>> rows)
+      : rows_(std::move(rows)) {}
+
+  std::optional<std::vector<std::vector<Term>>> Acquire(
+      const std::string& source_name,
+      const std::vector<std::map<int, Term>>& batch, bool* leader) override {
+    ++acquires;
+    last_source = source_name;
+    last_batch = batch;
+    *leader = false;
+    return rows_;
+  }
+  void Publish(const std::string&, const std::vector<std::map<int, Term>>&,
+               const std::vector<std::vector<Term>>&) override {
+    ++publishes;
+  }
+  void Abort(const std::string&,
+             const std::vector<std::map<int, Term>>&) override {
+    ++aborts;
+  }
+
+  int acquires = 0;
+  int publishes = 0;
+  int aborts = 0;
+  std::string last_source;
+  std::vector<std::map<int, Term>> last_batch;
+
+ private:
+  std::vector<std::vector<Term>> rows_;
+};
 
 /// A registry with one source v(actor, movie) holding a few tuples.
 class RemoteSourceTest : public ::testing::Test {
@@ -45,15 +99,22 @@ TEST_F(RemoteSourceTest, PassesThroughWhenModelIsQuiet) {
   RemoteRegistry remotes = MakeRemotes(7);
   RemoteSource* v = remotes.Find("v");
   ASSERT_NE(v, nullptr);
-  auto rows = v->FetchBatch(FordBatch(), RetryPolicy{});
+  RecordingSink sink;
+  v->set_trace_sink(&sink);
+  exec::RuntimeAccounting call;
+  auto rows = v->FetchBatch(FordBatch(), RetryPolicy{}, &call);
   ASSERT_TRUE(rows.ok()) << rows.status();
   EXPECT_EQ(rows->size(), 2u);
-  const exec::RuntimeAccounting stats = v->stats();
-  EXPECT_EQ(stats.retries, 0);
-  EXPECT_EQ(stats.transient_failures, 0);
-  EXPECT_EQ(stats.permanent_failures, 0);
-  // Underlying access accounting still recorded.
-  EXPECT_EQ(v->underlying().stats().calls, 1);
+  EXPECT_EQ(call.retries, 0);
+  EXPECT_EQ(call.transient_failures, 0);
+  EXPECT_EQ(call.permanent_failures, 0);
+  // The one attempt reached the underlying source and shipped its rows.
+  ASSERT_EQ(sink.observations.size(), 1u);
+  EXPECT_EQ(sink.sources[0], "v");
+  EXPECT_EQ(sink.observations[0].rows, 2);
+  EXPECT_EQ(sink.observations[0].attempts, 1);
+  EXPECT_EQ(sink.observations[0].failures, 0);
+  EXPECT_FALSE(sink.observations[0].call_failed);
 }
 
 TEST_F(RemoteSourceTest, LatencyModelIsAffineInWorkShipped) {
@@ -69,8 +130,7 @@ TEST_F(RemoteSourceTest, LatencyModelIsAffineInWorkShipped) {
   ASSERT_TRUE(rows.ok());
   // 10 (base) + 2*1 (bindings) + 1*2 (tuples) with zero jitter.
   EXPECT_DOUBLE_EQ(call.latency_ms_total, 14.0);
-  EXPECT_DOUBLE_EQ(v->stats().latency_ms_total, 14.0);
-  EXPECT_DOUBLE_EQ(v->stats().latency_ms_max, 14.0);
+  EXPECT_DOUBLE_EQ(call.latency_ms_max, 14.0);
 }
 
 TEST_F(RemoteSourceTest, SameSeedSameBehaviorDifferentSeedDiverges) {
@@ -103,13 +163,12 @@ TEST_F(RemoteSourceTest, TransientFailuresAreRetriedToSuccess) {
   ASSERT_TRUE(remotes.Configure("v", model).ok());
   RetryPolicy retry;
   retry.max_attempts = 64;  // virtually certain recovery at rate 0.6
-  RemoteSource* v = remotes.Find("v");
-  auto rows = v->FetchBatch(FordBatch(), retry);
+  exec::RuntimeAccounting call;
+  auto rows = remotes.Find("v")->FetchBatch(FordBatch(), retry, &call);
   ASSERT_TRUE(rows.ok()) << rows.status();
   EXPECT_EQ(rows->size(), 2u);
-  const exec::RuntimeAccounting stats = v->stats();
-  EXPECT_EQ(stats.retries, stats.transient_failures);
-  EXPECT_GE(stats.retries, 0);
+  EXPECT_EQ(call.retries, call.transient_failures);
+  EXPECT_GE(call.retries, 0);
 }
 
 TEST_F(RemoteSourceTest, RetriesExhaustedYieldsUnavailable) {
@@ -119,12 +178,12 @@ TEST_F(RemoteSourceTest, RetriesExhaustedYieldsUnavailable) {
   ASSERT_TRUE(remotes.Configure("v", model).ok());
   RetryPolicy retry;
   retry.max_attempts = 3;
-  auto rows = remotes.Find("v")->FetchBatch(FordBatch(), retry);
+  exec::RuntimeAccounting call;
+  auto rows = remotes.Find("v")->FetchBatch(FordBatch(), retry, &call);
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kUnavailable);
-  const exec::RuntimeAccounting stats = remotes.TotalStats();
-  EXPECT_EQ(stats.transient_failures, 3);
-  EXPECT_EQ(stats.retries, 2);  // backoffs between the three attempts
+  EXPECT_EQ(call.transient_failures, 3);
+  EXPECT_EQ(call.retries, 2);  // backoffs between the three attempts
 }
 
 TEST_F(RemoteSourceTest, PermanentFailureFailsFastWithoutRetries) {
@@ -132,13 +191,22 @@ TEST_F(RemoteSourceTest, PermanentFailureFailsFastWithoutRetries) {
   NetworkModel model;
   model.permanently_failed = true;
   ASSERT_TRUE(remotes.Configure("v", model).ok());
-  auto rows = remotes.Find("v")->FetchBatch(FordBatch(), RetryPolicy{});
+  RecordingSink sink;
+  remotes.set_trace_sink(&sink);
+  exec::RuntimeAccounting call;
+  auto rows = remotes.Find("v")->FetchBatch(FordBatch(), RetryPolicy{}, &call);
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kUnavailable);
-  const exec::RuntimeAccounting stats = remotes.TotalStats();
-  EXPECT_EQ(stats.permanent_failures, 1);
-  EXPECT_EQ(stats.retries, 0);
-  EXPECT_EQ(remotes.Find("v")->underlying().stats().calls, 0);
+  EXPECT_EQ(call.permanent_failures, 1);
+  EXPECT_EQ(call.retries, 0);
+  // One failed attempt that never reached the underlying source: nothing
+  // shipped and no latency paid.
+  ASSERT_EQ(sink.observations.size(), 1u);
+  EXPECT_TRUE(sink.observations[0].call_failed);
+  EXPECT_EQ(sink.observations[0].attempts, 1);
+  EXPECT_EQ(sink.observations[0].failures, 1);
+  EXPECT_EQ(sink.observations[0].rows, 0);
+  EXPECT_EQ(sink.observations[0].latency_micros, 0);
 }
 
 TEST_F(RemoteSourceTest, HedgingNeverSlowsACallDown) {
@@ -151,13 +219,13 @@ TEST_F(RemoteSourceTest, HedgingNeverSlowsACallDown) {
     model.hedge_delay_ms = hedge_delay;
     [&] { ASSERT_TRUE(remotes.Configure("v", model).ok()); }();
     // Several distinct calls to spread over the jitter distribution.
+    exec::RuntimeAccounting calls;
     for (const char* actor : {"ford", "kate", "nobody"}) {
       auto rows = remotes.Find("v")->FetchBatch(
-          {{{0, Term::Constant(actor)}}}, RetryPolicy{});
+          {{{0, Term::Constant(actor)}}}, RetryPolicy{}, &calls);
       [&] { ASSERT_TRUE(rows.ok()); }();
     }
-    return std::pair(remotes.TotalStats().latency_ms_total,
-                     remotes.TotalStats().hedged_calls);
+    return std::pair(calls.latency_ms_total, calls.hedged_calls);
   };
   const auto [unhedged_ms, unhedged_count] = total(0.0);
   const auto [hedged_ms, hedged_count] = total(30.0);
@@ -165,6 +233,44 @@ TEST_F(RemoteSourceTest, HedgingNeverSlowsACallDown) {
   EXPECT_GT(hedged_count, 0);  // jitter pushes some primaries past 30ms
   // Racing a backup can only improve an attempt's completion time.
   EXPECT_LE(hedged_ms, unhedged_ms);
+}
+
+TEST_F(RemoteSourceTest, CacheHitReturnsPublishedRowsFreeOfCharge) {
+  // A network on which every uncached call pays latency and fails: only the
+  // hit path can return rows, and it must charge nothing.
+  RemoteRegistry remotes = MakeRemotes(7);
+  NetworkModel model;
+  model.base_latency_ms = 10.0;
+  model.transient_failure_rate = 1.0;
+  ASSERT_TRUE(remotes.Configure("v", model).ok());
+  // Rows the source does not hold, so they can only come from the cache.
+  const std::vector<std::vector<Term>> published = {
+      {Term::Constant("ford"), Term::Constant("m9")}};
+  ResidentCache cache(published);
+  RecordingSink sink;
+  RemoteSource* v = remotes.Find("v");
+  v->set_result_cache(&cache);
+  v->set_trace_sink(&sink);
+
+  exec::RuntimeAccounting call;
+  auto rows = v->FetchBatch(FordBatch(), RetryPolicy{}, &call);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(*rows, published);
+  EXPECT_EQ(cache.acquires, 1);
+  EXPECT_EQ(cache.last_source, "v");
+  EXPECT_EQ(cache.last_batch, FordBatch());
+  EXPECT_EQ(cache.publishes, 0);
+  EXPECT_EQ(cache.aborts, 0);
+
+  EXPECT_EQ(call.source_cache_hits, 1);
+  EXPECT_EQ(call.latency_ms_total, 0.0);
+  EXPECT_EQ(call.latency_ms_max, 0.0);
+  EXPECT_EQ(call.retries, 0);
+  EXPECT_EQ(call.transient_failures, 0);
+  EXPECT_EQ(call.permanent_failures, 0);
+  EXPECT_EQ(call.hedged_calls, 0);
+  // A resident operation reveals nothing about the source: no observation.
+  EXPECT_TRUE(sink.observations.empty());
 }
 
 TEST(RetryPolicyTest, BackoffDoublesAndCaps) {

@@ -22,7 +22,6 @@
 #include "exec/source_access.h"
 #include "exec/synthetic_domain.h"
 #include "reformulation/bucket.h"
-#include "runtime/parallel_join.h"
 #include "runtime/source_runtime.h"
 #include "runtime/thread_pool.h"
 #include "utility/coverage_model.h"
@@ -30,7 +29,6 @@
 namespace planorder::runtime {
 namespace {
 
-using datalog::Atom;
 using datalog::ParseRule;
 using datalog::Term;
 
@@ -61,7 +59,6 @@ class MovieRuntimeTest : public ::testing::Test {
       ASSERT_TRUE(registry_.Register(name, 2).ok());
     }
     auto materialize = [&](const char* source, const char* a, const char* b) {
-      source_db_.AddFact(Atom(source, {Term::Constant(a), Term::Constant(b)}));
       exec::AccessibleSource* s = registry_.Find(source);
       ASSERT_NE(s, nullptr);
       ASSERT_TRUE(s->Add({Term::Constant(a), Term::Constant(b)}).ok());
@@ -105,7 +102,7 @@ class MovieRuntimeTest : public ::testing::Test {
   }
 
   exec::Mediator MakeMediator() {
-    return exec::Mediator(&catalog_, query_, &source_db_, buckets_.buckets);
+    return exec::Mediator(&catalog_, query_, buckets_.buckets);
   }
 
   /// Serial reference: the classic dependent-join mediator run.
@@ -115,7 +112,9 @@ class MovieRuntimeTest : public ::testing::Test {
         {}, &workload_, &model, {core::PlanSpace::FullSpace(workload_)});
     EXPECT_TRUE(orderer.ok());
     exec::Mediator mediator = MakeMediator();
-    auto result = mediator.Run(**orderer, max_plans, &registry_);
+    auto result =
+        mediator.Run(**orderer, {.max_plans = max_plans},
+                     *exec::MakeDependentJoinExecutor(&registry_));
     EXPECT_TRUE(result.ok()) << result.status();
     return *result;
   }
@@ -160,7 +159,6 @@ class MovieRuntimeTest : public ::testing::Test {
 
   datalog::Catalog catalog_;
   datalog::ConjunctiveQuery query_;
-  datalog::Database source_db_;
   exec::SourceRegistry registry_;
   reformulation::BucketResult buckets_;
   stats::Workload workload_;
@@ -483,20 +481,20 @@ TEST_F(MovieRuntimeTest, ParallelJoinPreservesSerialRowOrder) {
   // sequence exactly (chunk-order merge + first-occurrence dedup).
   auto plan = ParseRule("q(M,R) :- v3(A,M), v4(R,M)");
   ASSERT_TRUE(plan.ok());
-  auto serial = exec::ExecutePlanDependent(*plan, registry_);
+  exec::ExecutionTrace serial_trace;
+  auto serial = exec::ExecutePlanDependent(*plan, registry_, &serial_trace);
   ASSERT_TRUE(serial.ok());
+  ASSERT_EQ(serial_trace.TotalCalls(), 2);
 
   SourceRuntime runtime(&registry_, QuietOptions(4));
-  ParallelJoinOptions join_options;
-  join_options.max_partitions = 4;
-  exec::ExecutionTrace trace;
-  auto parallel = ExecutePlanDependentParallel(
-      *plan, runtime.remotes(), runtime.pool(), join_options, &trace);
+  auto parallel = runtime.ExecutePlan(*plan);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
-  EXPECT_EQ(*serial, *parallel);  // same answers, same order
-  ASSERT_EQ(trace.atoms.size(), 2u);
-  // v3 ships 3 distinct movies to v4: split across several partition calls.
-  EXPECT_GT(trace.atoms[1].calls, 1);
+  ASSERT_FALSE(parallel->failed);
+  EXPECT_EQ(*serial, parallel->tuples);  // same answers, same order
+  // v3 ships 3 distinct movies to v4: split across several partition calls,
+  // each counted as one source call, shipping the serial batch's rows.
+  EXPECT_GT(parallel->source_calls, serial_trace.TotalCalls());
+  EXPECT_EQ(parallel->tuples_shipped, serial_trace.TotalTuplesShipped());
 }
 
 /// Larger-scale equivalence on a generated domain, exercising real pool
@@ -522,12 +520,13 @@ TEST(SyntheticRuntimeTest, ParallelMediatorMatchesSerialOnSyntheticDomain) {
     }
   }
 
-  exec::Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  exec::Mediator mediator(&d.catalog, d.query, d.source_ids);
   utility::CoverageModel model_a(&d.workload);
   auto orderer_a = core::MakeOrderer(
       {}, &d.workload, &model_a, {core::PlanSpace::FullSpace(d.workload)});
   ASSERT_TRUE(orderer_a.ok());
-  auto serial = mediator.Run(**orderer_a, 16, &registry);
+  auto serial = mediator.Run(**orderer_a, {.max_plans = 16},
+                             *exec::MakeDependentJoinExecutor(&registry));
   ASSERT_TRUE(serial.ok());
 
   utility::CoverageModel model_b(&d.workload);

@@ -161,18 +161,21 @@ TEST_F(ServiceConcurrencyTest, FaultyNetworkStillMatchesAndIsolatesAccounting) {
     ASSERT_TRUE(statuses[size_t(t)].ok()) << statuses[size_t(t)];
     ExpectSameTrace(*reference, results[size_t(t)]);
     // Identical queries make identical source calls, so the plan-local
-    // accounting is identical too — regardless of interleaving. A registry
-    // delta would have smeared other sessions' retries in here.
+    // accounting is identical too — regardless of interleaving.
     EXPECT_EQ(results[size_t(t)].runtime.transient_failures,
               reference->runtime.transient_failures);
     EXPECT_EQ(results[size_t(t)].runtime.retries,
               reference->runtime.retries);
   }
 
-  // The shared registry's totals cover ALL sessions' work.
-  const exec::RuntimeAccounting shared = runtime.remotes().TotalStats();
-  EXPECT_EQ(shared.transient_failures,
+  // The service's totals cover ALL sessions' work, each session counted
+  // once.
+  const exec::RuntimeAccounting total = service.Metrics().runtime;
+  EXPECT_EQ(total.transient_failures,
             (1 + kThreads) * reference->runtime.transient_failures);
+  EXPECT_EQ(total.retries, (1 + kThreads) * reference->runtime.retries);
+  EXPECT_EQ(total.permanent_failures, 0);
+  EXPECT_EQ(total.source_cache_hits, 0);
 }
 
 TEST_F(ServiceConcurrencyTest, InterleavedStreamsShareTheRegistry) {

@@ -148,8 +148,9 @@ TEST(EstimateWorkloadTest, EstimatedWorkloadDrivesAccurateOrdering) {
   auto orderer = core::MakeOrderer(
       {}, &*estimated, &model, {core::PlanSpace::FullSpace(*estimated)});
   ASSERT_TRUE(orderer.ok());
-  exec::Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
-  auto result = mediator.Run(**orderer, 16);
+  exec::Mediator mediator(&d.catalog, d.query, d.source_ids);
+  auto result = mediator.Run(**orderer, {.max_plans = 16},
+                             *exec::MakeSetOrientedExecutor(&d.source_facts));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->steps.size(), 16u);
   const size_t quarter = result->steps[3].total_answers;
