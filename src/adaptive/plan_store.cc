@@ -1,9 +1,12 @@
 #include "adaptive/plan_store.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "base/hash.h"
 
@@ -17,13 +20,6 @@ constexpr int64_t kMaxCount = 1 << 20;
 
 Status Malformed(const std::string& what) {
   return InvalidArgumentError("plan store: " + what);
-}
-
-/// C hexadecimal floating-point literal — exact binary round-trip.
-std::string HexDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
 }
 
 Status ParseHexDouble(const std::string& token, double* out) {
@@ -99,7 +95,58 @@ class LineReader {
   std::istringstream stream_;
 };
 
+/// Appends the decimal (or other `base`) digits of an integer, as ostream
+/// formats them.
+template <typename Int>
+void AppendInt(std::string& out, Int v, int base = 10) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v, base);
+  out.append(buf, result.ptr);
+}
+
+/// A generous estimate of the formatted size of `contents`, so formatting
+/// appends into one allocation.
+size_t EstimatedBytes(const StoreContents& contents) {
+  // A hexfloat literal takes at most 24 characters plus its separator.
+  constexpr size_t kDoubleBytes = 25;
+  size_t bytes = 64 + contents.observed.size() * (64 + 3 * kDoubleBytes);
+  for (const StoredReformulation& entry : contents.entries) {
+    bytes += 64 + entry.canonical_text.size();
+    for (const std::vector<int>& bucket : entry.buckets) {
+      bytes += 16 + 12 * bucket.size();
+    }
+    for (const std::vector<stats::SourceStats>& bucket : entry.stat_buckets) {
+      bytes += 16 + (4 * kDoubleBytes + 17) * bucket.size();
+    }
+    for (const std::vector<double>& weights : entry.region_weights) {
+      bytes += 16 + kDoubleBytes * weights.size();
+    }
+    bytes += 16 + kDoubleBytes * (entry.domain_sizes.size() + 1);
+  }
+  return bytes;
+}
+
 }  // namespace
+
+void AppendHexDouble(std::string& out, double v) {
+  char buf[32];
+  if (std::fpclassify(v) == FP_SUBNORMAL) {
+    // to_chars normalizes subnormals (0x1p-1074); printf keeps the 0x0.
+    // mantissa with exponent -1022, and stores on disk hold printf's form.
+    out.append(buf, size_t(std::snprintf(buf, sizeof(buf), "%a", v)));
+    return;
+  }
+  const auto result =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::hex);
+  std::string_view digits(buf, size_t(result.ptr - buf));
+  if (!digits.empty() && digits.front() == '-') {
+    out += '-';
+    digits.remove_prefix(1);
+  }
+  // printf's %a prefixes finite values with 0x; inf and nan stay bare.
+  if (std::isfinite(v)) out += "0x";
+  out += digits;
+}
 
 StatusOr<StoreContents> PlanStore::Load() const {
   std::ifstream in(path_, std::ios::binary);
@@ -243,66 +290,95 @@ StatusOr<StoreContents> PlanStore::Load() const {
 }
 
 Status PlanStore::Save(const StoreContents& contents) const {
-  std::ostringstream out;
-  out << "planorder-planstore v" << kFormatVersion << "\n";
-  out << "sources " << contents.num_sources << "\n";
-  out << "observed " << contents.observed.size() << "\n";
+  std::string out;
+  out.reserve(EstimatedBytes(contents));
+  out += "planorder-planstore v";
+  AppendInt(out, kFormatVersion);
+  out += "\nsources ";
+  AppendInt(out, contents.num_sources);
+  out += "\nobserved ";
+  AppendInt(out, contents.observed.size());
+  out += '\n';
   for (const auto& [name, e] : contents.observed) {
     if (name.find_first_of(" \t\n") != std::string::npos) {
       return InvalidArgumentError("plan store: source name with whitespace '" +
                                   name + "'");
     }
-    out << "o " << name << " " << e.windows << " " << e.card_windows << " "
-        << e.calls << " " << HexDouble(e.cardinality) << " "
-        << HexDouble(e.latency_ms) << " " << HexDouble(e.failure_prob) << "\n";
+    out += "o ";
+    out += name;
+    for (const int64_t count : {e.windows, e.card_windows, e.calls}) {
+      out += ' ';
+      AppendInt(out, count);
+    }
+    for (const double v : {e.cardinality, e.latency_ms, e.failure_prob}) {
+      out += ' ';
+      AppendHexDouble(out, v);
+    }
+    out += '\n';
   }
-  out << "entries " << contents.entries.size() << "\n";
+  out += "entries ";
+  AppendInt(out, contents.entries.size());
+  out += '\n';
   for (const StoredReformulation& entry : contents.entries) {
     if (entry.canonical_text.find('\n') != std::string::npos) {
       return InvalidArgumentError("plan store: multi-line canonical text");
     }
-    out << "entry " << entry.canonical_text << "\n";
-    out << "buckets " << entry.buckets.size() << "\n";
+    out += "entry ";
+    out += entry.canonical_text;
+    out += "\nbuckets ";
+    AppendInt(out, entry.buckets.size());
+    out += '\n';
     for (const std::vector<int>& bucket : entry.buckets) {
-      out << "b " << bucket.size();
-      for (int id : bucket) out << " " << id;
-      out << "\n";
+      out += "b ";
+      AppendInt(out, bucket.size());
+      for (int id : bucket) {
+        out += ' ';
+        AppendInt(out, id);
+      }
+      out += '\n';
     }
     for (const std::vector<stats::SourceStats>& bucket : entry.stat_buckets) {
-      out << "s " << bucket.size();
+      out += "s ";
+      AppendInt(out, bucket.size());
       for (const stats::SourceStats& s : bucket) {
-        char mask[32];
-        std::snprintf(mask, sizeof(mask), "%llx",
-                      static_cast<unsigned long long>(s.regions.bits));
-        out << " " << HexDouble(s.cardinality) << " "
-            << HexDouble(s.transmission_cost) << " "
-            << HexDouble(s.failure_prob) << " " << HexDouble(s.fee) << " "
-            << mask;
+        for (const double v :
+             {s.cardinality, s.transmission_cost, s.failure_prob, s.fee}) {
+          out += ' ';
+          AppendHexDouble(out, v);
+        }
+        out += ' ';
+        AppendInt(out, s.regions.bits, 16);
       }
-      out << "\n";
+      out += '\n';
     }
     for (const std::vector<double>& weights : entry.region_weights) {
-      out << "w " << weights.size();
-      for (double w : weights) out << " " << HexDouble(w);
-      out << "\n";
+      out += "w ";
+      AppendInt(out, weights.size());
+      for (double w : weights) {
+        out += ' ';
+        AppendHexDouble(out, w);
+      }
+      out += '\n';
     }
-    out << "domain";
-    for (double d : entry.domain_sizes) out << " " << HexDouble(d);
-    out << "\n";
-    out << "overhead " << HexDouble(entry.access_overhead) << "\n";
-    out << "end\n";
+    out += "domain";
+    for (double d : entry.domain_sizes) {
+      out += ' ';
+      AppendHexDouble(out, d);
+    }
+    out += "\noverhead ";
+    AppendHexDouble(out, entry.access_overhead);
+    out += "\nend\n";
   }
-  const std::string payload = out.str();
   char sum[32];
   std::snprintf(sum, sizeof(sum), "%016llx",
-                static_cast<unsigned long long>(Fnv1a64(payload)));
+                static_cast<unsigned long long>(Fnv1a64(out)));
   const std::string tmp_path = path_ + ".tmp";
   {
     std::ofstream file(tmp_path, std::ios::binary | std::ios::trunc);
     if (!file.is_open()) {
       return InternalError("plan store: cannot write '" + tmp_path + "'");
     }
-    file << payload << "checksum " << sum << "\n";
+    file << out << "checksum " << sum << "\n";
     file.flush();
     if (!file.good()) {
       return InternalError("plan store: write failed for '" + tmp_path + "'");

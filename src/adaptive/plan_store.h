@@ -36,6 +36,11 @@ struct StoreContents {
   std::vector<std::pair<std::string, SourceEstimate>> observed;
 };
 
+/// Appends `v` as a C hexadecimal floating-point literal, byte-identical to
+/// printf's `%a` (`0x1.8p+1`, `-0x0p+0`, `0x0.0000000000001p-1022`, `inf`):
+/// the store's format for every double.
+void AppendHexDouble(std::string& out, double v);
+
 /// Versioned on-disk persistence of reformulations and learned statistics —
 /// the plan memory that survives QueryService / ShardedService restarts
 /// (ROADMAP "persistent plan memory"; the offline plan-store exemplar of
@@ -43,13 +48,14 @@ struct StoreContents {
 ///
 /// Format: a line-oriented text file opening with `planorder-planstore v1`
 /// and closing with a checksum line (FNV-1a over every preceding byte).
-/// Doubles are written as C hexadecimal floating-point literals (`%a`), so
-/// every statistic round-trips bit-exactly — a warm-started service ranks
-/// plans byte-identically to the service that wrote the store. Load verifies
-/// version, structure and checksum and returns a non-OK status on any
-/// mismatch (truncation, corruption, format drift); callers treat that as a
-/// cold start, never a crash. Save writes a temp file and renames it into
-/// place, so readers never observe a half-written store.
+/// Doubles are written as C hexadecimal floating-point literals (`%a`, see
+/// AppendHexDouble), so every statistic round-trips bit-exactly — a
+/// warm-started service ranks plans byte-identically to the service that
+/// wrote the store. Load verifies version, structure and checksum and
+/// returns a non-OK status on any mismatch (truncation, corruption, format
+/// drift); callers treat that as a cold start, never a crash. Save writes a
+/// temp file and renames it into place, so readers never observe a
+/// half-written store.
 class PlanStore {
  public:
   static constexpr int kFormatVersion = 1;

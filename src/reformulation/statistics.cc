@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "datalog/builtins.h"
@@ -31,10 +32,8 @@ constexpr double kDomainSizeFactor = 4.0;
 /// projection — overlap over the retrievable attributes is the conservative
 /// choice.
 StatusOr<std::vector<std::vector<Term>>> SubgoalBindings(
-    const ConjunctiveQuery& query, const datalog::Catalog& catalog,
-    datalog::SourceId id, const Atom& goal,
+    const datalog::Catalog& catalog, datalog::SourceId id, const Atom& goal,
     const datalog::Database& source_facts) {
-  (void)query;
   const ConjunctiveQuery view = catalog.source(id).view.RenameVariables("_s");
   for (const Atom& atom : view.body) {
     if (datalog::IsComparisonAtom(atom)) continue;
@@ -70,12 +69,102 @@ StatusOr<std::vector<std::vector<Term>>> SubgoalBindings(
   return std::vector<std::vector<Term>>{};
 }
 
+/// `term` with every variable renamed to its rank in `rank`, zero-padded so
+/// that name order is rank order. The names never end in `_s`, so they
+/// cannot collide with the view variables SubgoalBindings renames apart.
+Term RankVariables(const Term& term, const std::map<std::string, int>& rank) {
+  if (term.is_variable()) {
+    std::string name = std::to_string(rank.at(term.name()));
+    name.insert(0, 10 - name.size(), '0');
+    return Term::Variable(std::move(name));
+  }
+  if (!term.is_function()) return term;
+  std::vector<Term> args;
+  args.reserve(term.args().size());
+  for (const Term& arg : term.args()) args.push_back(RankVariables(arg, rank));
+  return Term::Function(term.name(), std::move(args));
+}
+
+/// Approximate resident footprint of one memo entry: the key, the hash
+/// array, and node and entry overhead.
+size_t EntryBytes(const BindingHashMemo::Key& key,
+                  const std::vector<size_t>& hashes) {
+  return sizeof(key) + key.second.args.size() * sizeof(Term) +
+         16 * sizeof(void*) + hashes.size() * sizeof(size_t);
+}
+
 }  // namespace
+
+Atom BindingHashMemo::PatternOf(const Atom& goal) {
+  // Rank in sorted-name order: SubgoalBindings lays out its projection
+  // columns in that order, and the hashes depend on column order.
+  std::set<std::string> names;
+  goal.CollectVariables(names);
+  std::map<std::string, int> rank;
+  for (const std::string& name : names) {
+    rank.emplace(name, static_cast<int>(rank.size()));
+  }
+  Atom pattern;
+  pattern.predicate = goal.predicate;
+  pattern.args.reserve(goal.args.size());
+  for (const Term& arg : goal.args) {
+    pattern.args.push_back(RankVariables(arg, rank));
+  }
+  return pattern;
+}
+
+BindingHashMemo::Hashes BindingHashMemo::Lookup(const Key& key) {
+  MutexLock lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    ++stats_.misses;
+    return nullptr;
+  }
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  return it->second.hashes;
+}
+
+void BindingHashMemo::Insert(Key key, Hashes hashes) {
+  const size_t bytes = EntryBytes(key, *hashes);
+  MutexLock lock(mu_);
+  auto [it, inserted] = entries_.try_emplace(std::move(key));
+  if (inserted) {
+    lru_.push_front(&it->first);
+    it->second = Entry{std::move(hashes), bytes, lru_.begin()};
+    stats_.bytes += bytes;
+  } else {
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  }
+  while (stats_.bytes > capacity_bytes_ && !lru_.empty()) {
+    auto victim = entries_.find(*lru_.back());
+    stats_.bytes -= victim->second.bytes;
+    entries_.erase(victim);
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
+}
+
+BindingHashMemo::Stats BindingHashMemo::stats() const {
+  MutexLock lock(mu_);
+  return stats_;
+}
 
 StatusOr<stats::Workload> EstimateWorkloadFromInstances(
     const ConjunctiveQuery& query, const datalog::Catalog& catalog,
     const BucketResult& buckets, const datalog::Database& source_facts,
     const EstimateOptions& options) {
+  // A zero-byte memo retains nothing, so every source is scanned: this entry
+  // is the fresh estimate the memoized one is checked against.
+  BindingHashMemo memo(0);
+  return EstimateWorkloadFromInstances(query, catalog, buckets, source_facts,
+                                       options, memo);
+}
+
+StatusOr<stats::Workload> EstimateWorkloadFromInstances(
+    const ConjunctiveQuery& query, const datalog::Catalog& catalog,
+    const BucketResult& buckets, const datalog::Database& source_facts,
+    const EstimateOptions& options, BindingHashMemo& memo) {
   if (options.regions_per_bucket < 1 || options.regions_per_bucket > 64) {
     return InvalidArgumentError("regions_per_bucket must be in [1, 64]");
   }
@@ -106,14 +195,30 @@ StatusOr<stats::Workload> EstimateWorkloadFromInstances(
     // are indistinguishable to the coverage model.
     std::unordered_map<size_t, uint64_t> signature_of;  // binding hash -> mask
     std::vector<size_t> cardinalities(members, 0);
+    // Each source's binding hashes come from the memo when resident, so a
+    // repeated (source, subgoal pattern) costs a merge, not a scan.
+    const Atom pattern = BindingHashMemo::PatternOf(*goals[b]);
     for (size_t i = 0; i < members; ++i) {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::vector<std::vector<Term>> bindings,
-          SubgoalBindings(query, catalog, buckets.buckets[b][i], *goals[b],
-                          source_facts));
-      cardinalities[i] = bindings.size();
-      for (const std::vector<Term>& binding : bindings) {
-        signature_of[hasher(binding)] |= uint64_t{1} << i;
+      const datalog::SourceId id = buckets.buckets[b][i];
+      BindingHashMemo::Key key{id, pattern};
+      BindingHashMemo::Hashes hashes = memo.Lookup(key);
+      if (hashes == nullptr) {
+        // Scanning the pattern, not the goal, makes the hashes a function
+        // of the key alone.
+        PLANORDER_ASSIGN_OR_RETURN(
+            std::vector<std::vector<Term>> bindings,
+            SubgoalBindings(catalog, id, pattern, source_facts));
+        auto scanned = std::make_shared<std::vector<size_t>>();
+        scanned->reserve(bindings.size());
+        for (const std::vector<Term>& binding : bindings) {
+          scanned->push_back(hasher(binding));
+        }
+        hashes = std::move(scanned);
+        memo.Insert(std::move(key), hashes);
+      }
+      cardinalities[i] = hashes->size();
+      for (const size_t hash : *hashes) {
+        signature_of[hash] |= uint64_t{1} << i;
       }
     }
     // Pass 2: one region per distinct signature, most-populated first; the

@@ -7,6 +7,7 @@
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "exec/mediator.h"
+#include "reformulation/statistics.h"
 #include "service/reformulation_cache.h"
 
 namespace planorder::service {
@@ -66,6 +67,9 @@ struct ServiceMetricsSnapshot {
   /// expected in practice.
   int64_t cache_verifications = 0;
   int64_t cache_verification_failures = 0;
+  /// The binding-hash memo behind reformulation misses: a hit is one
+  /// source's scan for one subgoal pattern served from memory.
+  reformulation::BindingHashMemo::Stats estimation_memo;
 
   // End-to-end session latency (admission to Finish), milliseconds.
   size_t latency_count = 0;
@@ -122,6 +126,10 @@ struct ServiceMetricsSnapshot {
     canonicalizations += other.canonicalizations;
     cache_verifications += other.cache_verifications;
     cache_verification_failures += other.cache_verification_failures;
+    estimation_memo.hits += other.estimation_memo.hits;
+    estimation_memo.misses += other.estimation_memo.misses;
+    estimation_memo.evictions += other.estimation_memo.evictions;
+    estimation_memo.bytes += other.estimation_memo.bytes;
     plan_store_entries_loaded += other.plan_store_entries_loaded;
     plan_store_entries_rejected += other.plan_store_entries_rejected;
     plan_store_load_failures += other.plan_store_load_failures;

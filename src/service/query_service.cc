@@ -234,7 +234,8 @@ StatusOr<QueryService::ReformulationOutcome> QueryService::Reformulate(
   PLANORDER_ASSIGN_OR_RETURN(
       fresh->workload,
       reformulation::EstimateWorkloadFromInstances(
-          fresh->canonical.query, *catalog_, fresh->buckets, *source_facts_));
+          fresh->canonical.query, *catalog_, fresh->buckets, *source_facts_,
+          {}, estimation_memo_));
   cache_.Insert(fresh);
   if (options_.plan_store != nullptr) {
     // Best-effort: a failed persist leaves the service fully functional
@@ -380,6 +381,7 @@ ServiceMetricsSnapshot QueryService::Metrics() const {
     snapshot.runtime = runtime_total_;
   }
   snapshot.cache = cache_.stats();
+  snapshot.estimation_memo = estimation_memo_.stats();
   snapshot.latency_count = latency_.count();
   snapshot.latency_p50_ms = latency_.Percentile(50.0);
   snapshot.latency_p95_ms = latency_.Percentile(95.0);

@@ -11,6 +11,7 @@
 #include "base/thread_annotations.h"
 #include "datalog/source.h"
 #include "exec/mediator.h"
+#include "reformulation/statistics.h"
 #include "runtime/clock.h"
 #include "service/metrics.h"
 #include "service/reformulation_cache.h"
@@ -82,7 +83,9 @@ struct ServiceOptions {
 ///
 /// Per query the service (1) canonicalizes — isomorphic queries collapse to
 /// one canonical form; (2) consults the LRU reformulation cache, skipping
-/// the bucket algorithm and workload estimation on a hit; (3) builds a
+/// the bucket algorithm and workload estimation on a hit (a miss estimates
+/// through the service's binding-hash memo, so sources already scanned for
+/// the same subgoal pattern are merged, not rescanned); (3) builds a
 /// per-session orderer over the (shared, immutable) cached workload; and
 /// (4) hands back a streaming Session. Because hit and cold paths both run
 /// the mediator on the canonical query over the canonical bucket order, a
@@ -187,6 +190,9 @@ class QueryService {
   exec::PlanExecutor* executor_;  // owned_executor_.get() or caller's
   runtime::Clock* clock_;  // options_.clock or the process-wide RealClock
   ReformulationCache cache_;
+  /// Per-source binding hashes of `catalog_` over `source_facts_`, shared by
+  /// every reformulation miss (bounded by reformulation::kBindingMemoBytes).
+  reformulation::BindingHashMemo estimation_memo_;
   LatencyHistogram latency_;
 
   mutable Mutex mu_;

@@ -86,6 +86,10 @@ TEST(ServiceMetricsSnapshotMergeTest, CountersSumPeaksMax) {
   a.queue_depth_peak = 5;
   a.cache.hits = 3;
   a.cache.misses = 4;
+  a.estimation_memo.hits = 190;
+  a.estimation_memo.misses = 194;
+  a.estimation_memo.evictions = 1;
+  a.estimation_memo.bytes = 1000;
   a.total_answers = 100;
   a.plan_store_entries_rejected = 1;
   a.runtime.source_cache_hits = 7;
@@ -96,6 +100,10 @@ TEST(ServiceMetricsSnapshotMergeTest, CountersSumPeaksMax) {
   b.queue_depth = 2;
   b.queue_depth_peak = 3;
   b.cache.hits = 1;
+  b.estimation_memo.hits = 10;
+  b.estimation_memo.misses = 6;
+  b.estimation_memo.evictions = 2;
+  b.estimation_memo.bytes = 24;
   b.total_answers = 50;
   b.plan_store_entries_rejected = 2;
   b.runtime.source_cache_hits = 2;
@@ -108,6 +116,10 @@ TEST(ServiceMetricsSnapshotMergeTest, CountersSumPeaksMax) {
   EXPECT_EQ(a.queue_depth_peak, 5);   // peaks max (no cross-shard moment)
   EXPECT_EQ(a.cache.hits, 4);
   EXPECT_EQ(a.cache.misses, 4);
+  EXPECT_EQ(a.estimation_memo.hits, 200);
+  EXPECT_EQ(a.estimation_memo.misses, 200);
+  EXPECT_EQ(a.estimation_memo.evictions, 3);
+  EXPECT_EQ(a.estimation_memo.bytes, 1024u);  // each shard's memo is resident
   EXPECT_EQ(a.total_answers, 150);
   EXPECT_EQ(a.plan_store_entries_rejected, 3);
   EXPECT_EQ(a.runtime.source_cache_hits, 9);

@@ -1,9 +1,15 @@
 #include "adaptive/plan_store.h"
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +141,64 @@ TEST(PlanStoreTest, SaveLoadRoundTripsBitExactly) {
   sa << a.rdbuf();
   sb << b.rdbuf();
   EXPECT_EQ(sa.str(), sb.str());
+}
+
+TEST(PlanStoreTest, HexDoubleMatchesPrintfA) {
+  std::vector<double> values = {
+      0.0,      -0.0,    4.9e-324, -4.9e-324, 1e-310,  -1e-310,
+      DBL_MIN,  DBL_MAX, -DBL_MAX, 1.0,       -2.5,    0.1,
+      1.0 / 3,  1e300,   5.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  // Random bit patterns: every exponent, subnormals and NaN payloads alike.
+  std::mt19937_64 bits(20240521);
+  for (int i = 0; i < 7680; ++i) values.push_back(std::bit_cast<double>(bits()));
+  for (const double v : values) {
+    char want[64];
+    std::snprintf(want, sizeof(want), "%a", v);
+    std::string got;
+    AppendHexDouble(got, v);
+    ASSERT_EQ(got, want) << "bits " << std::bit_cast<uint64_t>(v);
+  }
+}
+
+TEST(PlanStoreTest, SaveWritesThePinnedBytes) {
+  // The exact file a printf-formatted Save wrote for MakeContents(); any
+  // format drift breaks every store on disk.
+  const std::string expected = R"(planorder-planstore v1
+sources 6
+observed 2
+o src_a 9 7 31 0x1.1000000000001p+4 0x1.6p+1 0x1p-3
+o src_b 1 7 31 0x1.0624dd2f1a9fcp-10 0x1.6p+1 0x1p-3
+entries 2
+entry q(X0,X1) :- p0(X0), p1(X0,X1).
+buckets 2
+b 3 0 2 4
+b 2 1 5
+s 3 0x1.edd3c07ee0b0bp+6 0x1.3333333333334p-2 0x1.5555555555555p-2 0x1.ad7f29abcaf48p-24 deadbeef 0x1.d1a94a2p+39 0x0.0000000000001p-1022 0x1.e666666666666p-1 0x1.4p+1 1 0x1.edd3c07ee0b0bp+6 0x1.3333333333334p-2 0x1.5555555555555p-2 0x1.ad7f29abcaf48p-24 deadbeef
+s 2 0x1.d1a94a2p+39 0x0.0000000000001p-1022 0x1.e666666666666p-1 0x1.4p+1 1 0x1.edd3c07ee0b0bp+6 0x1.3333333333334p-2 0x1.5555555555555p-2 0x1.ad7f29abcaf48p-24 deadbeef
+w 2 0x1p-2 0x1.2492492492492p-3
+w 1 0x1.921fb54442d11p+1
+domain 0x1.92p+6 0x1.cp+2
+overhead 0x1.4p+2
+end
+entry q(X0) :- p0(X0).
+buckets 1
+b 1 3
+s 1 0x1.d1a94a2p+39 0x0.0000000000001p-1022 0x1.e666666666666p-1 0x1.4p+1 1
+w 1 0x1p-1
+domain 0x1.5p+5
+overhead 0x1.4p+2
+end
+checksum b9abc3833b4e9304
+)";
+  StoreFile file("pinned");
+  ASSERT_TRUE(PlanStore(file.path()).Save(MakeContents()).ok());
+  std::ifstream in(file.path(), std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_EQ(buffer.str(), expected);
 }
 
 TEST(PlanStoreTest, MissingFileIsNotFoundNotCorruption) {

@@ -11,6 +11,7 @@
 
 #include "datalog/unify.h"
 #include "exec/synthetic_domain.h"
+#include "reformulation/bucket.h"
 
 namespace planorder::service {
 namespace {
@@ -46,6 +47,21 @@ std::set<std::string> AnswerSet(
     rendered.insert(row);
   }
   return rendered;
+}
+
+/// `query` with every variable renamed (an isomorph, not a textual
+/// duplicate).
+datalog::ConjunctiveQuery Isomorph(const datalog::ConjunctiveQuery& query) {
+  datalog::Substitution renaming;
+  for (const std::string& v : query.Variables()) {
+    renaming[v] = datalog::Term::Variable("Renamed" + v);
+  }
+  datalog::ConjunctiveQuery isomorph(
+      datalog::ApplySubstitution(query.head, renaming), {});
+  for (const datalog::Atom& atom : query.body) {
+    isomorph.body.push_back(datalog::ApplySubstitution(atom, renaming));
+  }
+  return isomorph;
 }
 
 /// Step traces must agree plan for plan: same plan order, same per-step
@@ -122,25 +138,7 @@ TEST(QueryServiceTest, IsomorphicQueryHitsAndMatches) {
   auto cold = service.RunQuery(d->query, Limits(16));
   ASSERT_TRUE(cold.ok()) << cold.status();
 
-  // Rename every variable (an isomorph, not a textual duplicate).
-  datalog::Substitution renaming;
-  auto collect = [&renaming](const datalog::Atom& atom) {
-    for (const datalog::Term& term : atom.args) {
-      if (term.is_variable()) {
-        renaming[term.name()] =
-            datalog::Term::Variable("Renamed" + term.name());
-      }
-    }
-  };
-  collect(d->query.head);
-  for (const datalog::Atom& atom : d->query.body) collect(atom);
-  datalog::ConjunctiveQuery isomorph(
-      datalog::ApplySubstitution(d->query.head, renaming), {});
-  for (const datalog::Atom& atom : d->query.body) {
-    isomorph.body.push_back(datalog::ApplySubstitution(atom, renaming));
-  }
-
-  auto session = service.OpenSession(isomorph, Limits(16));
+  auto session = service.OpenSession(Isomorph(d->query), Limits(16));
   ASSERT_TRUE(session.ok()) << session.status();
   EXPECT_TRUE((*session)->cache_hit());
   while ((*session)->NextStep().ok()) {
@@ -164,6 +162,58 @@ TEST(QueryServiceTest, CacheDisabledStillMatchesCachedRuns) {
   ExpectSameTrace(*a, *b);
   ExpectSameTrace(*a, *c);
   EXPECT_EQ(uncached.Metrics().cache.hits, 0);
+}
+
+TEST(QueryServiceTest, ColdMissesMergeMemoizedSourceScans) {
+  auto d = MakeDomain();
+  ServiceOptions options;
+  options.cache_capacity = 0;  // every query is a reformulation miss
+  QueryService service(&d->catalog, &d->source_facts, options);
+  auto buckets = reformulation::BuildBuckets(d->query, d->catalog);
+  ASSERT_TRUE(buckets.ok());
+  int64_t members = 0;
+  for (const auto& bucket : buckets->buckets) members += int64_t(bucket.size());
+
+  auto first = service.OpenSession(d->query, Limits(16));
+  ASSERT_TRUE(first.ok()) << first.status();
+  while ((*first)->NextStep().ok()) {
+  }
+  const std::set<std::string> first_answers = AnswerSet((*first)->Answers());
+  const MediatorResult first_result = (*first)->Finish();
+  const reformulation::BindingHashMemo::Stats after_first =
+      service.Metrics().estimation_memo;
+  EXPECT_EQ(after_first.hits, 0);
+  EXPECT_EQ(after_first.misses, members);
+
+  // The isomorph misses the reformulation cache again, but every source
+  // scan of its estimate is a memo hit.
+  auto second = service.OpenSession(Isomorph(d->query), Limits(16));
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_FALSE((*second)->cache_hit());
+  while ((*second)->NextStep().ok()) {
+  }
+  const std::set<std::string> second_answers = AnswerSet((*second)->Answers());
+  const MediatorResult second_result = (*second)->Finish();
+  const ServiceMetricsSnapshot metrics = service.Metrics();
+  EXPECT_EQ(metrics.estimation_memo.hits - after_first.hits, members);
+  EXPECT_EQ(metrics.estimation_memo.misses, after_first.misses);
+  EXPECT_GT(metrics.estimation_memo.bytes, 0u);
+  EXPECT_EQ(metrics.cache.hits, 0);
+
+  // A fresh service (empty memo) orders and answers identically.
+  QueryService fresh(&d->catalog, &d->source_facts, options);
+  auto reference = fresh.OpenSession(Isomorph(d->query), Limits(16));
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  while ((*reference)->NextStep().ok()) {
+  }
+  const std::set<std::string> reference_answers =
+      AnswerSet((*reference)->Answers());
+  const MediatorResult reference_result = (*reference)->Finish();
+  ExpectSameTrace(second_result, reference_result);
+  ExpectSameTrace(first_result, reference_result);
+  EXPECT_EQ(second_answers, reference_answers);
+  EXPECT_EQ(first_answers, reference_answers);
+  EXPECT_FALSE(reference_answers.empty());
 }
 
 TEST(QueryServiceTest, StreamingStepsMatchBatchRun) {
