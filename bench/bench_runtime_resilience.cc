@@ -48,19 +48,6 @@ struct FailurePoint {
   size_t failed_plans = 0;
 };
 
-exec::SourceRegistry BuildRegistry(const exec::SyntheticDomain& d) {
-  exec::SourceRegistry registry;
-  for (datalog::SourceId id = 0; id < d.catalog.num_sources(); ++id) {
-    const std::string& name = d.catalog.source(id).name;
-    auto source = registry.Register(name, 2);
-    PLANORDER_CHECK(source.ok()) << source.status();
-    for (const auto& tuple : d.source_facts.TuplesFor(name)) {
-      PLANORDER_CHECK((*source)->Add(tuple).ok());
-    }
-  }
-  return registry;
-}
-
 /// One full mediation run through the runtime; returns wall-clock ms.
 double TimedRun(const exec::SyntheticDomain& d, exec::SourceRegistry& registry,
                 const runtime::RuntimeOptions& options,
@@ -232,7 +219,9 @@ int Main(int argc, char** argv) {
   auto domain = exec::BuildSyntheticDomain(wopts, /*num_answers=*/400);
   PLANORDER_CHECK(domain.ok()) << domain.status();
   const exec::SyntheticDomain& d = **domain;
-  exec::SourceRegistry registry = BuildRegistry(d);
+  auto built = exec::BuildSourceRegistry(d.catalog, d.source_facts);
+  PLANORDER_CHECK(built.ok()) << built.status();
+  exec::SourceRegistry& registry = *built;
 
   const BenchFlags flags =
       ParseBenchFlags(argc, argv, "BENCH_runtime.json", {4, 8});

@@ -106,15 +106,9 @@ PointResult RunPoint(const exec::SyntheticDomain& domain,
     if (t < duration_ms) offsets_ms.push_back(t);
   }
 
-  exec::SourceRegistry registry;
-  for (datalog::SourceId id = 0; id < domain.catalog.num_sources(); ++id) {
-    const std::string& name = domain.catalog.source(id).name;
-    auto source = registry.Register(name, 2);
-    PLANORDER_CHECK(source.ok()) << source.status();
-    for (const auto& tuple : domain.source_facts.TuplesFor(name)) {
-      PLANORDER_CHECK((*source)->Add(tuple).ok());
-    }
-  }
+  auto registry =
+      exec::BuildSourceRegistry(domain.catalog, domain.source_facts);
+  PLANORDER_CHECK(registry.ok()) << registry.status();
 
   cluster::SourceOperationCache cache;
   runtime::RuntimeOptions ropts;
@@ -123,7 +117,7 @@ PointResult RunPoint(const exec::SyntheticDomain& domain,
   ropts.seed = seed;
   ropts.default_model.base_latency_ms = kSourceLatencyMs;
   if (cache_on) ropts.source_cache = &cache;
-  runtime::SourceRuntime runtime(&registry, ropts);
+  runtime::SourceRuntime runtime(&*registry, ropts);
 
   cluster::ClusterOptions copts;
   copts.num_shards = num_shards;

@@ -39,15 +39,8 @@ int main() {
   const exec::SyntheticDomain& d = **domain;
 
   // Materialize every source behind a binding-pattern interface.
-  exec::SourceRegistry registry;
-  for (datalog::SourceId id = 0; id < d.catalog.num_sources(); ++id) {
-    const std::string& name = d.catalog.source(id).name;
-    auto source = registry.Register(name, 2);
-    if (!source.ok()) return Fail(source.status());
-    for (const auto& tuple : d.source_facts.TuplesFor(name)) {
-      if (Status s = (*source)->Add(tuple); !s.ok()) return Fail(s);
-    }
-  }
+  auto registry = exec::BuildSourceRegistry(d.catalog, d.source_facts);
+  if (!registry.ok()) return Fail(registry.status());
 
   auto model = utility::BoundJoinCostModel::Create(&d.workload,
                                                    utility::BoundJoinOptions{});
@@ -78,7 +71,7 @@ int main() {
     }
     exec::ExecutionTrace trace;
     auto answers =
-        exec::ExecutePlanDependent(resolved->plan.rewriting, registry, &trace);
+        exec::ExecutePlanDependent(resolved->plan.rewriting, *registry, &trace);
     if (!answers.ok()) return Fail(answers.status());
     std::printf("%4d  %12.1f  %12.1f  %7lld  %8lld  %zu\n", rank,
                 -next->utility, trace.ModeledCost(h, alphas),

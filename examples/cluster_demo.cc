@@ -72,22 +72,15 @@ int main() {
 
   // Sources behind the resilient runtime with simulated latency; the shared
   // cache sits in the fetch path, so a repeat operation costs nothing.
-  exec::SourceRegistry registry;
-  for (datalog::SourceId id = 0; id < d.catalog.num_sources(); ++id) {
-    const std::string& name = d.catalog.source(id).name;
-    auto source = registry.Register(name, 2);
-    if (!source.ok()) return 1;
-    for (const auto& tuple : d.source_facts.TuplesFor(name)) {
-      if (!(*source)->Add(tuple).ok()) return 1;
-    }
-  }
+  auto registry = exec::BuildSourceRegistry(d.catalog, d.source_facts);
+  if (!registry.ok()) return 1;
   cluster::SourceOperationCache cache;
   runtime::RuntimeOptions ropts;
   ropts.num_threads = 2;
   ropts.time_dilation = 0.0;  // simulated latency, no real sleeping
   ropts.default_model.base_latency_ms = 5.0;
   ropts.source_cache = &cache;
-  runtime::SourceRuntime runtime(&registry, ropts);
+  runtime::SourceRuntime runtime(&*registry, ropts);
 
   cluster::ClusterOptions copts;
   copts.num_shards = 2;

@@ -2,25 +2,7 @@
 
 #include <utility>
 
-#include "base/logging.h"
-
 namespace planorder::cluster {
-
-namespace {
-
-// Independent digest salts: two 64-bit content hashes of the same call under
-// different domains, so a collision requires both to collide at once.
-constexpr uint64_t kDigestSaltA = 0x736f757263656331ULL;
-constexpr uint64_t kDigestSaltB = 0x736f757263656332ULL;
-
-}  // namespace
-
-SourceOperationCache::Key SourceOperationCache::MakeKey(
-    const std::string& source_name,
-    const std::vector<std::map<int, datalog::Term>>& batch) {
-  return Key(source_name, runtime::BatchHash(kDigestSaltA, batch),
-             runtime::BatchHash(kDigestSaltB, batch));
-}
 
 int64_t SourceOperationCache::ApproxBytes(
     const std::vector<std::vector<datalog::Term>>& rows) {
@@ -37,67 +19,63 @@ int64_t SourceOperationCache::ApproxBytes(
 }
 
 std::optional<std::vector<std::vector<datalog::Term>>>
-SourceOperationCache::Acquire(
-    const std::string& source_name,
-    const std::vector<std::map<int, datalog::Term>>& batch, bool* leader) {
-  const Key key = MakeKey(source_name, batch);
+SourceOperationCache::Acquire(const std::string& source_name,
+                              const exec::BindingBatch& batch, bool* leader) {
   *leader = false;
-  MutexLock lock(mu_);
-  while (true) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      // Miss: this caller leads the fetch. The placeholder entry makes every
-      // concurrent Acquire for the key wait instead of fetching again.
-      auto entry = std::make_shared<Entry>();
-      entries_.emplace(key, entry);
-      ++stats_.misses;
-      *leader = true;
-      return std::nullopt;
-    }
-    std::shared_ptr<Entry> entry = it->second;
-    if (entry->state == Entry::State::kResident) {
-      ++stats_.hits;
-      // Refresh recency (the entry may have been evicted between a publish
-      // and a waiter waking up; then it is served but no longer listed).
-      if (entries_.count(key) != 0) {
-        lru_.splice(lru_.begin(), lru_, entry->lru_pos);
+  std::shared_ptr<const Entry> hit;
+  {
+    MutexLock lock(mu_);
+    while (hit == nullptr) {
+      auto it = entries_.find(std::tie(source_name, batch));
+      if (it == entries_.end()) {
+        // Miss: this caller leads the fetch. The placeholder entry makes
+        // every concurrent Acquire for the key wait instead of fetching
+        // again.
+        entries_.emplace(Key(source_name, batch), std::make_shared<Entry>());
+        ++stats_.misses;
+        *leader = true;
+        return std::nullopt;
       }
-      return entry->rows;
-    }
-    // In flight: wait for the leader to publish or abort. On abort the
-    // leader removed the entry, so the loop re-runs find() and one waiter
-    // becomes the new leader — a permanently failing source fails each
-    // caller's own fetch instead of wedging the key forever.
-    ++stats_.single_flight_waits;
-    std::shared_ptr<Entry> waited = entry;
-    resolved_.Wait(lock,
-                   [&] { return waited->state != Entry::State::kFetching; });
-    if (waited->state == Entry::State::kResident) {
+      std::shared_ptr<Entry> entry = it->second;
+      if (entry->state == Entry::State::kResident) {
+        lru_.splice(lru_.begin(), lru_, entry->lru_pos);  // refresh recency
+      } else {
+        // In flight: wait for the leader to publish or abort. On abort the
+        // leader removed the entry, so the loop re-runs find() and one
+        // waiter becomes the new leader — a permanently failing source fails
+        // each caller's own fetch instead of wedging the key forever. A
+        // published entry is served even if eviction removed it meanwhile.
+        ++stats_.single_flight_waits;
+        resolved_.Wait(
+            lock, [&] { return entry->state != Entry::State::kFetching; });
+        if (entry->state != Entry::State::kResident) continue;
+      }
       ++stats_.hits;
-      return waited->rows;
+      hit = std::move(entry);
     }
   }
+  // Resident rows are never written again, and `hit` keeps them alive past
+  // an eviction, so the copy needs no lock.
+  return hit->rows;
 }
 
 void SourceOperationCache::Publish(
-    const std::string& source_name,
-    const std::vector<std::map<int, datalog::Term>>& batch,
+    const std::string& source_name, const exec::BindingBatch& batch,
     const std::vector<std::vector<datalog::Term>>& rows) {
-  const Key key = MakeKey(source_name, batch);
   {
     MutexLock lock(mu_);
-    auto it = entries_.find(key);
+    auto it = entries_.find(std::tie(source_name, batch));
     if (it == entries_.end() || it->second->state != Entry::State::kFetching) {
       return;  // not the leader's placeholder; nothing to publish into
     }
-    std::shared_ptr<Entry> entry = it->second;
-    entry->rows = rows;
-    entry->bytes = ApproxBytes(rows);
-    entry->state = Entry::State::kResident;
-    lru_.push_front(key);
-    entry->lru_pos = lru_.begin();
+    Entry& entry = *it->second;
+    entry.rows = rows;
+    entry.bytes = ApproxBytes(rows);
+    entry.state = Entry::State::kResident;
+    lru_.push_front(it);
+    entry.lru_pos = lru_.begin();
     ++stats_.insertions;
-    stats_.resident_bytes += entry->bytes;
+    stats_.resident_bytes += entry.bytes;
     ++stats_.resident_entries;
     ++resident_by_name_[source_name];
     EvictToFit();
@@ -105,13 +83,11 @@ void SourceOperationCache::Publish(
   resolved_.NotifyAll();
 }
 
-void SourceOperationCache::Abort(
-    const std::string& source_name,
-    const std::vector<std::map<int, datalog::Term>>& batch) {
-  const Key key = MakeKey(source_name, batch);
+void SourceOperationCache::Abort(const std::string& source_name,
+                                 const exec::BindingBatch& batch) {
   {
     MutexLock lock(mu_);
-    auto it = entries_.find(key);
+    auto it = entries_.find(std::tie(source_name, batch));
     if (it == entries_.end() || it->second->state != Entry::State::kFetching) {
       return;
     }
@@ -132,26 +108,22 @@ runtime::SourceResultCacheStats SourceOperationCache::stats() const {
   return stats_;
 }
 
-void SourceOperationCache::RemoveResident(const Key& key,
-                                          std::shared_ptr<Entry> entry) {
-  lru_.erase(entry->lru_pos);
-  stats_.resident_bytes -= entry->bytes;
+void SourceOperationCache::RemoveResident(EntryMap::iterator it) {
+  const Entry& entry = *it->second;
+  lru_.erase(entry.lru_pos);
+  stats_.resident_bytes -= entry.bytes;
   --stats_.resident_entries;
-  auto by_name = resident_by_name_.find(std::get<0>(key));
+  auto by_name = resident_by_name_.find(std::get<0>(it->first));
   if (by_name != resident_by_name_.end() && --by_name->second <= 0) {
     resident_by_name_.erase(by_name);
   }
-  entries_.erase(key);
+  entries_.erase(it);
 }
 
 void SourceOperationCache::EvictToFit() {
   if (options_.capacity_bytes <= 0) return;
   while (stats_.resident_bytes > options_.capacity_bytes && !lru_.empty()) {
-    const Key victim = lru_.back();
-    auto it = entries_.find(victim);
-    PLANORDER_CHECK(it != entries_.end());
-    std::shared_ptr<Entry> entry = it->second;
-    RemoveResident(victim, std::move(entry));
+    RemoveResident(lru_.back());
     ++stats_.evictions;
   }
 }

@@ -2,6 +2,7 @@
 #define PLANORDER_CLUSTER_SOURCE_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -11,6 +12,7 @@
 
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
+#include "exec/binding_batch.h"
 #include "runtime/source_result_cache.h"
 #include "service/shared_view.h"
 
@@ -36,13 +38,11 @@ struct SourceCacheOptions {
 ///    the Section 6 caching measures, so one session's fetch changes the
 ///    conditional utilities of every other session's remaining plans.
 ///
-/// Keys are the full call content: the source name, the set of bound
-/// positions and every binding value, folded into two independently salted
-/// 64-bit digests (a 128-bit effective key; collisions are negligible and
-/// never fabricated answers anyway, since any two calls with equal content
-/// are interchangeable by AccessibleSource determinism). Residency for the
-/// view is aggregated per source name — the granularity the utility models
-/// resolve (see shared_view.h).
+/// Keys are the full call content by value: the source name and the
+/// exec::BindingBatch (its bound positions and every binding combination, in
+/// order), so two calls share an entry exactly when they ship the same
+/// payload. Residency for the view is aggregated per source name — the
+/// granularity the utility models resolve (see shared_view.h).
 ///
 /// Bounded by approximate payload bytes with LRU eviction: a hit refreshes
 /// recency, Publish inserts at the front and evicts from the tail. All state
@@ -62,16 +62,13 @@ class SourceOperationCache : public runtime::SourceResultCache,
 
   // runtime::SourceResultCache:
   std::optional<std::vector<std::vector<datalog::Term>>> Acquire(
-      const std::string& source_name,
-      const std::vector<std::map<int, datalog::Term>>& batch,
+      const std::string& source_name, const exec::BindingBatch& batch,
       bool* leader) override EXCLUDES(mu_);
-  void Publish(const std::string& source_name,
-               const std::vector<std::map<int, datalog::Term>>& batch,
+  void Publish(const std::string& source_name, const exec::BindingBatch& batch,
                const std::vector<std::vector<datalog::Term>>& rows) override
       EXCLUDES(mu_);
   void Abort(const std::string& source_name,
-             const std::vector<std::map<int, datalog::Term>>& batch) override
-      EXCLUDES(mu_);
+             const exec::BindingBatch& batch) override EXCLUDES(mu_);
 
   // service::SharedOperationView:
   bool IsResident(const std::string& source_name) const override EXCLUDES(mu_);
@@ -79,36 +76,38 @@ class SourceOperationCache : public runtime::SourceResultCache,
   runtime::SourceResultCacheStats stats() const EXCLUDES(mu_);
 
  private:
-  /// (source name, two independent content digests) — the effective key.
-  using Key = std::tuple<std::string, uint64_t, uint64_t>;
+  /// (source name, batch). Probed through std::tie of the caller's
+  /// arguments, so a lookup copies nothing.
+  using Key = std::tuple<std::string, exec::BindingBatch>;
+  struct Entry;
+  using EntryMap = std::map<Key, std::shared_ptr<Entry>, std::less<>>;
 
   struct Entry {
     enum class State { kFetching, kResident, kAborted };
     State state = State::kFetching;
+    /// Written once by Publish; never again while resident, so a hit copies
+    /// it outside mu_.
     std::vector<std::vector<datalog::Term>> rows;
     int64_t bytes = 0;
     /// Position in lru_ while resident.
-    std::list<Key>::iterator lru_pos;
+    std::list<EntryMap::iterator>::iterator lru_pos;
   };
 
-  static Key MakeKey(const std::string& source_name,
-                     const std::vector<std::map<int, datalog::Term>>& batch);
   static int64_t ApproxBytes(
       const std::vector<std::vector<datalog::Term>>& rows);
 
   /// Removes LRU-tail entries until the byte bound holds.
   void EvictToFit() REQUIRES(mu_);
-  void RemoveResident(const Key& key, std::shared_ptr<Entry> entry)
-      REQUIRES(mu_);
+  void RemoveResident(EntryMap::iterator it) REQUIRES(mu_);
 
   const SourceCacheOptions options_;
   mutable Mutex mu_;
   CondVar resolved_;
   /// Resident and in-flight entries. Ordered map: keyed lookup plus
   /// deterministic iteration if anyone ever walks it.
-  std::map<Key, std::shared_ptr<Entry>> entries_ GUARDED_BY(mu_);
-  /// Resident keys, most recently used first.
-  std::list<Key> lru_ GUARDED_BY(mu_);
+  EntryMap entries_ GUARDED_BY(mu_);
+  /// Resident entries, most recently used first.
+  std::list<EntryMap::iterator> lru_ GUARDED_BY(mu_);
   /// Resident entry count per source name, backing IsResident.
   std::map<std::string, int> resident_by_name_ GUARDED_BY(mu_);
   runtime::SourceResultCacheStats stats_ GUARDED_BY(mu_);

@@ -1,6 +1,5 @@
 #include "exec/dependent_join.h"
 
-#include <set>
 #include <unordered_set>
 
 #include "datalog/builtins.h"
@@ -46,9 +45,9 @@ class RegistryFetcher : public BatchFetcher {
     return sources_.Find(predicate);
   }
 
-  StatusOr<std::vector<std::vector<Term>>> Fetch(
-      const std::string& predicate,
-      const std::vector<std::map<int, Term>>& batch, int64_t* calls) override {
+  StatusOr<std::vector<std::vector<Term>>> Fetch(const std::string& predicate,
+                                                 const BindingBatch& batch,
+                                                 int64_t* calls) override {
     *calls = 1;
     return sources_.Find(predicate)->FetchBatch(batch);
   }
@@ -120,34 +119,33 @@ StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
 
     // Collect the distinct binding combinations the frontier sends to the
     // source and ship them as ONE batch — the semi-join of measure (2): h is
-    // paid per source call, alpha per tuple of the joined result.
-    std::vector<std::map<int, Term>> batch;
-    std::map<std::string, size_t> combination_index;
-    for (const Substitution& partial : frontier) {
-      std::map<int, Term> bindings;
-      std::string key;
-      for (size_t pos = 0; pos < atom.args.size(); ++pos) {
-        const Term resolved =
-            datalog::ApplySubstitution(atom.args[pos], partial);
-        if (resolved.IsGround()) {
-          bindings[static_cast<int>(pos)] = resolved;
-          key += resolved.ToString();
-        }
-        key += '\x1f';
+    // paid per source call, alpha per tuple of the joined result. Every
+    // partial binds the same prefix variables, so the bound positions (the
+    // constants and prefix-bound variables) are fixed per atom.
+    std::vector<int> positions;
+    for (size_t pos = 0; pos < atom.args.size(); ++pos) {
+      if (datalog::ApplySubstitution(atom.args[pos], frontier.front())
+              .IsGround()) {
+        positions.push_back(static_cast<int>(pos));
       }
-      auto [it, inserted] =
-          combination_index.try_emplace(std::move(key), batch.size());
-      if (inserted) batch.push_back(std::move(bindings));
+    }
+    BindingBatch batch(std::move(positions));
+    for (const Substitution& partial : frontier) {
+      std::vector<Term> values;
+      values.reserve(batch.positions().size());
+      for (int pos : batch.positions()) {
+        values.push_back(datalog::ApplySubstitution(
+            atom.args[static_cast<size_t>(pos)], partial));
+      }
+      batch.Add(std::move(values));
     }
 
     AtomAccess access;
     access.source = atom.predicate;
-    std::vector<std::vector<Term>> rows;
-    if (!batch.empty()) {
-      PLANORDER_RETURN_IF_ERROR(source.ValidateBindings(batch.front()));
-      PLANORDER_ASSIGN_OR_RETURN(
-          rows, sources.Fetch(atom.predicate, batch, &access.calls));
-    }
+    PLANORDER_RETURN_IF_ERROR(source.ValidateBindings(batch.positions()));
+    PLANORDER_ASSIGN_OR_RETURN(
+        std::vector<std::vector<Term>> rows,
+        sources.Fetch(atom.predicate, batch, &access.calls));
     access.tuples_shipped = static_cast<int64_t>(rows.size());
     if (trace != nullptr) trace->atoms.push_back(std::move(access));
 

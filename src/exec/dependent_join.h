@@ -2,12 +2,12 @@
 #define PLANORDER_EXEC_DEPENDENT_JOIN_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "base/status.h"
 #include "datalog/conjunctive_query.h"
+#include "exec/binding_batch.h"
 #include "exec/source_access.h"
 
 namespace planorder::exec {
@@ -48,14 +48,11 @@ class BatchFetcher {
   /// nullptr when none is registered.
   virtual const AccessibleSource* Find(const std::string& predicate) const = 0;
 
-  /// Ships `batch` (non-empty distinct binding combinations over one
-  /// position set) to `predicate`'s source and returns the deduplicated
-  /// union of the matching rows in first-occurrence order — the row
-  /// sequence of AccessibleSource::FetchBatch. `*calls` receives the number
-  /// of source calls made.
+  /// Ships the non-empty `batch` to `predicate`'s source and returns the
+  /// row sequence of AccessibleSource::FetchBatch. `*calls` receives the
+  /// number of source calls made.
   virtual StatusOr<std::vector<std::vector<datalog::Term>>> Fetch(
-      const std::string& predicate,
-      const std::vector<std::map<int, datalog::Term>>& batch,
+      const std::string& predicate, const BindingBatch& batch,
       int64_t* calls) = 0;
 };
 

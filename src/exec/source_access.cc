@@ -1,5 +1,7 @@
 #include "exec/source_access.h"
 
+#include <algorithm>
+
 namespace planorder::exec {
 
 Status AccessibleSource::Add(std::vector<datalog::Term> tuple) {
@@ -35,10 +37,11 @@ Status AccessibleSource::set_binding_pattern(std::string pattern) {
 }
 
 Status AccessibleSource::ValidateBindings(
-    const std::map<int, datalog::Term>& bindings) const {
+    const std::vector<int>& positions) const {
   for (size_t pos = 0; pos < binding_pattern_.size(); ++pos) {
     if (binding_pattern_[pos] == 'b' &&
-        !bindings.contains(static_cast<int>(pos))) {
+        !std::binary_search(positions.begin(), positions.end(),
+                            static_cast<int>(pos))) {
       return FailedPreconditionError(
           "source '" + name_ + "' requires position " + std::to_string(pos) +
           " bound; order the plan with FindExecutableOrder");
@@ -47,95 +50,46 @@ Status AccessibleSource::ValidateBindings(
   return OkStatus();
 }
 
-std::string AccessibleSource::KeyFor(const std::vector<int>& positions,
-                                     const std::vector<datalog::Term>& tuple) {
-  std::string key;
-  for (int p : positions) {
-    key += tuple[static_cast<size_t>(p)].ToString();
-    key += '\x1f';
-  }
-  return key;
-}
-
-std::string AccessibleSource::KeyFor(
-    const std::map<int, datalog::Term>& bindings) {
-  std::string key;
-  for (const auto& [unused, value] : bindings) {
-    key += value.ToString();
-    key += '\x1f';
-  }
-  return key;
-}
-
-const std::vector<std::vector<datalog::Term>>& AccessibleSource::Lookup(
-    const std::map<int, datalog::Term>& bindings) {
-  if (bindings.empty()) return tuples_;
-  // Index key over the bound position set (e.g. "0" or "0,2").
-  std::string position_key;
-  std::vector<int> positions;
-  for (const auto& [position, unused] : bindings) {
-    positions.push_back(position);
-    position_key += std::to_string(position);
-    position_key += ',';
-  }
-  auto [it, inserted] = indexes_.try_emplace(position_key);
+const AccessibleSource::Index& AccessibleSource::IndexFor(
+    const std::vector<int>& positions) {
+  auto [it, inserted] = indexes_.try_emplace(positions);
   if (inserted) {
     for (const auto& tuple : tuples_) {
-      it->second.rows[KeyFor(positions, tuple)].push_back(tuple);
+      std::vector<datalog::Term> key;
+      key.reserve(positions.size());
+      for (int p : positions) key.push_back(tuple[static_cast<size_t>(p)]);
+      it->second[std::move(key)].push_back(tuple);
     }
   }
-  auto rows = it->second.rows.find(KeyFor(bindings));
-  if (rows == it->second.rows.end()) return empty_;
-  return rows->second;
+  return it->second;
 }
 
 StatusOr<std::vector<std::vector<datalog::Term>>> AccessibleSource::FetchBatch(
-    const std::vector<std::map<int, datalog::Term>>& batch) {
+    const BindingBatch& batch) {
   std::vector<std::vector<datalog::Term>> result;
   if (batch.empty()) return result;
-  // Enforce the documented precondition: one batched semi-join ships one
-  // bound-position set. A mixed batch would silently consult different
-  // indexes per combination, so reject it outright.
-  for (size_t i = 1; i < batch.size(); ++i) {
-    const auto& expect = batch.front();
-    const auto& got = batch[i];
-    bool same = expect.size() == got.size();
-    if (same) {
-      auto e = expect.begin();
-      for (auto g = got.begin(); g != got.end(); ++g, ++e) {
-        if (e->first != g->first) {
-          same = false;
-          break;
-        }
-      }
-    }
-    if (!same) {
-      return InvalidArgumentError(
-          "FetchBatch against '" + name_ +
-          "': combination " + std::to_string(i) +
-          " binds a different position set than combination 0");
-    }
-  }
-  // Lookup indexes tuple[p] for every bound position p.
-  for (const auto& [position, unused] : batch.front()) {
-    if (position < 0 || static_cast<size_t>(position) >= arity_) {
+  // IndexFor reads tuple[p] for every bound position p, and one index serves
+  // one position set, so check the set before any lookup.
+  const std::vector<int>& positions = batch.positions();
+  for (size_t i = 0; i < positions.size(); ++i) {
+    if (positions[i] < 0 || static_cast<size_t>(positions[i]) >= arity_) {
       return InvalidArgumentError(
           "FetchBatch against '" + name_ + "' binds position " +
-          std::to_string(position) + " outside arity " +
+          std::to_string(positions[i]) + " outside arity " +
           std::to_string(arity_));
     }
-  }
-  // detlint: order-insensitive(membership-only dedup; result keeps row order)
-  std::unordered_map<std::string, bool> seen;
-  for (const auto& bindings : batch) {
-    for (const auto& row : Lookup(bindings)) {
-      std::string key;
-      for (const datalog::Term& t : row) {
-        key += t.ToString();
-        key += '\x1f';
-      }
-      if (seen.emplace(std::move(key), true).second) result.push_back(row);
+    if (i > 0 && positions[i] <= positions[i - 1]) {
+      return InvalidArgumentError(
+          "FetchBatch against '" + name_ +
+          "': bound positions must be strictly increasing");
     }
+  }
+  if (positions.empty()) return tuples_;
+  const Index& index = IndexFor(positions);
+  for (const std::vector<datalog::Term>& values : batch.combinations()) {
+    auto rows = index.find(values);
+    if (rows == index.end()) continue;
+    result.insert(result.end(), rows->second.begin(), rows->second.end());
   }
   return result;
 }
@@ -165,6 +119,21 @@ std::vector<std::string> SourceRegistry::Names() const {
   names.reserve(sources_.size());
   for (const auto& [name, unused] : sources_) names.push_back(name);
   return names;
+}
+
+StatusOr<SourceRegistry> BuildSourceRegistry(const datalog::Catalog& catalog,
+                                             const datalog::Database& facts) {
+  SourceRegistry registry;
+  for (datalog::SourceId id = 0; id < catalog.num_sources(); ++id) {
+    const datalog::SourceDescription& description = catalog.source(id);
+    PLANORDER_ASSIGN_OR_RETURN(
+        AccessibleSource * source,
+        registry.Register(description.name, description.view.head.args.size()));
+    for (const auto& tuple : facts.TuplesFor(description.name)) {
+      PLANORDER_RETURN_IF_ERROR(source->Add(tuple));
+    }
+  }
+  return registry;
 }
 
 }  // namespace planorder::exec

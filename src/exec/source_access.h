@@ -7,7 +7,10 @@
 #include <vector>
 
 #include "base/status.h"
+#include "datalog/evaluator.h"
+#include "datalog/source.h"
 #include "datalog/term.h"
+#include "exec/binding_batch.h"
 
 namespace planorder::exec {
 
@@ -32,51 +35,44 @@ class AccessibleSource {
   Status set_binding_pattern(std::string pattern);
   const std::string& binding_pattern() const { return binding_pattern_; }
 
-  /// OK when `bindings` covers every position the adornment requires.
-  Status ValidateBindings(const std::map<int, datalog::Term>& bindings) const;
+  /// OK when the bound `positions` cover every position the adornment
+  /// requires.
+  Status ValidateBindings(const std::vector<int>& positions) const;
 
   /// Adds a ground tuple (checked). Duplicates are kept out.
   Status Add(std::vector<datalog::Term> tuple);
 
   /// One *batched* access: ships all binding combinations at once (the
   /// semi-join of cost measure (2): "feed the titles into V_j") and returns
-  /// the union of the matches, deduplicated, in first-occurrence order. It
-  /// is a single source call shipping the union's size — what the caller's
-  /// exec::ExecutionTrace records. A combination binding no position is a
-  /// full scan. An empty batch is a no-op returning nothing.
+  /// the union of the matches in combination order, each combination's
+  /// matches in load order. The rows are distinct: the tuples are, and
+  /// distinct combinations match disjoint tuples. It is a single source call
+  /// shipping the union's size — what the caller's exec::ExecutionTrace
+  /// records. A batch over no positions is a full scan. An empty batch is a
+  /// no-op returning nothing.
   ///
-  /// Every combination must bind the same position set (one semi-join ships
-  /// one column set), and every bound position must lie in [0, arity); a
-  /// batch breaking either is rejected with kInvalidArgument before any
-  /// tuple is fetched.
+  /// The bound positions must be strictly increasing and lie in
+  /// [0, arity); a batch breaking either is rejected with kInvalidArgument
+  /// before any tuple is fetched.
   StatusOr<std::vector<std::vector<datalog::Term>>> FetchBatch(
-      const std::vector<std::map<int, datalog::Term>>& batch);
+      const BindingBatch& batch);
 
  private:
-  struct Index {
-    // Key: concatenated ToString of the bound values; value: matching rows.
-    // Probed by key only; the rows vectors keep insertion (load) order.
-    // detlint: order-insensitive(keyed probe only; never iterated)
-    std::unordered_map<std::string, std::vector<std::vector<datalog::Term>>>
-        rows;
-  };
+  /// Rows keyed by their values at one bound position set. Probed by key
+  /// only; the rows vectors keep insertion (load) order.
+  // detlint: order-insensitive(keyed probe only; never iterated)
+  using Index = std::unordered_map<std::vector<datalog::Term>,
+                                   std::vector<std::vector<datalog::Term>>,
+                                   datalog::TermVectorHash>;
 
-  /// The tuples matching one combination, from the index over its bound
-  /// position set (built on first use).
-  const std::vector<std::vector<datalog::Term>>& Lookup(
-      const std::map<int, datalog::Term>& bindings);
-
-  static std::string KeyFor(const std::vector<int>& positions,
-                            const std::vector<datalog::Term>& tuple);
-  static std::string KeyFor(const std::map<int, datalog::Term>& bindings);
+  /// The index over `positions` (built on first use).
+  const Index& IndexFor(const std::vector<int>& positions);
 
   std::string name_;
   size_t arity_;
   std::string binding_pattern_;
   std::vector<std::vector<datalog::Term>> tuples_;
-  // detlint: order-insensitive(keyed probe by position-set key only)
-  std::unordered_map<std::string, Index> indexes_;
-  std::vector<std::vector<datalog::Term>> empty_;
+  std::map<std::vector<int>, Index> indexes_;
 };
 
 /// The mediator's view of the world: one AccessibleSource per source
@@ -98,6 +94,11 @@ class SourceRegistry {
  private:
   std::map<std::string, AccessibleSource> sources_;
 };
+
+/// A registry with one source per catalog entry, its arity taken from the
+/// view head, holding that source's tuples from `facts`.
+StatusOr<SourceRegistry> BuildSourceRegistry(const datalog::Catalog& catalog,
+                                             const datalog::Database& facts);
 
 }  // namespace planorder::exec
 

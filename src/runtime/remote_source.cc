@@ -21,25 +21,30 @@ double JitterMultiplier(double jitter, uint64_t hash) {
   return 1.0 + jitter * (2.0 * HashToUnit(hash) - 1.0);
 }
 
-}  // namespace
-
-uint64_t BatchHash(uint64_t seed,
-                   const std::vector<std::map<int, datalog::Term>>& batch) {
+/// Content hash of a batched call: `seed` folded with every combination's
+/// bound positions (ascending) and rendered values. Identical payloads hash
+/// identically on every thread — the root of the runtime's
+/// schedule-independence; the latency, fault, hedge and backoff draws all
+/// derive from it, so its output must never change.
+uint64_t BatchHash(uint64_t seed, const exec::BindingBatch& batch) {
+  const std::vector<int>& positions = batch.positions();
   uint64_t h = MixHash(seed);
-  for (const auto& bindings : batch) {
+  for (const std::vector<datalog::Term>& values : batch.combinations()) {
     uint64_t combo = 0x42;
-    for (const auto& [position, value] : bindings) {
-      combo = CombineHash(combo, uint64_t(position));
-      combo = CombineHash(combo, Fnv1a64(value.ToString()));
+    for (size_t i = 0; i < values.size(); ++i) {
+      combo = CombineHash(combo, uint64_t(positions[i]));
+      combo = CombineHash(combo, Fnv1a64(values[i].ToString()));
     }
     h = CombineHash(h, combo);
   }
   return h;
 }
 
+}  // namespace
+
 StatusOr<std::vector<std::vector<datalog::Term>>> RemoteSource::FetchBatch(
-    const std::vector<std::map<int, datalog::Term>>& batch,
-    const RetryPolicy& retry, exec::RuntimeAccounting* accounting) {
+    const exec::BindingBatch& batch, const RetryPolicy& retry,
+    exec::RuntimeAccounting* accounting) {
   if (cache_ == nullptr) {
     return FetchBatchUncached(batch, retry, accounting);
   }
@@ -71,9 +76,9 @@ StatusOr<std::vector<std::vector<datalog::Term>>> RemoteSource::FetchBatch(
 }
 
 StatusOr<std::vector<std::vector<datalog::Term>>>
-RemoteSource::FetchBatchUncached(
-    const std::vector<std::map<int, datalog::Term>>& batch,
-    const RetryPolicy& retry, exec::RuntimeAccounting* accounting) {
+RemoteSource::FetchBatchUncached(const exec::BindingBatch& batch,
+                                 const RetryPolicy& retry,
+                                 exec::RuntimeAccounting* accounting) {
   // Accounting accrues call-locally and commits into the caller's channel
   // on every exit path, so concurrent callers never see each other's work in
   // their own numbers.

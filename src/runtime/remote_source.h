@@ -11,6 +11,7 @@
 #include "base/status.h"
 #include "base/thread_annotations.h"
 #include "datalog/term.h"
+#include "exec/binding_batch.h"
 #include "exec/mediator.h"
 #include "exec/source_access.h"
 #include "runtime/clock.h"
@@ -101,7 +102,7 @@ class RemoteSource {
   void set_trace_sink(SourceTraceSink* sink) { trace_sink_ = sink; }
 
   /// One resilient batched access (semantics of AccessibleSource::FetchBatch,
-  /// including the uniform-position-set precondition). Transient failures
+  /// including its position checks). Transient failures
   /// are retried per `retry`; exhausting attempts or a permanent outage
   /// yields kUnavailable.
   ///
@@ -110,8 +111,7 @@ class RemoteSource {
   /// many sessions can share one RemoteSource and each still accounts its
   /// own calls exactly.
   StatusOr<std::vector<std::vector<datalog::Term>>> FetchBatch(
-      const std::vector<std::map<int, datalog::Term>>& batch,
-      const RetryPolicy& retry,
+      const exec::BindingBatch& batch, const RetryPolicy& retry,
       exec::RuntimeAccounting* accounting = nullptr) EXCLUDES(mu_);
 
  private:
@@ -119,9 +119,8 @@ class RemoteSource {
   /// faults, retries, accounting). FetchBatch delegates here on a cache miss
   /// (as single-flight leader) or when no cache is attached.
   StatusOr<std::vector<std::vector<datalog::Term>>> FetchBatchUncached(
-      const std::vector<std::map<int, datalog::Term>>& batch,
-      const RetryPolicy& retry, exec::RuntimeAccounting* accounting)
-      EXCLUDES(mu_);
+      const exec::BindingBatch& batch, const RetryPolicy& retry,
+      exec::RuntimeAccounting* accounting) EXCLUDES(mu_);
 
   exec::AccessibleSource* source_;  // fetches serialized under mu_
   uint64_t seed_;

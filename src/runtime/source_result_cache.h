@@ -2,12 +2,12 @@
 #define PLANORDER_RUNTIME_SOURCE_RESULT_CACHE_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "datalog/term.h"
+#include "exec/binding_batch.h"
 
 namespace planorder::runtime {
 
@@ -22,14 +22,6 @@ struct SourceResultCacheStats {
   int64_t resident_bytes = 0;      // current approximate payload bytes
   int64_t resident_entries = 0;    // current entry count
 };
-
-/// Content hash of a batched source call: `seed` mixed with every bound
-/// position and value. Identical payloads hash identically on every thread —
-/// the root of the runtime's schedule-independence. RemoteSource seeds it
-/// with the source's key for its latency, fault and hedge draws; the cluster
-/// cache seeds it with two salts for its key digests.
-uint64_t BatchHash(uint64_t seed,
-                   const std::vector<std::map<int, datalog::Term>>& batch);
 
 /// A cross-session cache of source-operation results, keyed by the full
 /// content of a batched call — (source name, bound positions, binding
@@ -61,18 +53,17 @@ class SourceResultCache {
   /// already fetching this key, blocks until that fetch resolves, then either
   /// returns the published rows or (after an Abort) may itself become leader.
   virtual std::optional<std::vector<std::vector<datalog::Term>>> Acquire(
-      const std::string& source_name,
-      const std::vector<std::map<int, datalog::Term>>& batch,
+      const std::string& source_name, const exec::BindingBatch& batch,
       bool* leader) = 0;
 
   /// Leader-only: stores the fetched rows and wakes all waiters with a hit.
   virtual void Publish(const std::string& source_name,
-                       const std::vector<std::map<int, datalog::Term>>& batch,
+                       const exec::BindingBatch& batch,
                        const std::vector<std::vector<datalog::Term>>& rows) = 0;
 
   /// Leader-only: the fetch failed; wakes waiters so one can take over.
   virtual void Abort(const std::string& source_name,
-                     const std::vector<std::map<int, datalog::Term>>& batch) = 0;
+                     const exec::BindingBatch& batch) = 0;
 };
 
 }  // namespace planorder::runtime

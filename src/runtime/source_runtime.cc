@@ -1,9 +1,8 @@
 #include "runtime/source_runtime.h"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -36,11 +35,12 @@ class PartitionedFetcher : public exec::BatchFetcher {
   }
 
   /// Splits the non-empty `batch` into at most `max_partitions_` contiguous
-  /// chunks run concurrently on the pool, merging chunk results in chunk
-  /// order with first-occurrence dedup (the serial FetchBatch row order).
-  StatusOr<std::vector<std::vector<Term>>> Fetch(
-      const std::string& predicate,
-      const std::vector<std::map<int, Term>>& batch, int64_t* calls) override {
+  /// chunks run concurrently on the pool and concatenates their rows in
+  /// chunk order: the serial FetchBatch row sequence, since contiguous
+  /// chunks of a distinct batch match disjoint rows.
+  StatusOr<std::vector<std::vector<Term>>> Fetch(const std::string& predicate,
+                                                 const exec::BindingBatch& batch,
+                                                 int64_t* calls) override {
     RemoteSource& source = *sources_.Find(predicate);
     int partitions = std::min({max_partitions_, pool_.num_threads(),
                                static_cast<int>(batch.size())});
@@ -66,10 +66,9 @@ class PartitionedFetcher : public exec::BatchFetcher {
         const size_t lo = size_t(p) * chunk;
         const size_t hi = std::min(batch.size(), lo + chunk);
         group.Submit([this, &source, &batch, &results, p, lo, hi] {
-          std::vector<std::map<int, Term>> slice(batch.begin() + long(lo),
-                                                 batch.begin() + long(hi));
           Partition& result = results[size_t(p)];
-          result.rows = source.FetchBatch(slice, retry_, &result.accounting);
+          result.rows = source.FetchBatch(batch.Slice(lo, hi), retry_,
+                                          &result.accounting);
         });
       }
       group.Wait();
@@ -83,11 +82,9 @@ class PartitionedFetcher : public exec::BatchFetcher {
       if (!result.rows.ok()) return result.rows.status();
     }
     std::vector<std::vector<Term>> merged;
-    std::unordered_set<std::vector<Term>, datalog::TermVectorHash> seen;
     for (Partition& result : results) {
-      for (std::vector<Term>& row : *result.rows) {
-        if (seen.insert(row).second) merged.push_back(std::move(row));
-      }
+      merged.insert(merged.end(), std::make_move_iterator(result.rows->begin()),
+                    std::make_move_iterator(result.rows->end()));
     }
     return merged;
   }

@@ -73,10 +73,9 @@ class SourceRuntime : public exec::PlanExecutor {
   /// Executes one rewriting with exec::ExecutePlanDependent against the
   /// RemoteSources, each atom's batched semi-join partitioned across the
   /// pool: the batch is split into at most `max_partitions_per_call`
-  /// contiguous chunks fetched concurrently (with retries) and merged back
-  /// in chunk order with first-occurrence dedup — the serial batch's row
-  /// sequence, so with faults disabled the answers equal a SourceRegistry
-  /// run's, in the same order. Every partition counts as one source call.
+  /// contiguous chunks fetched concurrently (with retries) and concatenated
+  /// in chunk order — the serial batch's row sequence, so with faults
+  /// disabled the answers equal a SourceRegistry run's, in the same order. Every partition counts as one source call.
   ///
   /// The PlanExecution carries the plan's own calls, shipped tuples and
   /// runtime accounting (also for a failed plan: the work it burned is part

@@ -268,15 +268,9 @@ Status CheckRuntimeEquivalence(const Scenario& scenario) {
       exec::BuildSyntheticDomain(scenario.MakeWorkloadOptions(),
                                  scenario.num_answers));
 
-  exec::SourceRegistry registry;
-  for (datalog::SourceId id = 0; id < domain->catalog.num_sources(); ++id) {
-    const std::string& name = domain->catalog.source(id).name;
-    PLANORDER_ASSIGN_OR_RETURN(exec::AccessibleSource * source,
-                               registry.Register(name, 2));
-    for (const auto& tuple : domain->source_facts.TuplesFor(name)) {
-      PLANORDER_RETURN_IF_ERROR(source->Add(tuple));
-    }
-  }
+  PLANORDER_ASSIGN_OR_RETURN(
+      exec::SourceRegistry registry,
+      exec::BuildSourceRegistry(domain->catalog, domain->source_facts));
 
   exec::Mediator mediator(&domain->catalog, domain->query, domain->source_ids);
   const int max_plans =
@@ -679,15 +673,9 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance) {
       std::unique_ptr<exec::SyntheticDomain> domain,
       exec::BuildSyntheticDomain(scenario.MakeWorkloadOptions(),
                                  scenario.num_answers));
-  exec::SourceRegistry registry;
-  for (datalog::SourceId id = 0; id < domain->catalog.num_sources(); ++id) {
-    const std::string& name = domain->catalog.source(id).name;
-    PLANORDER_ASSIGN_OR_RETURN(exec::AccessibleSource * source,
-                               registry.Register(name, 2));
-    for (const auto& tuple : domain->source_facts.TuplesFor(name)) {
-      PLANORDER_RETURN_IF_ERROR(source->Add(tuple));
-    }
-  }
+  PLANORDER_ASSIGN_OR_RETURN(
+      exec::SourceRegistry registry,
+      exec::BuildSourceRegistry(domain->catalog, domain->source_facts));
 
   const int num_sessions = std::max(2, std::min(scenario.num_sessions, 8));
   exec::Mediator::RunLimits limits;

@@ -41,16 +41,10 @@ Domain MakeDomain(uint64_t seed = 29) {
   EXPECT_TRUE(built.ok()) << built.status();
   Domain domain;
   domain.synthetic = std::move(*built);
-  for (datalog::SourceId id = 0;
-       id < domain.synthetic->catalog.num_sources(); ++id) {
-    const std::string& name = domain.synthetic->catalog.source(id).name;
-    auto source = domain.registry.Register(name, 2);
-    EXPECT_TRUE(source.ok()) << source.status();
-    for (const auto& tuple :
-         domain.synthetic->source_facts.TuplesFor(name)) {
-      EXPECT_TRUE((*source)->Add(tuple).ok());
-    }
-  }
+  auto registry = exec::BuildSourceRegistry(domain.synthetic->catalog,
+                                            domain.synthetic->source_facts);
+  EXPECT_TRUE(registry.ok()) << registry.status();
+  if (registry.ok()) domain.registry = *std::move(registry);
   return domain;
 }
 

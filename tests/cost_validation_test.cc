@@ -43,15 +43,9 @@ TEST_P(CostValidationTest, ModeledCostTracksMeasuredAccessCost) {
   const SyntheticDomain& d = **domain;
 
   // Materialize the registry from the domain's source facts.
-  SourceRegistry registry;
-  for (datalog::SourceId id = 0; id < d.catalog.num_sources(); ++id) {
-    const std::string& name = d.catalog.source(id).name;
-    auto source = registry.Register(name, 2);
-    ASSERT_TRUE(source.ok());
-    for (const auto& tuple : d.source_facts.TuplesFor(name)) {
-      ASSERT_TRUE((*source)->Add(tuple).ok());
-    }
-  }
+  auto built = BuildSourceRegistry(d.catalog, d.source_facts);
+  ASSERT_TRUE(built.ok()) << built.status();
+  SourceRegistry& registry = *built;
 
   auto model = utility::BoundJoinCostModel::Create(&d.workload,
                                                    utility::BoundJoinOptions{});

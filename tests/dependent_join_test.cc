@@ -1,6 +1,5 @@
 #include "exec/dependent_join.h"
 
-#include <map>
 #include <random>
 #include <set>
 #include <utility>
@@ -9,6 +8,7 @@
 
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
+#include "exec/binding_batch.h"
 #include "exec/source_access.h"
 
 namespace planorder::exec {
@@ -55,84 +55,49 @@ AccessibleSource MovieSource() {
   return source;
 }
 
+/// A batch over `positions` holding `combinations` in order.
+BindingBatch MakeBatch(std::vector<int> positions,
+                       const std::vector<std::vector<Term>>& combinations) {
+  BindingBatch batch(std::move(positions));
+  for (const auto& values : combinations) batch.Add(values);
+  return batch;
+}
+
 TEST(AccessibleSourceTest, FetchByBindingPattern) {
   AccessibleSource source = MovieSource();
   // One combination per batch: its matches through the index over its
   // bound position set.
-  auto matches = [&source](std::map<int, Term> bindings) {
-    auto rows = source.FetchBatch({std::move(bindings)});
+  auto matches = [&source](std::vector<int> positions,
+                           std::vector<Term> values) {
+    auto rows =
+        source.FetchBatch(MakeBatch(std::move(positions), {std::move(values)}));
     EXPECT_TRUE(rows.ok()) << rows.status();
     return rows.ok() ? rows->size() : size_t{0};
   };
-  EXPECT_EQ(matches({}), 3u);  // full scan
-  EXPECT_EQ(matches({{0, Term::Constant("ford")}}), 2u);
-  EXPECT_EQ(matches({{0, Term::Constant("bogart")}}), 0u);
-  EXPECT_EQ(matches({{0, Term::Constant("ford")}, {1, Term::Constant("m2")}}),
+  EXPECT_EQ(matches({}, {}), 3u);  // full scan
+  EXPECT_EQ(matches({0}, {Term::Constant("ford")}), 2u);
+  EXPECT_EQ(matches({0}, {Term::Constant("bogart")}), 0u);
+  EXPECT_EQ(matches({0, 1}, {Term::Constant("ford"), Term::Constant("m2")}),
             1u);
+  // An empty batch is a free no-op.
+  auto empty = source.FetchBatch(BindingBatch({0}));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
 }
 
 TEST(AccessibleSourceTest, FetchBatchShipsUnionInFirstOccurrenceOrder) {
   AccessibleSource source = MovieSource();
-  auto rows = source.FetchBatch({{{0, Term::Constant("kate")}},
-                                 {{0, Term::Constant("ford")}},
-                                 {{0, Term::Constant("kate")}}});
+  // The repeated "kate" is kept out of the batch, so the union is distinct.
+  auto rows = source.FetchBatch(MakeBatch({0}, {{Term::Constant("kate")},
+                                                {Term::Constant("ford")},
+                                                {Term::Constant("kate")}}));
   ASSERT_TRUE(rows.ok()) << rows.status();
-  // Union, deduplicated, in the order the combinations matched.
+  // Union in the order the combinations matched.
   const std::vector<std::vector<Term>> want = {
       {Term::Constant("kate"), Term::Constant("m3")},
       {Term::Constant("ford"), Term::Constant("m1")},
       {Term::Constant("ford"), Term::Constant("m2")}};
   EXPECT_EQ(*rows, want);
-}
-
-TEST(AccessibleSourceTest, FetchBatchRejectsMixedPositionSets) {
-  // Regression: the documented precondition ("all combinations must bind the
-  // same position set") used to be unchecked — a mixed batch silently
-  // consulted different indexes per combination. Now it is a hard error.
-  AccessibleSource source = MovieSource();
-  auto mixed = source.FetchBatch({{{0, Term::Constant("ford")}},
-                                  {{1, Term::Constant("m1")}}});
-  ASSERT_FALSE(mixed.ok());
-  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
-  // Differing arity of the bound set is rejected too.
-  auto ragged = source.FetchBatch(
-      {{{0, Term::Constant("ford")}},
-       {{0, Term::Constant("ford")}, {1, Term::Constant("m1")}}});
-  ASSERT_FALSE(ragged.ok());
-  EXPECT_EQ(ragged.status().code(), StatusCode::kInvalidArgument);
-  // An empty batch remains a free no-op.
-  auto empty = source.FetchBatch({});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-}
-
-TEST(AccessibleSourceTest, FetchBatchRejectsPositionsOutsideArity) {
-  // Regression: bound positions index each tuple unchecked when the lookup
-  // builds its index, so one outside [0, arity) read out of bounds. Now the
-  // batch is rejected before any lookup (ASan builds catch a regression).
-  struct Case {
-    const char* name;
-    std::vector<int> positions;
-  };
-  const std::vector<Case> cases = {
-      {"negative", {-1}},
-      {"equal to the arity", {2}},
-      {"one of two past the arity", {0, 2}},
-  };
-  AccessibleSource source = MovieSource();
-  for (const Case& c : cases) {
-    std::map<int, Term> bindings;
-    for (int p : c.positions) bindings[p] = Term::Constant("ford");
-    // Every combination binds the same positions, so only the range check
-    // can reject the batch.
-    auto rows = source.FetchBatch({bindings, bindings});
-    ASSERT_FALSE(rows.ok()) << c.name;
-    EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument) << c.name;
-  }
-  // The source still serves in-range lookups.
-  auto rows = source.FetchBatch({{{1, Term::Constant("m3")}}});
-  ASSERT_TRUE(rows.ok()) << rows.status();
-  EXPECT_EQ(rows->size(), 1u);
 }
 
 TEST(SourceRegistryTest, RegisterAndFind) {

@@ -139,15 +139,9 @@ TEST(MediatorTest, AccessPatternPathMatchesSetOrientedPath) {
   ASSERT_TRUE(domain.ok());
   const SyntheticDomain& d = **domain;
 
-  SourceRegistry registry;
-  for (datalog::SourceId id = 0; id < d.catalog.num_sources(); ++id) {
-    const std::string& name = d.catalog.source(id).name;
-    auto source = registry.Register(name, 2);
-    ASSERT_TRUE(source.ok());
-    for (const auto& tuple : d.source_facts.TuplesFor(name)) {
-      ASSERT_TRUE((*source)->Add(tuple).ok());
-    }
-  }
+  auto built = BuildSourceRegistry(d.catalog, d.source_facts);
+  ASSERT_TRUE(built.ok()) << built.status();
+  SourceRegistry& registry = *built;
 
   Mediator mediator(&d.catalog, d.query, d.source_ids);
   const auto facts = MakeSetOrientedExecutor(&d.source_facts);

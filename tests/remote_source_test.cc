@@ -1,7 +1,6 @@
 #include "runtime/remote_source.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -9,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "datalog/term.h"
+#include "exec/binding_batch.h"
 #include "exec/source_access.h"
 #include "runtime/retry_policy.h"
 #include "runtime/source_result_cache.h"
@@ -40,20 +40,19 @@ class ResidentCache : public SourceResultCache {
       : rows_(std::move(rows)) {}
 
   std::optional<std::vector<std::vector<Term>>> Acquire(
-      const std::string& source_name,
-      const std::vector<std::map<int, Term>>& batch, bool* leader) override {
+      const std::string& source_name, const exec::BindingBatch& batch,
+      bool* leader) override {
     ++acquires;
     last_source = source_name;
     last_batch = batch;
     *leader = false;
     return rows_;
   }
-  void Publish(const std::string&, const std::vector<std::map<int, Term>>&,
+  void Publish(const std::string&, const exec::BindingBatch&,
                const std::vector<std::vector<Term>>&) override {
     ++publishes;
   }
-  void Abort(const std::string&,
-             const std::vector<std::map<int, Term>>&) override {
+  void Abort(const std::string&, const exec::BindingBatch&) override {
     ++aborts;
   }
 
@@ -61,7 +60,7 @@ class ResidentCache : public SourceResultCache {
   int publishes = 0;
   int aborts = 0;
   std::string last_source;
-  std::vector<std::map<int, Term>> last_batch;
+  exec::BindingBatch last_batch;
 
  private:
   std::vector<std::vector<Term>> rows_;
@@ -88,9 +87,12 @@ class RemoteSourceTest : public ::testing::Test {
     return remotes;
   }
 
-  static std::vector<std::map<int, Term>> FordBatch() {
-    return {{{0, Term::Constant("ford")}}};
+  static exec::BindingBatch ActorBatch(const char* actor) {
+    exec::BindingBatch batch({0});
+    batch.Add({Term::Constant(actor)});
+    return batch;
   }
+  static exec::BindingBatch FordBatch() { return ActorBatch("ford"); }
 
   exec::SourceRegistry registry_;
 };
@@ -221,8 +223,8 @@ TEST_F(RemoteSourceTest, HedgingNeverSlowsACallDown) {
     // Several distinct calls to spread over the jitter distribution.
     exec::RuntimeAccounting calls;
     for (const char* actor : {"ford", "kate", "nobody"}) {
-      auto rows = remotes.Find("v")->FetchBatch(
-          {{{0, Term::Constant(actor)}}}, RetryPolicy{}, &calls);
+      auto rows = remotes.Find("v")->FetchBatch(ActorBatch(actor),
+                                                RetryPolicy{}, &calls);
       [&] { ASSERT_TRUE(rows.ok()); }();
     }
     return std::pair(calls.latency_ms_total, calls.hedged_calls);

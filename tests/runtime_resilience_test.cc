@@ -478,7 +478,7 @@ TEST_F(MovieRuntimeTest, ObservedFoldIsIndependentOfPoolThreads) {
 
 TEST_F(MovieRuntimeTest, ParallelJoinPreservesSerialRowOrder) {
   // The partitioned batch fetch must reproduce the serial batch's row
-  // sequence exactly (chunk-order merge + first-occurrence dedup).
+  // sequence exactly (contiguous chunks concatenated in chunk order).
   auto plan = ParseRule("q(M,R) :- v3(A,M), v4(R,M)");
   ASSERT_TRUE(plan.ok());
   exec::ExecutionTrace serial_trace;
@@ -510,15 +510,9 @@ TEST(SyntheticRuntimeTest, ParallelMediatorMatchesSerialOnSyntheticDomain) {
   ASSERT_TRUE(domain.ok());
   const exec::SyntheticDomain& d = **domain;
 
-  exec::SourceRegistry registry;
-  for (datalog::SourceId id = 0; id < d.catalog.num_sources(); ++id) {
-    const std::string& name = d.catalog.source(id).name;
-    auto source = registry.Register(name, 2);
-    ASSERT_TRUE(source.ok());
-    for (const auto& tuple : d.source_facts.TuplesFor(name)) {
-      ASSERT_TRUE((*source)->Add(tuple).ok());
-    }
-  }
+  auto built = exec::BuildSourceRegistry(d.catalog, d.source_facts);
+  ASSERT_TRUE(built.ok()) << built.status();
+  exec::SourceRegistry& registry = *built;
 
   exec::Mediator mediator(&d.catalog, d.query, d.source_ids);
   utility::CoverageModel model_a(&d.workload);

@@ -34,14 +34,10 @@ class ServiceConcurrencyTest : public ::testing::Test {
     ASSERT_TRUE(domain.ok()) << domain.status();
     domain_ = std::move(*domain);
 
-    for (datalog::SourceId id = 0; id < domain_->catalog.num_sources(); ++id) {
-      const std::string& name = domain_->catalog.source(id).name;
-      auto source = registry_.Register(name, 2);
-      ASSERT_TRUE(source.ok());
-      for (const auto& tuple : domain_->source_facts.TuplesFor(name)) {
-        ASSERT_TRUE((*source)->Add(tuple).ok());
-      }
-    }
+    auto registry =
+        exec::BuildSourceRegistry(domain_->catalog, domain_->source_facts);
+    ASSERT_TRUE(registry.ok()) << registry.status();
+    registry_ = *std::move(registry);
   }
 
   runtime::RuntimeOptions RuntimeOpts(double failure_rate) {

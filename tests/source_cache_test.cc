@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -17,12 +16,11 @@
 namespace planorder::cluster {
 namespace {
 
-using Batch = std::vector<std::map<int, datalog::Term>>;
 using Rows = std::vector<std::vector<datalog::Term>>;
 
-Batch MakeBatch(const std::string& value) {
-  Batch batch(1);
-  batch[0][0] = datalog::Term::Constant(value);
+exec::BindingBatch MakeBatch(const std::string& value) {
+  exec::BindingBatch batch({0});
+  batch.Add({datalog::Term::Constant(value)});
   return batch;
 }
 
@@ -136,6 +134,47 @@ TEST(SourceCacheTest, SingleFlightCoalescesConcurrentFetches) {
   // served from the published entry.
   EXPECT_EQ(leaders.load(), 1);
   EXPECT_EQ(hits.load(), kThreads - 1);
+}
+
+TEST(SourceCacheTest, HitsCopyRowsWhileEvictionRemovesTheirEntry) {
+  // A hit copies its rows after releasing the cache lock. Inserts of other
+  // keys keep evicting the entry the readers hit; the copies must neither
+  // race with the eviction nor read freed rows (TSan/ASan builds check).
+  const Rows rows = MakeRows("a", 64);
+  SourceOperationCache probe;
+  bool leader = false;
+  probe.Acquire("s0", MakeBatch("a"), &leader);
+  probe.Publish("s0", MakeBatch("a"), rows);
+  SourceCacheOptions options;
+  options.capacity_bytes = probe.stats().resident_bytes;  // one entry fits
+
+  SourceOperationCache cache(options);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&cache, &stop, &rows] {
+      while (!stop.load()) {
+        bool lead = false;
+        auto got = cache.Acquire("s0", MakeBatch("a"), &lead);
+        if (lead) {
+          cache.Publish("s0", MakeBatch("a"), rows);
+        } else {
+          ASSERT_TRUE(got.has_value());
+          EXPECT_EQ(*got, rows);
+        }
+      }
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    const std::string value = "b" + std::to_string(i);
+    bool lead = false;
+    if (!cache.Acquire("s1", MakeBatch(value), &lead).has_value() && lead) {
+      cache.Publish("s1", MakeBatch(value), MakeRows(value, 64));
+    }
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_GT(cache.stats().evictions, 0);
 }
 
 TEST(SourceCacheTest, LruEvictionRespectsByteBoundAndRecency) {
