@@ -160,7 +160,7 @@ std::vector<FailurePoint> RunFailureRecovery(const exec::SyntheticDomain& d,
     for (int i = 0; i < killed; ++i) {
       const std::string& victim =
           names[size_t(i) * names.size() / size_t(killed)];
-      PLANORDER_CHECK(rt.remotes().Configure(victim, dead).ok());
+      PLANORDER_CHECK(rt.Configure(victim, dead).ok());
     }
     exec::Mediator::RunLimits limits;
     limits.max_plans = kMaxPlans;

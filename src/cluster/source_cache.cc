@@ -5,14 +5,19 @@
 namespace planorder::cluster {
 
 int64_t SourceOperationCache::ApproxBytes(
+    const std::string& source_name, const exec::BindingBatch& batch,
     const std::vector<std::vector<datalog::Term>>& rows) {
   // Entry overhead plus per-row and per-term footprints; approximate by
   // rendered term size, which tracks payload growth well enough for a bound.
-  int64_t bytes = 64;
-  for (const std::vector<datalog::Term>& row : rows) {
-    bytes += 24;
-    for (const datalog::Term& term : row) {
-      bytes += 16 + static_cast<int64_t>(term.ToString().size());
+  // The key is held by value, so its name and binding combinations are
+  // charged at the same rates as the rows.
+  int64_t bytes = 64 + 16 + static_cast<int64_t>(source_name.size());
+  for (const auto* tuples : {&batch.combinations(), &rows}) {
+    for (const std::vector<datalog::Term>& tuple : *tuples) {
+      bytes += 24;
+      for (const datalog::Term& term : tuple) {
+        bytes += 16 + static_cast<int64_t>(term.ToString().size());
+      }
     }
   }
   return bytes;
@@ -70,7 +75,7 @@ void SourceOperationCache::Publish(
     }
     Entry& entry = *it->second;
     entry.rows = rows;
-    entry.bytes = ApproxBytes(rows);
+    entry.bytes = ApproxBytes(source_name, batch, rows);
     entry.state = Entry::State::kResident;
     lru_.push_front(it);
     entry.lru_pos = lru_.begin();

@@ -20,8 +20,8 @@ namespace planorder::cluster {
 
 /// Configuration of a SourceOperationCache.
 struct SourceCacheOptions {
-  /// Approximate bound on resident payload bytes; eviction walks the LRU
-  /// tail until the cache fits. <= 0 means unbounded.
+  /// Approximate bound on resident bytes, keys and rows alike; eviction
+  /// walks the LRU tail until the cache fits. <= 0 means unbounded.
   int64_t capacity_bytes = 1 << 20;
 };
 
@@ -29,8 +29,8 @@ struct SourceCacheOptions {
 /// (DESIGN.md §10): one instance shared by every shard's sessions through
 /// two narrow interfaces —
 ///
-///  - runtime::SourceResultCache, consulted by RemoteSource on the fetch
-///    path: a resident entry is served with zero simulated latency, a miss
+///  - runtime::SourceResultCache, consulted by SourceRuntime once per batched
+///    call: a resident entry is served with zero simulated latency, a miss
 ///    elects a single-flight leader so concurrent sessions touching the same
 ///    (source, binding-pattern, inputs) operation coalesce onto one fetch;
 ///  - service::SharedOperationView, polled by every session's orderer before
@@ -44,10 +44,10 @@ struct SourceCacheOptions {
 /// payload. Residency for the view is aggregated per source name — the
 /// granularity the utility models resolve (see shared_view.h).
 ///
-/// Bounded by approximate payload bytes with LRU eviction: a hit refreshes
-/// recency, Publish inserts at the front and evicts from the tail. All state
-/// lives in ordered containers (std::map / std::list), so iteration order
-/// can never leak hash-table nondeterminism into any output.
+/// Bounded by approximate entry bytes (key plus rows) with LRU eviction: a
+/// hit refreshes recency, Publish inserts at the front and evicts from the
+/// tail. All state lives in ordered containers (std::map / std::list), so
+/// iteration order can never leak hash-table nondeterminism into any output.
 ///
 /// Thread-safe. Waiting is purely on the single-flight protocol: Acquire
 /// blocks only while another caller's fetch for the same key is in flight.
@@ -93,7 +93,10 @@ class SourceOperationCache : public runtime::SourceResultCache,
     std::list<EntryMap::iterator>::iterator lru_pos;
   };
 
+  /// Approximate footprint of one resident entry: its key (name and every
+  /// binding combination) and its rows.
   static int64_t ApproxBytes(
+      const std::string& source_name, const exec::BindingBatch& batch,
       const std::vector<std::vector<datalog::Term>>& rows);
 
   /// Removes LRU-tail entries until the byte bound holds.

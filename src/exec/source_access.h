@@ -87,8 +87,8 @@ class SourceRegistry {
   const AccessibleSource* Find(const std::string& name) const;
 
   /// Names of all registered sources, in registration-independent sorted
-  /// order (used by wrappers that shadow every source, e.g. the runtime's
-  /// RemoteRegistry).
+  /// order (used by wrappers that shadow every source, e.g.
+  /// runtime::SourceRuntime).
   std::vector<std::string> Names() const;
 
  private:

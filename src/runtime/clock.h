@@ -18,7 +18,7 @@ class Clock {
   virtual ~Clock() = default;
 
   /// Charges `ms` simulated milliseconds. A real clock sleeps (scaled by
-  /// `dilation`, see RemoteSource::set_time_dilation); a virtual clock only
+  /// `dilation`, see RuntimeOptions::time_dilation); a virtual clock only
   /// advances its counter. Must be safe to call from many threads at once.
   virtual void SleepMs(double ms, double dilation) = 0;
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "base/hash.h"
-#include "base/rng.h"
 
 namespace planorder::runtime {
 
@@ -45,40 +44,6 @@ uint64_t BatchHash(uint64_t seed, const exec::BindingBatch& batch) {
 StatusOr<std::vector<std::vector<datalog::Term>>> RemoteSource::FetchBatch(
     const exec::BindingBatch& batch, const RetryPolicy& retry,
     exec::RuntimeAccounting* accounting) {
-  if (cache_ == nullptr) {
-    return FetchBatchUncached(batch, retry, accounting);
-  }
-  // Single-flight protocol: a hit returns the rows free of charge — no
-  // latency draws, no sleeping, no retries — mirroring the zero residual
-  // cost the utility measures assign to cached operations. On a miss this
-  // call is the leader; it pays the full resilient fetch and publishes so
-  // concurrent sessions waiting on the same key all hit. A failed leader
-  // aborts, and Acquire promotes one waiter to retry — so permanent outages
-  // fail every caller instead of wedging the key.
-  while (true) {
-    bool leader = false;
-    std::optional<std::vector<std::vector<datalog::Term>>> hit =
-        cache_->Acquire(name(), batch, &leader);
-    if (hit.has_value()) {
-      if (accounting != nullptr) ++accounting->source_cache_hits;
-      return *std::move(hit);
-    }
-    if (!leader) continue;  // leader aborted before us; try again
-    StatusOr<std::vector<std::vector<datalog::Term>>> rows =
-        FetchBatchUncached(batch, retry, accounting);
-    if (rows.ok()) {
-      cache_->Publish(name(), batch, *rows);
-    } else {
-      cache_->Abort(name(), batch);
-    }
-    return rows;
-  }
-}
-
-StatusOr<std::vector<std::vector<datalog::Term>>>
-RemoteSource::FetchBatchUncached(const exec::BindingBatch& batch,
-                                 const RetryPolicy& retry,
-                                 exec::RuntimeAccounting* accounting) {
   // Accounting accrues call-locally and commits into the caller's channel
   // on every exit path, so concurrent callers never see each other's work in
   // their own numbers.
@@ -179,67 +144,6 @@ RemoteSource::FetchBatchUncached(const exec::BindingBatch& batch,
     ++acct.retries;
     clock_->SleepMs(backoff_ms, time_dilation_);
   }
-}
-
-RemoteRegistry::RemoteRegistry(exec::SourceRegistry* underlying,
-                               uint64_t seed) {
-  // Sorted-name iteration + one Rng stream: each source's key depends only on
-  // (seed, its rank), so the same seed reproduces the same per-source
-  // behavior across runs and platforms.
-  Rng rng(seed);
-  for (const std::string& name : underlying->Names()) {
-    const uint64_t source_seed =
-        CombineHash(rng.engine()(), Fnv1a64(name));
-    sources_.emplace(name, std::make_unique<RemoteSource>(
-                               underlying->Find(name), source_seed));
-  }
-}
-
-RemoteSource* RemoteRegistry::Find(const std::string& name) {
-  auto it = sources_.find(name);
-  return it == sources_.end() ? nullptr : it->second.get();
-}
-
-const RemoteSource* RemoteRegistry::Find(const std::string& name) const {
-  auto it = sources_.find(name);
-  return it == sources_.end() ? nullptr : it->second.get();
-}
-
-std::vector<std::string> RemoteRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(sources_.size());
-  for (const auto& [name, unused] : sources_) names.push_back(name);
-  return names;
-}
-
-void RemoteRegistry::ConfigureAll(const NetworkModel& model) {
-  for (auto& [unused, source] : sources_) source->set_model(model);
-}
-
-Status RemoteRegistry::Configure(const std::string& name,
-                                 const NetworkModel& model) {
-  RemoteSource* source = Find(name);
-  if (source == nullptr) {
-    return NotFoundError("no remote source '" + name + "'");
-  }
-  source->set_model(model);
-  return OkStatus();
-}
-
-void RemoteRegistry::set_time_dilation(double dilation) {
-  for (auto& [unused, source] : sources_) source->set_time_dilation(dilation);
-}
-
-void RemoteRegistry::set_clock(Clock* clock) {
-  for (auto& [unused, source] : sources_) source->set_clock(clock);
-}
-
-void RemoteRegistry::set_result_cache(SourceResultCache* cache) {
-  for (auto& [unused, source] : sources_) source->set_result_cache(cache);
-}
-
-void RemoteRegistry::set_trace_sink(SourceTraceSink* sink) {
-  for (auto& [unused, source] : sources_) source->set_trace_sink(sink);
 }
 
 }  // namespace planorder::runtime

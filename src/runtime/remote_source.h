@@ -2,8 +2,6 @@
 #define PLANORDER_RUNTIME_REMOTE_SOURCE_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,7 +14,6 @@
 #include "exec/source_access.h"
 #include "runtime/clock.h"
 #include "runtime/retry_policy.h"
-#include "runtime/source_result_cache.h"
 #include "runtime/trace_sink.h"
 
 namespace planorder::runtime {
@@ -50,56 +47,43 @@ struct NetworkModel {
   double hedge_delay_ms = 0.0;
 };
 
-/// A resilient proxy over one exec::AccessibleSource: simulates the network
-/// model, injects faults, retries transient ones per a RetryPolicy, and
-/// reports each call's latency/retries/failures/hedges to its caller.
-/// Underlying fetches are serialized by a per-source mutex (the source builds
-/// its indexes lazily), so one RemoteSource may be called from many pool
-/// workers concurrently; the simulated latency (the expensive part) is paid
-/// outside the lock.
-///
-/// Configuration (set_model / set_time_dilation) must happen before
-/// concurrent calls begin — it is not synchronized against FetchBatch.
+/// A resilient proxy over one exec::AccessibleSource: simulates one source's
+/// network — the model, injected faults, retries per a RetryPolicy, hedged
+/// backup calls — and reports each call's latency/retries/failures/hedges to
+/// its caller and to an optional trace sink. It knows nothing of the
+/// cross-session result cache: SourceRuntime consults that once per batch
+/// and calls FetchBatch only on a miss. Underlying fetches are serialized by
+/// a per-source mutex (the source builds its indexes lazily), so one
+/// RemoteSource may be called from many pool workers concurrently; the
+/// simulated latency (the expensive part) is paid outside the lock.
 class RemoteSource {
  public:
-  RemoteSource(exec::AccessibleSource* source, uint64_t seed)
-      : source_(source), seed_(seed) {}
+  /// `time_dilation` scales real sleeping relative to simulated
+  /// milliseconds: 1.0 sleeps the simulated latency for wall-clock realism
+  /// (benchmarks), 0.0 never sleeps (logic tests); accounting always records
+  /// undilated simulated time. Every simulated wait is charged through
+  /// `clock` (borrowed; null = the process-wide RealClock) — inject a
+  /// VirtualClock to replay fault/latency schedules deterministically with
+  /// no real sleeping. `trace_sink` (borrowed, may be null) is told of every
+  /// completed call, success or failure, with its observed row count,
+  /// attempt/failure counts and total simulated latency; it must be
+  /// thread-safe.
+  RemoteSource(exec::AccessibleSource* source, uint64_t seed,
+               const NetworkModel& model = {}, double time_dilation = 1.0,
+               Clock* clock = nullptr, SourceTraceSink* trace_sink = nullptr)
+      : source_(source),
+        seed_(seed),
+        model_(model),
+        time_dilation_(time_dilation),
+        clock_(clock != nullptr ? clock : RealClock::Instance()),
+        trace_sink_(trace_sink) {}
 
   const std::string& name() const { return source_->name(); }
   const exec::AccessibleSource& underlying() const { return *source_; }
 
+  /// Replaces the network model. Not synchronized against FetchBatch: call
+  /// it before concurrent calls begin.
   void set_model(const NetworkModel& model) { model_ = model; }
-  const NetworkModel& model() const { return model_; }
-
-  /// Scales real sleeping relative to simulated milliseconds: 1.0 sleeps the
-  /// simulated latency for wall-clock realism (benchmarks), 0.0 never sleeps
-  /// (logic tests). Accounting always records undilated simulated time.
-  void set_time_dilation(double dilation) { time_dilation_ = dilation; }
-
-  /// Substitutes the time source every simulated wait is charged through
-  /// (borrowed; defaults to the process-wide RealClock). Inject a
-  /// VirtualClock to replay fault/latency schedules deterministically with
-  /// no real sleeping — the simulation harness's determinism hook. Like
-  /// set_model, must be called before concurrent calls begin.
-  void set_clock(Clock* clock) { clock_ = clock; }
-  Clock& clock() const { return *clock_; }
-
-  /// Attaches a shared cross-session result cache (borrowed, may be null).
-  /// With a cache, FetchBatch first consults it: a hit returns the cached
-  /// rows with zero simulated latency (and no network-model draws — the
-  /// cached operation is free, per the Section 6 caching semantics); a miss
-  /// elects this call single-flight leader, performs the real fetch and
-  /// publishes the rows. Like set_model, must be called before concurrent
-  /// calls begin.
-  void set_result_cache(SourceResultCache* cache) { cache_ = cache; }
-
-  /// Attaches an execution-trace sink (borrowed, may be null to detach).
-  /// Every completed uncached call — success or failure — is reported once
-  /// with its observed row count, attempt/failure counts and total simulated
-  /// latency; cache hits are not reported. The sink itself must be
-  /// thread-safe. Like set_model, must be called before concurrent calls
-  /// begin.
-  void set_trace_sink(SourceTraceSink* sink) { trace_sink_ = sink; }
 
   /// One resilient batched access (semantics of AccessibleSource::FetchBatch,
   /// including its position checks). Transient failures
@@ -115,50 +99,13 @@ class RemoteSource {
       exec::RuntimeAccounting* accounting = nullptr) EXCLUDES(mu_);
 
  private:
-  /// The pre-cache fetch path: the full resilient access (network model,
-  /// faults, retries, accounting). FetchBatch delegates here on a cache miss
-  /// (as single-flight leader) or when no cache is attached.
-  StatusOr<std::vector<std::vector<datalog::Term>>> FetchBatchUncached(
-      const exec::BindingBatch& batch, const RetryPolicy& retry,
-      exec::RuntimeAccounting* accounting) EXCLUDES(mu_);
-
   exec::AccessibleSource* source_;  // fetches serialized under mu_
-  uint64_t seed_;
+  const uint64_t seed_;
   NetworkModel model_;
-  double time_dilation_ = 1.0;
-  Clock* clock_ = RealClock::Instance();
-  SourceResultCache* cache_ = nullptr;
-  SourceTraceSink* trace_sink_ = nullptr;
+  const double time_dilation_;
+  Clock* const clock_;
+  SourceTraceSink* const trace_sink_;
   Mutex mu_;
-};
-
-/// The runtime's view of the mediator's sources: one RemoteSource per entry
-/// of an exec::SourceRegistry. Per-source seeds are derived from one run seed
-/// via base/rng.h in sorted-name order, so a single recorded seed reproduces
-/// the whole run.
-class RemoteRegistry {
- public:
-  RemoteRegistry(exec::SourceRegistry* underlying, uint64_t seed);
-
-  RemoteSource* Find(const std::string& name);
-  const RemoteSource* Find(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
-  /// Applies `model` to every source / one source.
-  void ConfigureAll(const NetworkModel& model);
-  Status Configure(const std::string& name, const NetworkModel& model);
-  void set_time_dilation(double dilation);
-  /// Routes every source's simulated waits through `clock` (borrowed).
-  void set_clock(Clock* clock);
-  /// Attaches one shared result cache to every source (borrowed, may be
-  /// null to detach).
-  void set_result_cache(SourceResultCache* cache);
-  /// Attaches one execution-trace sink to every source (borrowed, may be
-  /// null to detach) — see RemoteSource::set_trace_sink.
-  void set_trace_sink(SourceTraceSink* sink);
-
- private:
-  std::map<std::string, std::unique_ptr<RemoteSource>> sources_;
 };
 
 }  // namespace planorder::runtime

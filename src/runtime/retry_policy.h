@@ -12,7 +12,7 @@ namespace planorder::runtime {
 /// interleaving. Instead every draw is a pure hash of *what* is being done —
 /// (seed, source, call payload, attempt) — so a run with the same seed makes
 /// identical decisions no matter how the scheduler slices it. base/rng.h
-/// still seeds the per-source keys (see RemoteRegistry), keeping the single
+/// still seeds the per-source keys (see SourceRuntime), keeping the single
 /// recorded-seed reproducibility convention of the rest of the library.
 ///
 /// MixHash is the SplitMix64 finalizer (Steele et al.), a strong 64-bit

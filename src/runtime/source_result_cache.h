@@ -19,16 +19,18 @@ struct SourceResultCacheStats {
   int64_t single_flight_waits = 0; // Acquire blocked behind an in-flight fetch
   int64_t insertions = 0;          // successful Publish calls
   int64_t evictions = 0;           // entries removed to respect the byte bound
-  int64_t resident_bytes = 0;      // current approximate payload bytes
+  int64_t resident_bytes = 0;      // current approximate key + row bytes
   int64_t resident_entries = 0;    // current entry count
 };
 
 /// A cross-session cache of source-operation results, keyed by the full
 /// content of a batched call — (source name, bound positions, binding
-/// values). RemoteSource consults it before paying simulated network
-/// latency: a hit returns the rows at zero cost and zero latency, which is
-/// exactly the paper's Section 6 caching semantics ("a cached source access
-/// has zero residual cost") lifted from one session to the whole service.
+/// values). SourceRuntime consults it once per batched call, before
+/// partitioning it over the pool, so the cached operation is the batch
+/// whatever the pool size: a hit returns the rows at zero cost and zero
+/// latency, which is exactly the paper's Section 6 caching semantics ("a
+/// cached source access has zero residual cost") lifted from one session to
+/// the whole service.
 ///
 /// The protocol is single-flight. Acquire either returns the cached rows
 /// (hit), or elects the caller *leader* for this key (miss, `*leader` set

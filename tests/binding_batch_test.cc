@@ -144,12 +144,11 @@ TEST(BindingBatchTest, BatchHashMatchesGoldenValues) {
   AccessibleSource source("v", 3);
   ASSERT_TRUE(source.Add({C("ford"), C("m1"), C("x y")}).ok());
   for (const Golden& g : goldens) {
-    runtime::RemoteSource remote(&source, g.seed);
     runtime::NetworkModel model;
     model.base_latency_ms = 1.0;
     model.latency_jitter = 1.0;
-    remote.set_model(model);
-    remote.set_time_dilation(0.0);
+    runtime::RemoteSource remote(&source, g.seed, model,
+                                 /*time_dilation=*/0.0);
     RuntimeAccounting accounting;
     ASSERT_TRUE(
         remote.FetchBatch(g.batch, runtime::RetryPolicy{}, &accounting).ok())

@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include "exec/source_access.h"
 #include "exec/synthetic_domain.h"
 #include "reformulation/bucket.h"
+#include "runtime/source_result_cache.h"
 #include "runtime/source_runtime.h"
 #include "runtime/thread_pool.h"
 #include "utility/coverage_model.h"
@@ -231,7 +235,7 @@ TEST_F(MovieRuntimeTest, PermanentSourceFailureDegradesGracefully) {
   SourceRuntime runtime(&registry_, options);
   NetworkModel dead;
   dead.permanently_failed = true;
-  ASSERT_TRUE(runtime.remotes().Configure("v4", dead).ok());
+  ASSERT_TRUE(runtime.Configure("v4", dead).ok());
   exec::Mediator::RunLimits limits;
   limits.max_plans = 9;
   auto result = mediator.Run(**orderer, limits, runtime);
@@ -342,7 +346,7 @@ RuntimeOptions FaultyOptions(int threads) {
 void KillV4(SourceRuntime& runtime) {
   NetworkModel dead;
   dead.permanently_failed = true;
-  ASSERT_TRUE(runtime.remotes().Configure("v4", dead).ok());
+  ASSERT_TRUE(runtime.Configure("v4", dead).ok());
 }
 
 /// Plan-local accounting summed over every plan of `plans`.
@@ -495,6 +499,267 @@ TEST_F(MovieRuntimeTest, ParallelJoinPreservesSerialRowOrder) {
   // each counted as one source call, shipping the serial batch's rows.
   EXPECT_GT(parallel->source_calls, serial_trace.TotalCalls());
   EXPECT_EQ(parallel->tuples_shipped, serial_trace.TotalTuplesShipped());
+}
+
+/// A result cache that either holds one resident entry — every Acquire
+/// hits with `rows` — or holds nothing, so every Acquire misses and elects
+/// the caller leader. Records the protocol calls it receives.
+class ResidentCache : public SourceResultCache {
+ public:
+  using Rows = std::vector<std::vector<Term>>;
+
+  explicit ResidentCache(std::optional<Rows> rows = std::nullopt)
+      : rows_(std::move(rows)) {}
+
+  std::optional<Rows> Acquire(const std::string& source_name,
+                              const exec::BindingBatch& batch,
+                              bool* leader) override {
+    acquires.emplace_back(source_name, batch);
+    *leader = !rows_.has_value();
+    return rows_;
+  }
+  void Publish(const std::string& source_name,
+               const exec::BindingBatch& batch, const Rows& rows) override {
+    publishes.emplace_back(source_name, batch, rows);
+  }
+  void Abort(const std::string&, const exec::BindingBatch&) override {
+    ++aborts;
+  }
+
+  std::vector<std::pair<std::string, exec::BindingBatch>> acquires;
+  std::vector<std::tuple<std::string, exec::BindingBatch, Rows>> publishes;
+  int aborts = 0;
+
+ private:
+  std::optional<Rows> rows_;
+};
+
+TEST_F(MovieRuntimeTest, CacheHitReturnsPublishedRowsFreeOfCharge) {
+  // A network on which every uncached call pays latency and fails: only the
+  // hit path can return rows, and it must charge nothing.
+  adaptive::ObservedStats observed;
+  TeeSink sink(&observed);
+  // Rows v3 does not hold, so they can only come from the cache.
+  ResidentCache cache(ResidentCache::Rows{
+      {Term::Constant("ford"), Term::Constant("m9")}});
+  RuntimeOptions options = QuietOptions(4);
+  options.default_model.base_latency_ms = 10.0;
+  options.default_model.transient_failure_rate = 1.0;
+  options.source_cache = &cache;
+  options.trace_sink = &sink;
+  SourceRuntime runtime(&registry_, options);
+
+  auto plan = ParseRule("q(M) :- v3(ford,M)");
+  ASSERT_TRUE(plan.ok());
+  auto exec = runtime.ExecutePlan(*plan);
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  ASSERT_FALSE(exec->failed) << exec->failure_reason;
+  EXPECT_EQ(exec->tuples,
+            (std::vector<std::vector<Term>>{{Term::Constant("m9")}}));
+  exec::BindingBatch ford({0});
+  ford.Add({Term::Constant("ford")});
+  ASSERT_EQ(cache.acquires.size(), 1u);
+  EXPECT_EQ(cache.acquires[0].first, "v3");
+  EXPECT_EQ(cache.acquires[0].second, ford);
+  EXPECT_TRUE(cache.publishes.empty());
+  EXPECT_EQ(cache.aborts, 0);
+
+  EXPECT_EQ(exec->source_calls, 1);
+  EXPECT_EQ(exec->runtime.source_cache_hits, 1);
+  EXPECT_EQ(exec->runtime.latency_ms_total, 0.0);
+  EXPECT_EQ(exec->runtime.latency_ms_max, 0.0);
+  EXPECT_EQ(exec->runtime.retries, 0);
+  EXPECT_EQ(exec->runtime.transient_failures, 0);
+  EXPECT_EQ(exec->runtime.permanent_failures, 0);
+  EXPECT_EQ(exec->runtime.hedged_calls, 0);
+  // A resident operation reveals nothing about the source: no observation.
+  EXPECT_EQ(sink.Sum().calls, 0);
+}
+
+TEST(SourceRuntimeCacheTest, PartitionedMissPublishesTheWholeBatchOnce) {
+  // a(X) feeds eight distinct values into b(X,Y): at four threads that
+  // batch goes out as four partition calls, yet the cache sees one batched
+  // operation — one Acquire and one Publish of the whole batch, its rows in
+  // chunk order, which is the serial FetchBatch order.
+  exec::SourceRegistry registry;
+  auto a = registry.Register("a", 1);
+  auto b = registry.Register("b", 2);
+  ASSERT_TRUE(a.ok() && b.ok());
+  exec::BindingBatch keys({0});
+  for (int i = 0; i < 8; ++i) {
+    const Term x = Term::Constant("x" + std::to_string(i));
+    ASSERT_TRUE((*a)->Add({x}).ok());
+    keys.Add({x});
+    for (int j = 0; j < 2; ++j) {
+      ASSERT_TRUE(
+          (*b)->Add({x, Term::Constant("y" + std::to_string(i * 2 + j))})
+              .ok());
+    }
+  }
+  auto serial_rows = (*b)->FetchBatch(keys);
+  ASSERT_TRUE(serial_rows.ok());
+
+  ResidentCache cache;  // every Acquire misses
+  RuntimeOptions options;
+  options.num_threads = 4;
+  options.time_dilation = 0.0;
+  options.source_cache = &cache;
+  SourceRuntime runtime(&registry, options);
+  auto plan = ParseRule("q(X,Y) :- a(X), b(X,Y)");
+  ASSERT_TRUE(plan.ok());
+  auto exec = runtime.ExecutePlan(*plan);
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  ASSERT_FALSE(exec->failed) << exec->failure_reason;
+  EXPECT_EQ(exec->source_calls, 1 + 4);  // a's scan, b's four partitions
+  EXPECT_EQ(exec->runtime.source_cache_hits, 0);
+
+  ASSERT_EQ(cache.acquires.size(), 2u);
+  ASSERT_EQ(cache.publishes.size(), 2u);
+  EXPECT_EQ(cache.aborts, 0);
+  const auto& [name, batch, rows] = cache.publishes[1];
+  EXPECT_EQ(name, "b");
+  EXPECT_EQ(batch, keys);
+  EXPECT_EQ(rows, *serial_rows);
+}
+
+TEST(SourceRuntimeTest, ConfigureOverridesOneSourceAndRejectsUnknownNames) {
+  exec::SourceRegistry registry;
+  ASSERT_TRUE(registry.Register("a", 1).ok());
+  ASSERT_TRUE(registry.Register("b", 1).ok());
+  RuntimeOptions options;
+  options.num_threads = 1;
+  options.time_dilation = 0.0;
+  SourceRuntime runtime(&registry, options);
+  NetworkModel dead;
+  dead.permanently_failed = true;
+  EXPECT_EQ(runtime.Configure("nope", dead).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(runtime.Configure("a", dead).ok());
+
+  auto on_a = ParseRule("q(X) :- a(X)");
+  auto on_b = ParseRule("q(X) :- b(X)");
+  ASSERT_TRUE(on_a.ok() && on_b.ok());
+  auto failed = runtime.ExecutePlan(*on_a);
+  ASSERT_TRUE(failed.ok()) << failed.status();
+  EXPECT_TRUE(failed->failed);
+  EXPECT_EQ(failed->runtime.permanent_failures, 1);
+  auto served = runtime.ExecutePlan(*on_b);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_FALSE(served->failed);
+}
+
+/// Passes plans through to `inner`, keeping each one's execution facts.
+class RecordingExecutor : public exec::PlanExecutor {
+ public:
+  /// What the tests compare of one PlanExecution: its trace's calls and
+  /// shipped tuples, then its RuntimeAccounting field by field.
+  using Facts = std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t,
+                           int64_t, int64_t, double, double>;
+
+  explicit RecordingExecutor(exec::PlanExecutor* inner) : inner_(inner) {}
+
+  StatusOr<exec::PlanExecution> ExecutePlan(
+      const datalog::ConjunctiveQuery& rewriting) override {
+    auto exec = inner_->ExecutePlan(rewriting);
+    if (exec.ok()) {
+      const exec::RuntimeAccounting& r = exec->runtime;
+      plans.emplace_back(exec->source_calls, exec->tuples_shipped, r.retries,
+                         r.transient_failures, r.permanent_failures,
+                         r.hedged_calls, r.source_cache_hits,
+                         r.latency_ms_total, r.latency_ms_max);
+    }
+    return exec;
+  }
+
+  std::vector<Facts> plans;
+
+ private:
+  exec::PlanExecutor* inner_;
+};
+
+/// One full run of a 64-plan synthetic domain through a fresh SourceRuntime
+/// behind a fresh byte-bounded cache: the answer steps, every plan's facts
+/// and the cache's final stats.
+struct CacheProbe {
+  std::vector<std::tuple<utility::ConcretePlan, size_t, size_t>> steps;
+  std::vector<RecordingExecutor::Facts> plans;
+  SourceResultCacheStats cache;
+};
+
+CacheProbe RunCacheProbe(const exec::SyntheticDomain& d,
+                         exec::SourceRegistry* registry, int threads,
+                         int64_t capacity_bytes) {
+  cluster::SourceCacheOptions cache_options;
+  cache_options.capacity_bytes = capacity_bytes;
+  cluster::SourceOperationCache cache(cache_options);
+  RuntimeOptions options;
+  options.num_threads = threads;
+  options.time_dilation = 0.0;
+  options.seed = 29;
+  options.default_model.base_latency_ms = 1.0;
+  options.default_model.per_binding_latency_ms = 0.25;
+  options.default_model.latency_jitter = 0.5;
+  options.default_model.transient_failure_rate = 0.2;
+  options.retry.max_attempts = 64;
+  options.source_cache = &cache;
+  SourceRuntime runtime(registry, options);
+  RecordingExecutor recorder(&runtime);
+
+  utility::CoverageModel model(&d.workload);
+  auto orderer = core::MakeOrderer({}, &d.workload, &model,
+                                   {core::PlanSpace::FullSpace(d.workload)});
+  EXPECT_TRUE(orderer.ok());
+  exec::Mediator mediator(&d.catalog, d.query, d.source_ids);
+  auto result = mediator.Run(**orderer, {.max_plans = 64}, recorder);
+  EXPECT_TRUE(result.ok()) << result.status();
+
+  CacheProbe probe;
+  for (const exec::MediatorStep& step : result->steps) {
+    probe.steps.emplace_back(step.plan, step.answers_from_plan,
+                             step.total_answers);
+  }
+  probe.plans = std::move(recorder.plans);
+  probe.cache = cache.stats();
+  return probe;
+}
+
+auto CacheStatsTuple(const SourceResultCacheStats& s) {
+  return std::tuple(s.hits, s.misses, s.single_flight_waits, s.insertions,
+                    s.evictions, s.resident_bytes, s.resident_entries);
+}
+
+TEST(SourceRuntimeCacheTest, BoundedCacheStateIsIndependentOfPoolAndSchedule) {
+  // The cache is consulted once per batch, before partitioning, so which
+  // entries exist — and, under a byte bound, which are evicted — is fixed
+  // by the plan sequence alone. Fresh 4-thread runtimes must agree on every
+  // plan's calls, tuples and accounting and on the cache's stats, and those
+  // stats must equal a 1-thread run's.
+  stats::WorkloadOptions wopts;
+  wopts.query_length = 3;
+  wopts.bucket_size = 4;
+  wopts.overlap_rate = 0.5;
+  wopts.regions_per_bucket = 8;
+  wopts.seed = 29;
+  auto domain = exec::BuildSyntheticDomain(wopts, 200);
+  ASSERT_TRUE(domain.ok());
+  const exec::SyntheticDomain& d = **domain;
+  auto registry = exec::BuildSourceRegistry(d.catalog, d.source_facts);
+  ASSERT_TRUE(registry.ok()) << registry.status();
+  constexpr int64_t kCapacityBytes = 50'000;
+
+  const CacheProbe serial = RunCacheProbe(d, &*registry, 1, kCapacityBytes);
+  ASSERT_EQ(serial.steps.size(), 64u);
+  ASSERT_GT(serial.cache.evictions, 0);  // the bound binds
+  ASSERT_GT(serial.cache.hits, 0);
+  const CacheProbe first = RunCacheProbe(d, &*registry, 4, kCapacityBytes);
+  EXPECT_EQ(CacheStatsTuple(first.cache), CacheStatsTuple(serial.cache));
+  EXPECT_EQ(first.steps, serial.steps);
+  for (int run = 1; run < 20; ++run) {
+    const CacheProbe again = RunCacheProbe(d, &*registry, 4, kCapacityBytes);
+    EXPECT_EQ(again.steps, first.steps) << "run " << run;
+    EXPECT_EQ(again.plans, first.plans) << "run " << run;
+    EXPECT_EQ(CacheStatsTuple(again.cache), CacheStatsTuple(first.cache))
+        << "run " << run;
+  }
 }
 
 /// Larger-scale equivalence on a generated domain, exercising real pool

@@ -1,5 +1,5 @@
 /// Concurrency tests of the QueryService: many client sessions multiplexed
-/// over ONE shared runtime::RemoteRegistry (via one SourceRuntime) must
+/// over ONE shared runtime::SourceRuntime (and its RemoteSources) must
 /// produce exactly the answers of serial execution, with per-session runtime
 /// accounting that never leaks across sessions. Runs under the TSan CI job.
 

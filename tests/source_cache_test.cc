@@ -1,6 +1,7 @@
 // Tests of the cross-session source-operation result cache (src/cluster/):
 // the single-flight Acquire/Publish/Abort protocol, content keying, the
-// per-name residency view, and LRU eviction under the byte bound.
+// per-name residency view, and LRU eviction under the byte bound, which
+// charges keys as well as rows.
 
 #include "cluster/source_cache.h"
 
@@ -209,6 +210,31 @@ TEST(SourceCacheTest, LruEvictionRespectsByteBoundAndRecency) {
   EXPECT_EQ(stats.evictions, 1);
   EXPECT_EQ(stats.resident_entries, 2);
   EXPECT_LE(stats.resident_bytes, options.capacity_bytes);
+}
+
+TEST(SourceCacheTest, KeysCountAgainstTheByteBound) {
+  // Entries that ship no rows but key on large batches: the key is held by
+  // value, so it must be charged, or residency grows past the bound unseen.
+  SourceCacheOptions options;
+  options.capacity_bytes = 16 * 1024;
+  SourceOperationCache cache(options);
+  for (int i = 0; i < 64; ++i) {
+    exec::BindingBatch batch({0});
+    for (int j = 0; j < 100; ++j) {
+      batch.Add({datalog::Term::Constant("k" + std::to_string(i) + "_" +
+                                         std::to_string(j))});
+    }
+    bool leader = false;
+    ASSERT_FALSE(cache.Acquire("s0", batch, &leader).has_value());
+    ASSERT_TRUE(leader);
+    cache.Publish("s0", batch, Rows{});
+  }
+  const auto stats = cache.stats();
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_LT(stats.resident_entries, 64);
+  EXPECT_LE(stats.resident_bytes, options.capacity_bytes);
+  // Each resident key holds 100 bound values of at least 16 bytes each.
+  EXPECT_GE(stats.resident_bytes, stats.resident_entries * 100 * 16);
 }
 
 TEST(SourceCacheTest, UnboundedCapacityNeverEvicts) {
