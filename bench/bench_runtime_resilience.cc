@@ -5,7 +5,10 @@
 ///   - serial vs parallel wall-clock time of a full mediation run
 ///     (time_dilation = 1.0: simulated source latency is really slept), and
 ///   - answers recovered when sources are permanently killed mid-workload
-///     (graceful degradation instead of an aborted run).
+///     (graceful degradation instead of an aborted run), and
+///   - the dependent-join kernel's heap allocations, bytes and µs per plan
+///     over a fixed plan set (kernel_plans.h), with the counting operator
+///     new of alloc_counter.cc.
 ///
 /// Usage: bench_runtime_resilience [output.json] [--threads=N[,M...]]
 ///        [--repeats=R]
@@ -14,6 +17,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "exec/mediator.h"
 #include "exec/source_access.h"
 #include "exec/synthetic_domain.h"
+#include "kernel_plans.h"
 #include "runtime/source_runtime.h"
 #include "utility/coverage_model.h"
 
@@ -181,8 +186,33 @@ std::vector<FailurePoint> RunFailureRecovery(const exec::SyntheticDomain& d,
   return recovery;
 }
 
+/// The dependent-join kernel alone over kernel_plans.h's fixed plan set:
+/// heap allocations and bytes (exact) and µs per plan (wall clock).
+/// `baseline` holds the same measures of the kernel the slot-compiled one
+/// replaced, which copied a std::map Substitution per frontier x row pair;
+/// its µs/plan is the median of three runs alternating with the slot
+/// kernel's (88.6 µs median) on a shared 4-thread host, where wall clock
+/// moves by a third between processes.
+Json KernelBlock() {
+  std::unique_ptr<KernelPlanSet> set = BuildKernelPlanSet();
+  const KernelWork work = MeasureKernel(*set, /*timed_passes=*/15);
+  std::cout << "kernel: " << work.allocations_per_plan() << " allocations, "
+            << work.bytes_per_plan() << " bytes, " << work.us_per_plan
+            << " us per plan\n";
+  return Json::Object(
+      {{"plans", work.plans},
+       {"allocations", work.allocations},
+       {"bytes", work.bytes},
+       {"allocations_per_plan", work.allocations_per_plan()},
+       {"bytes_per_plan", work.bytes_per_plan()},
+       {"us_per_plan", work.us_per_plan},
+       {"baseline", Json::Object({{"allocations", int64_t{1953279}},
+                                  {"bytes", int64_t{250015592}},
+                                  {"us_per_plan", 556.5}})}});
+}
+
 void WriteJson(const BenchFlags& flags, const std::vector<SweepPoint>& sweep,
-               const std::vector<FailurePoint>& recovery) {
+               const std::vector<FailurePoint>& recovery, const Json& kernel) {
   Json latency_sweep = Json::Array();
   for (const SweepPoint& p : sweep) {
     Json point = Json::Object(
@@ -206,7 +236,8 @@ void WriteJson(const BenchFlags& flags, const std::vector<SweepPoint>& sweep,
   WriteBenchJson(flags, "runtime_resilience",
                  {{"max_plans", kMaxPlans},
                   {"latency_sweep", latency_sweep},
-                  {"failure_recovery", failure_recovery}});
+                  {"failure_recovery", failure_recovery},
+                  {"kernel", kernel}});
 }
 
 int Main(int argc, char** argv) {
@@ -227,7 +258,7 @@ int Main(int argc, char** argv) {
       ParseBenchFlags(argc, argv, "BENCH_runtime.json", {4, 8});
   const std::vector<SweepPoint> sweep = RunLatencySweep(d, registry, flags);
   const std::vector<FailurePoint> recovery = RunFailureRecovery(d, registry);
-  WriteJson(flags, sweep, recovery);
+  WriteJson(flags, sweep, recovery, KernelBlock());
   return 0;
 }
 

@@ -3,7 +3,8 @@
 with the committed ones.
 
 Each bench writes wall-clock fields, which are free to move, and counters
-(evaluations, answers, emissions, byte-identity flags), which must not. This
+(evaluations, answers, emissions, byte-identity flags, heap allocations),
+which must not. This
 script reads every counter of each regenerated file, reads the same counters
 from `git show HEAD:<file>`, prints both side by side and exits 1 if any
 differs. Wall clock is not judged.
@@ -32,6 +33,9 @@ def runtime_counters(doc):
     for i, point in enumerate(doc["failure_recovery"]):
         for key in ("baseline_answers", "recovered_answers", "failed_plans"):
             yield f"failure_recovery[{i}].{key}", point[key]
+    # The kernel's heap work is exact; its us_per_plan is wall clock.
+    for key in ("plans", "allocations", "bytes"):
+        yield f"kernel.{key}", doc["kernel"][key]
 
 
 def adaptive_counters(doc):
