@@ -15,6 +15,7 @@
 #include "base/logging.h"
 #include "bench_flags.h"
 #include "core/orderer_factory.h"
+#include "reference/orderer_factory.h"
 #include "stats/workload.h"
 #include "utility/measures.h"
 
@@ -36,7 +37,7 @@ RunResult RunIDrips(const stats::Workload& workload, bool persistent) {
   PLANORDER_CHECK(model.ok()) << model.status();
   RunResult result;
   const double start_ms = NowWallMs();
-  auto orderer = core::MakeOrderer(
+  auto orderer = core::MakeReferenceOrderer(
       {persistent ? core::OrdererKind::kIDrips
                   : core::OrdererKind::kIDripsRebuild},
       &workload, model->get(), {core::PlanSpace::FullSpace(workload)});

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/batch_topk.h"
+#include "reference/batch_topk.h"
 #include "sim/harness.h"
 #include "sim/oracle.h"
 #include "sim/scenario.h"
@@ -449,8 +449,8 @@ void RegisterSimSweep() {
             state.SkipWithError("measure rejected workload");
             return;
           }
-          auto orderer = core::MakeOrderer({core::OrdererKind::kPi},
-                                           &workload, model->get(), spaces);
+          auto orderer = core::MakeReferenceOrderer(
+              {core::OrdererKind::kPi}, &workload, model->get(), spaces);
           if (!orderer.ok()) {
             state.SkipWithError("orderer construction failed");
             return;

@@ -14,6 +14,7 @@
 #include "base/logging.h"
 #include "bench_flags.h"
 #include "core/orderer_factory.h"
+#include "reference/orderer_factory.h"
 #include "utility/measures.h"
 
 namespace planorder::bench {
@@ -64,8 +65,8 @@ struct EpisodeResult {
 inline EpisodeResult RunEpisode(const core::OrdererSpec& spec,
                                 utility::UtilityModel* model,
                                 const stats::Workload& workload, int k) {
-  auto orderer = core::MakeOrderer(spec, &workload, model,
-                                   {core::PlanSpace::FullSpace(workload)});
+  auto orderer = core::MakeReferenceOrderer(
+      spec, &workload, model, {core::PlanSpace::FullSpace(workload)});
   PLANORDER_CHECK(orderer.ok()) << orderer.status();
   EpisodeResult result;
   for (int i = 0; i < k; ++i) {

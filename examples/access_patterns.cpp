@@ -13,6 +13,7 @@
 #include "exec/dependent_join.h"
 #include "exec/source_access.h"
 #include "exec/synthetic_domain.h"
+#include "reference/orderer_factory.h"
 #include "reformulation/executable_order.h"
 #include "utility/cost_models.h"
 
@@ -45,9 +46,9 @@ int main() {
   auto model = utility::BoundJoinCostModel::Create(&d.workload,
                                                    utility::BoundJoinOptions{});
   if (!model.ok()) return Fail(model.status());
-  auto orderer =
-      core::MakeOrderer({core::OrdererKind::kPi}, &d.workload, model->get(),
-                        {core::PlanSpace::FullSpace(d.workload)});
+  auto orderer = core::MakeReferenceOrderer(
+      {core::OrdererKind::kPi}, &d.workload, model->get(),
+      {core::PlanSpace::FullSpace(d.workload)});
   if (!orderer.ok()) return Fail(orderer.status());
 
   std::printf("query: %s\n", d.query.ToString().c_str());

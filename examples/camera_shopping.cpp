@@ -18,6 +18,7 @@
 #include <string>
 
 #include "core/orderer_factory.h"
+#include "reference/orderer_factory.h"
 #include "utility/coverage_model.h"
 
 namespace {
@@ -83,9 +84,9 @@ int main() {
   }
 
   utility::CoverageModel coverage(&*workload);
-  auto streamer =
-      core::MakeOrderer({core::OrdererKind::kStreamer}, &*workload, &coverage,
-                        {core::PlanSpace::FullSpace(*workload)});
+  auto streamer = core::MakeReferenceOrderer(
+      {core::OrdererKind::kStreamer}, &*workload, &coverage,
+      {core::PlanSpace::FullSpace(*workload)});
   if (!streamer.ok()) {
     std::fprintf(stderr, "error: %s\n", streamer.status().ToString().c_str());
     return 1;

@@ -19,6 +19,7 @@
 #include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "exec/mediator.h"
+#include "reference/orderer_factory.h"
 #include "reformulation/bucket.h"
 #include "reformulation/statistics.h"
 #include "utility/coverage_model.h"
@@ -96,9 +97,9 @@ int main() {
   }
 
   utility::CoverageModel model(&*workload);
-  auto orderer =
-      core::MakeOrderer({core::OrdererKind::kStreamer}, &*workload, &model,
-                        {core::PlanSpace::FullSpace(*workload)});
+  auto orderer = core::MakeReferenceOrderer(
+      {core::OrdererKind::kStreamer}, &*workload, &model,
+      {core::PlanSpace::FullSpace(*workload)});
   if (!orderer.ok()) return Fail(orderer.status());
 
   std::vector<std::vector<datalog::SourceId>> source_ids;

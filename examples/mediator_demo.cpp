@@ -17,6 +17,7 @@
 #include "core/orderer_factory.h"
 #include "exec/mediator.h"
 #include "exec/synthetic_domain.h"
+#include "reference/orderer_factory.h"
 #include "utility/coverage_model.h"
 
 namespace {
@@ -87,9 +88,9 @@ int main() {
   const int plans_to_run = 24;
 
   utility::CoverageModel model_a(&d.workload);
-  auto streamer =
-      core::MakeOrderer({core::OrdererKind::kStreamer}, &d.workload, &model_a,
-                        {core::PlanSpace::FullSpace(d.workload)});
+  auto streamer = core::MakeReferenceOrderer(
+      {core::OrdererKind::kStreamer}, &d.workload, &model_a,
+      {core::PlanSpace::FullSpace(d.workload)});
   if (!streamer.ok()) {
     std::fprintf(stderr, "error: %s\n", streamer.status().ToString().c_str());
     return 1;

@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "datalog/parser.h"
-#include "reformulation/minicon.h"
+#include "reference/minicon.h"
 
 namespace {
 

@@ -41,6 +41,7 @@
 #include "core/orderer_factory.h"
 #include "datalog/parser.h"
 #include "exec/mediator.h"
+#include "reference/orderer_factory.h"
 #include "reformulation/bucket.h"
 #include "reformulation/executable_order.h"
 #include "utility/measures.h"
@@ -263,8 +264,8 @@ Status Run(const std::string& path) {
                              core::OrdererKindFromName(config.algorithm));
   PLANORDER_ASSIGN_OR_RETURN(
       std::unique_ptr<core::Orderer> orderer,
-      core::MakeOrderer({algorithm}, &workload, model.get(),
-                        {core::PlanSpace::FullSpace(workload)}));
+      core::MakeReferenceOrderer({algorithm}, &workload, model.get(),
+                                 {core::PlanSpace::FullSpace(workload)}));
 
   if (config.execute) {
     // Full mediation: execute the ordered plans over the declared facts and

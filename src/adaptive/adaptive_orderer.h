@@ -18,7 +18,8 @@
 namespace planorder::adaptive {
 
 struct AdaptiveOptions {
-  /// Which ordering algorithm ranks plans under the current statistics.
+  /// Which ordering algorithm ranks plans under the current statistics;
+  /// core::MakeOrderer builds it, so a reference kind fails Create.
   core::OrdererKind inner = core::OrdererKind::kIDrips;
   utility::MeasureKind measure = utility::MeasureKind::kAdditive;
   DriftOptions drift;

@@ -122,4 +122,55 @@ StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,
   }
 }
 
+StatusOr<std::unique_ptr<Orderer>> IDripsRebuildOrderer::Create(
+    const stats::Workload* workload, utility::UtilityModel* model,
+    std::vector<PlanSpace> spaces, AbstractionHeuristic heuristic) {
+  PLANORDER_ASSIGN_OR_RETURN(spaces,
+                             ValidateSpaces(*workload, std::move(spaces)));
+  auto orderer = std::unique_ptr<IDripsRebuildOrderer>(
+      new IDripsRebuildOrderer(workload, model, heuristic));
+  for (PlanSpace& space : spaces) orderer->AddSpace(std::move(space));
+  return std::unique_ptr<Orderer>(std::move(orderer));
+}
+
+void IDripsRebuildOrderer::AddSpace(PlanSpace space) {
+  auto entry = std::make_unique<SpaceEntry>();
+  entry->forest = AbstractionForest::Build(ctx().workload(), space, heuristic_);
+  entry->space = std::move(space);
+  spaces_.push_back(std::move(entry));
+}
+
+StatusOr<OrderedPlan> IDripsRebuildOrderer::ComputeNext() {
+  if (spaces_.empty()) return NotFoundError("plan spaces exhausted");
+  std::vector<AbstractPlan> starts;
+  starts.reserve(spaces_.size());
+  for (const std::unique_ptr<SpaceEntry>& entry : spaces_) {
+    AbstractPlan top;
+    top.forest = &entry->forest;
+    top.nodes.resize(entry->forest.num_buckets());
+    for (int b = 0; b < entry->forest.num_buckets(); ++b) {
+      top.nodes[b] = entry->forest.root(b);
+    }
+    starts.push_back(std::move(top));
+  }
+  PLANORDER_ASSIGN_OR_RETURN(DripsResult best,
+                             RunDrips(starts, model(), ctx(), &evaluations_));
+
+  // Remove the winner from its space and re-abstract the split spaces.
+  size_t winner_index = spaces_.size();
+  for (size_t i = 0; i < spaces_.size(); ++i) {
+    if (&spaces_[i]->forest == best.winner.forest) {
+      winner_index = i;
+      break;
+    }
+  }
+  PLANORDER_CHECK_LT(winner_index, spaces_.size());
+  const PlanSpace removed = std::move(spaces_[winner_index]->space);
+  spaces_.erase(spaces_.begin() + static_cast<ptrdiff_t>(winner_index));
+  for (PlanSpace& split : SplitAround(removed, best.plan)) {
+    AddSpace(std::move(split));
+  }
+  return OrderedPlan{best.plan, best.utility};
+}
+
 }  // namespace planorder::core

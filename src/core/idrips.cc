@@ -4,6 +4,7 @@
 #include <limits>
 #include <span>
 
+#include "core/drips.h"
 #include "core/evaluate.h"
 
 namespace planorder::core {
@@ -13,33 +14,28 @@ namespace {
 /// stack buffer; lets refinement stage parent rows on the stack.
 constexpr int kMaxBuckets = 16;
 
-/// Abstract candidates refined per persistent-mode round (each contributes
-/// two children, evaluated in target order).
+/// Abstract candidates refined per round (each contributes two children,
+/// evaluated in target order).
 constexpr size_t kRefineWidth = 8;
 
 }  // namespace
 
-StatusOr<std::unique_ptr<IDripsOrderer>> IDripsOrderer::Create(
+StatusOr<std::unique_ptr<Orderer>> IDripsOrderer::Create(
     const stats::Workload* workload, utility::UtilityModel* model,
     std::vector<PlanSpace> spaces, const IDripsOptions& options) {
+  if (!options.persistent_frontier) {
+    return IDripsRebuildOrderer::Create(workload, model, std::move(spaces),
+                                        options.heuristic);
+  }
   PLANORDER_ASSIGN_OR_RETURN(spaces,
                              ValidateSpaces(*workload, std::move(spaces)));
-  auto orderer = std::unique_ptr<IDripsOrderer>(
-      new IDripsOrderer(workload, model, options));
-  if (options.persistent_frontier) {
-    for (const PlanSpace& space : spaces) {
-      orderer->forests_.push_back(std::make_unique<AbstractionForest>(
-          AbstractionForest::Build(*workload, space, options.heuristic)));
-    }
-  } else {
-    for (PlanSpace& space : spaces) orderer->AddSpace(std::move(space));
+  auto orderer =
+      std::unique_ptr<IDripsOrderer>(new IDripsOrderer(workload, model));
+  for (const PlanSpace& space : spaces) {
+    orderer->forests_.push_back(std::make_unique<AbstractionForest>(
+        AbstractionForest::Build(*workload, space, options.heuristic)));
   }
-  return orderer;
-}
-
-StatusOr<OrderedPlan> IDripsOrderer::ComputeNext() {
-  return options_.persistent_frontier ? ComputeNextPersistent()
-                                      : ComputeNextRebuild();
+  return std::unique_ptr<Orderer>(std::move(orderer));
 }
 
 void IDripsOrderer::GrowFrontierArrays() {
@@ -209,7 +205,7 @@ void IDripsOrderer::RefreshStaleCandidates() {
   }
 }
 
-StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
+StatusOr<OrderedPlan> IDripsOrderer::ComputeNext() {
   if (!frontier_seeded_) SeedFrontier();
   if (arena_.num_live() == 0) return NotFoundError("plan spaces exhausted");
   // Under diminishing returns a candidate's utility only falls as plans
@@ -303,47 +299,6 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
       CommitCandidate(right_slots_[k], EvaluateSlot(right_slots_[k]));
     }
   }
-}
-
-void IDripsOrderer::AddSpace(PlanSpace space) {
-  auto entry = std::make_unique<SpaceEntry>();
-  entry->forest =
-      AbstractionForest::Build(ctx().workload(), space, options_.heuristic);
-  entry->space = std::move(space);
-  spaces_.push_back(std::move(entry));
-}
-
-StatusOr<OrderedPlan> IDripsOrderer::ComputeNextRebuild() {
-  if (spaces_.empty()) return NotFoundError("plan spaces exhausted");
-  std::vector<AbstractPlan> starts;
-  starts.reserve(spaces_.size());
-  for (const std::unique_ptr<SpaceEntry>& entry : spaces_) {
-    AbstractPlan top;
-    top.forest = &entry->forest;
-    top.nodes.resize(entry->forest.num_buckets());
-    for (int b = 0; b < entry->forest.num_buckets(); ++b) {
-      top.nodes[b] = entry->forest.root(b);
-    }
-    starts.push_back(std::move(top));
-  }
-  PLANORDER_ASSIGN_OR_RETURN(DripsResult best,
-                             RunDrips(starts, model(), ctx(), &evaluations_));
-
-  // Remove the winner from its space and re-abstract the split spaces.
-  size_t winner_index = spaces_.size();
-  for (size_t i = 0; i < spaces_.size(); ++i) {
-    if (&spaces_[i]->forest == best.winner.forest) {
-      winner_index = i;
-      break;
-    }
-  }
-  PLANORDER_CHECK_LT(winner_index, spaces_.size());
-  const PlanSpace removed = std::move(spaces_[winner_index]->space);
-  spaces_.erase(spaces_.begin() + static_cast<ptrdiff_t>(winner_index));
-  for (PlanSpace& split : SplitAround(removed, best.plan)) {
-    AddSpace(std::move(split));
-  }
-  return OrderedPlan{best.plan, best.utility};
 }
 
 }  // namespace planorder::core

@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/abstraction.h"
 #include "core/arena.h"
-#include "core/drips.h"
 #include "core/frontier_heap.h"
 #include "core/orderer.h"
 
@@ -20,18 +20,17 @@ struct IDripsOptions {
   /// candidates across ComputeNext() calls, re-evaluate only candidates whose
   /// utility the executed suffix may have changed (epoch + group-independence
   /// test), and remove just the winner's cell instead of re-abstracting from
-  /// the forest roots. Emission order and utilities are identical to the
-  /// rebuild mode; only the evaluation count (and wall clock) drops. When
-  /// false, reproduces the original behavior — re-run Drips from the roots
-  /// each emission and re-abstract the split spaces — kept for the
-  /// evaluations-per-emission comparison in bench_core.
+  /// the forest roots. When false, Create builds the paper-faithful
+  /// IDripsRebuildOrderer instead, which emits the same plans and utilities
+  /// at far more evaluations. The flag stays because planbench's fig6-order
+  /// checks the frontier against that reference through it.
   bool persistent_frontier = true;
 };
 
 /// The iDrips algorithm (Section 5.2): run Drips across the current plan
 /// spaces to find the best plan, emit it, remove it, repeat. Works for any
-/// utility measure. The persistent-frontier mode (default; DESIGN.md §6)
-/// keeps the Drips candidate partition alive between emissions so dominance
+/// utility measure. This class keeps the Drips candidate partition alive
+/// between emissions as a persistent frontier (DESIGN.md §6), so dominance
 /// information is carried forward instead of rebuilt every iteration.
 ///
 /// The persistent frontier is stored flat (DESIGN.md §11): plan rows in a
@@ -44,44 +43,35 @@ struct IDripsOptions {
 /// sequence is unchanged.
 class IDripsOrderer : public Orderer {
  public:
-  static StatusOr<std::unique_ptr<IDripsOrderer>> Create(
+  /// An IDripsOrderer, or an IDripsRebuildOrderer when
+  /// `options.persistent_frontier` is false.
+  static StatusOr<std::unique_ptr<Orderer>> Create(
       const stats::Workload* workload, utility::UtilityModel* model,
       std::vector<PlanSpace> spaces, const IDripsOptions& options = {});
 
   std::string name() const override { return "idrips"; }
 
-  /// Candidates currently alive in the persistent frontier (0 in rebuild
-  /// mode); exposed for tests and benchmarks.
+  /// Candidates currently alive in the persistent frontier; exposed for
+  /// tests and benchmarks.
   size_t frontier_size() const { return arena_.num_live(); }
 
  protected:
   StatusOr<OrderedPlan> ComputeNext() override;
 
  private:
-  struct SpaceEntry {
-    PlanSpace space;
-    AbstractionForest forest;
-  };
+  IDripsOrderer(const stats::Workload* workload, utility::UtilityModel* model)
+      : Orderer(workload, model) {}
 
-  IDripsOrderer(const stats::Workload* workload, utility::UtilityModel* model,
-                const IDripsOptions& options)
-      : Orderer(workload, model), options_(options) {}
-
-  StatusOr<OrderedPlan> ComputeNextPersistent();
-  StatusOr<OrderedPlan> ComputeNextRebuild();
-
-  /// Rebuild mode: (re-)abstract a split space.
-  void AddSpace(PlanSpace space);
-
-  /// Persistent mode: populate the frontier with the root plan of every
-  /// forest (the initial partition of the whole plan space).
+  /// Populates the frontier with the root plan of every forest (the initial
+  /// partition of the whole plan space).
   void SeedFrontier();
 
-  /// Persistent mode, eager path: bring every candidate's utility up to the
-  /// current epoch. Candidates group-independent of the executed suffix
-  /// fast-forward without re-evaluation; the rest are re-evaluated. Used for models without diminishing returns (whose utilities may
-  /// rise, so stale heap keys are not upper bounds) and after an external
-  /// cache-generation change (same reason).
+  /// Eager path: bring every candidate's utility up to the current epoch.
+  /// Candidates group-independent of the executed suffix fast-forward
+  /// without re-evaluation; the rest are re-evaluated. Used for models
+  /// without diminishing returns (whose utilities may rise, so stale heap
+  /// keys are not upper bounds) and after an external cache-generation
+  /// change (same reason).
   void RefreshStaleCandidates();
 
   /// Lazy path (diminishing-returns models): a candidate evaluated at an
@@ -115,10 +105,7 @@ class IDripsOrderer : public Orderer {
            entry.version == heap_version_[entry.slot];
   }
 
-  IDripsOptions options_;
-  /// Rebuild mode state.
-  std::vector<std::unique_ptr<SpaceEntry>> spaces_;
-  /// Persistent mode state. Forests are never rebuilt; stable addresses.
+  /// Forests are never rebuilt; stable addresses.
   std::vector<std::unique_ptr<AbstractionForest>> forests_;
   bool frontier_seeded_ = false;
 

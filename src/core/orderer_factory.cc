@@ -4,8 +4,6 @@
 
 #include "core/greedy.h"
 #include "core/idrips.h"
-#include "core/pi.h"
-#include "core/streamer.h"
 
 namespace planorder::core {
 namespace {
@@ -16,12 +14,6 @@ constexpr OrdererKind kAllKinds[] = {
     OrdererKind::kStreamer,      OrdererKind::kPi,
     OrdererKind::kNaive,
 };
-
-template <typename T>
-StatusOr<std::unique_ptr<Orderer>> Upcast(StatusOr<std::unique_ptr<T>> built) {
-  if (!built.ok()) return built.status();
-  return std::unique_ptr<Orderer>(std::move(*built));
-}
 
 OrdererKind ResolveOrdererKind(OrdererKind kind,
                                const utility::UtilityModel& model) {
@@ -79,23 +71,22 @@ StatusOr<std::unique_ptr<Orderer>> MakeOrderer(const OrdererSpec& spec,
                                                std::vector<PlanSpace> spaces) {
   const OrdererKind kind = ResolveOrdererKind(spec.kind, *model);
   switch (kind) {
-    case OrdererKind::kGreedy:
-      return Upcast(GreedyOrderer::Create(workload, model, std::move(spaces)));
-    case OrdererKind::kIDrips:
-    case OrdererKind::kIDripsRebuild: {
-      IDripsOptions options;
-      options.heuristic = spec.heuristic;
-      options.persistent_frontier = kind == OrdererKind::kIDrips;
-      return Upcast(
-          IDripsOrderer::Create(workload, model, std::move(spaces), options));
+    case OrdererKind::kGreedy: {
+      PLANORDER_ASSIGN_OR_RETURN(
+          std::unique_ptr<GreedyOrderer> greedy,
+          GreedyOrderer::Create(workload, model, std::move(spaces)));
+      return std::unique_ptr<Orderer>(std::move(greedy));
     }
+    case OrdererKind::kIDrips:
+      return IDripsOrderer::Create(workload, model, std::move(spaces),
+                                   {.heuristic = spec.heuristic});
+    case OrdererKind::kIDripsRebuild:
     case OrdererKind::kStreamer:
-      return Upcast(StreamerOrderer::Create(workload, model, std::move(spaces),
-                                            spec.heuristic));
     case OrdererKind::kPi:
     case OrdererKind::kNaive:
-      return Upcast(PiOrderer::Create(workload, model, std::move(spaces),
-                                      kind == OrdererKind::kPi));
+      return InvalidArgumentError("'" + OrdererKindName(kind) +
+                                  "' is a reference algorithm, not a "
+                                  "production orderer");
     case OrdererKind::kAuto:
       break;
   }

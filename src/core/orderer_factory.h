@@ -12,15 +12,19 @@
 
 namespace planorder::core {
 
-/// The plan-ordering algorithms, by name.
+/// The plan-ordering algorithms, by name. The first three are production:
+/// MakeOrderer builds them. The other four are the paper's references,
+/// built only by MakeReferenceOrderer (src/reference/), which also builds
+/// the production three.
 enum class OrdererKind {
   /// Greedy when the measure is fully monotonic; otherwise persistent
   /// iDrips. (Section 6 also suggests Streamer under diminishing returns;
   /// the persistent frontier is cheaper there, so Streamer is kept only as
   /// the paper's reference, by name.)
   kAuto,
-  kGreedy,         // Section 4; fully monotonic measures only
-  kIDrips,         // Section 5.2, persistent frontier (DESIGN.md §6)
+  kGreedy,  // Section 4; fully monotonic measures only
+  kIDrips,  // Section 5.2, persistent frontier (DESIGN.md §6)
+  // References:
   kIDripsRebuild,  // Section 5.2, re-run Drips from the roots each emission
   kStreamer,       // Section 5.2 Figure 5; diminishing-returns measures only
   kPi,             // the PI reference (brute force + independence filter)
@@ -43,10 +47,11 @@ struct OrdererSpec {
 /// monotonicity, Streamer diminishing returns; the rest are universal.
 bool Applicable(OrdererKind kind, const utility::UtilityModel& model);
 
-/// Builds the orderer `spec` names over `spaces`, resolving kAuto against
-/// `model` (Greedy if fully monotonic, else persistent iDrips).
-/// kFailedPrecondition when the algorithm does not apply to `model`.
-/// `workload` and `model` must outlive the orderer.
+/// Builds the production orderer `spec` names over `spaces`, resolving kAuto
+/// against `model` (Greedy if fully monotonic, else persistent iDrips).
+/// kFailedPrecondition when the algorithm does not apply to `model`;
+/// kInvalidArgument for a reference kind. `workload` and `model` must
+/// outlive the orderer.
 StatusOr<std::unique_ptr<Orderer>> MakeOrderer(const OrdererSpec& spec,
                                                const stats::Workload* workload,
                                                utility::UtilityModel* model,

@@ -77,28 +77,6 @@ StatusOr<std::vector<PlanSpace>> ValidateSpaces(
   return kept;
 }
 
-std::vector<ConcretePlan> EnumeratePlans(const PlanSpace& space) {
-  PLANORDER_CHECK(!space.IsEmpty())
-      << "EnumeratePlans: empty space " << space.ToString();
-  std::vector<ConcretePlan> plans;
-  plans.reserve(space.NumPlans());
-  ConcretePlan plan(space.buckets.size());
-  std::vector<size_t> cursor(space.buckets.size(), 0);
-  while (true) {
-    for (size_t b = 0; b < space.buckets.size(); ++b) {
-      plan[b] = space.buckets[b][cursor[b]];
-    }
-    plans.push_back(plan);
-    size_t b = 0;
-    for (; b < space.buckets.size(); ++b) {
-      if (++cursor[b] < space.buckets[b].size()) break;
-      cursor[b] = 0;
-    }
-    if (b == space.buckets.size()) break;
-  }
-  return plans;
-}
-
 std::vector<PlanSpace> SplitAround(const PlanSpace& space,
                                    const ConcretePlan& plan) {
   PLANORDER_CHECK(space.Contains(plan))

@@ -47,12 +47,6 @@ struct PlanSpace {
 StatusOr<std::vector<PlanSpace>> ValidateSpaces(
     const stats::Workload& workload, std::vector<PlanSpace> spaces);
 
-/// Materializes every concrete plan of `space` in odometer order (bucket 0
-/// fastest). The oracle hook shared by the PI baseline and the simulation
-/// harness's exhaustive-order oracle (src/sim/oracle.h): small plan spaces
-/// are enumerated once and checked brute-force. Requires !space.IsEmpty().
-std::vector<ConcretePlan> EnumeratePlans(const PlanSpace& space);
-
 /// Removes `plan` from `space` by the paper's recursive splitting (Figure 2):
 /// the result is up to m spaces that together contain exactly the plans of
 /// `space` other than `plan`. Space i pins buckets 0..i-1 to the plan's

@@ -21,9 +21,9 @@ namespace planorder::datalog {
 /// Scope note: the plan-ordering paper works with pure conjunctive queries;
 /// comparisons are the classic extension of its plan-generation substrate
 /// (the bucket algorithm of Levy-Rajaraman-Ordille handles them). Supported
-/// here in the evaluator, the dependent-join executor, the bucket algorithm
-/// and inverse rules; the MiniCon module remains pure-conjunctive and
-/// rejects them.
+/// here in the evaluator, the dependent-join executor and the bucket
+/// algorithm, and by the inverse-rule reference (src/reference/); the
+/// MiniCon reference remains pure-conjunctive and rejects them.
 
 /// True for lt/le/gt/ge/neq with exactly two arguments.
 bool IsComparisonAtom(const Atom& atom);

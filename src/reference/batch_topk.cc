@@ -1,4 +1,4 @@
-#include "core/batch_topk.h"
+#include "reference/batch_topk.h"
 
 #include <algorithm>
 #include <memory>

@@ -1,5 +1,5 @@
-#ifndef PLANORDER_CORE_BATCH_TOPK_H_
-#define PLANORDER_CORE_BATCH_TOPK_H_
+#ifndef PLANORDER_REFERENCE_BATCH_TOPK_H_
+#define PLANORDER_REFERENCE_BATCH_TOPK_H_
 
 #include <vector>
 
@@ -28,4 +28,4 @@ StatusOr<std::vector<OrderedPlan>> BatchTopK(
 
 }  // namespace planorder::core
 
-#endif  // PLANORDER_CORE_BATCH_TOPK_H_
+#endif  // PLANORDER_REFERENCE_BATCH_TOPK_H_

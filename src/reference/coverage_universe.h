@@ -1,5 +1,5 @@
-#ifndef PLANORDER_STATS_COVERAGE_UNIVERSE_H_
-#define PLANORDER_STATS_COVERAGE_UNIVERSE_H_
+#ifndef PLANORDER_REFERENCE_COVERAGE_UNIVERSE_H_
+#define PLANORDER_REFERENCE_COVERAGE_UNIVERSE_H_
 
 #include <vector>
 
@@ -74,4 +74,4 @@ class CoverageUniverse {
 
 }  // namespace planorder::stats
 
-#endif  // PLANORDER_STATS_COVERAGE_UNIVERSE_H_
+#endif  // PLANORDER_REFERENCE_COVERAGE_UNIVERSE_H_

@@ -1,4 +1,4 @@
-#include "reformulation/inverse_rules.h"
+#include "reference/inverse_rules.h"
 
 #include <set>
 #include <string>
@@ -14,17 +14,27 @@ using datalog::Rule;
 using datalog::Substitution;
 using datalog::Term;
 
+namespace {
+
+/// Maps each existential variable Z of `view` to the Skolem term
+/// f_<source>_<Z> over the view's head arguments.
+Substitution Skolemize(const std::string& source,
+                       const ConjunctiveQuery& view) {
+  Substitution skolemize;
+  for (const std::string& var : view.ExistentialVariables()) {
+    skolemize[var] = Term::Function("f_" + source + "_" + var, view.head.args);
+  }
+  return skolemize;
+}
+
+}  // namespace
+
 std::vector<Rule> MakeInverseRules(const datalog::Catalog& catalog) {
   std::vector<Rule> rules;
   for (datalog::SourceId id = 0; id < catalog.num_sources(); ++id) {
     const datalog::SourceDescription& source = catalog.source(id);
     const ConjunctiveQuery& view = source.view;
-    // Skolemize the existential variables over the head arguments.
-    Substitution skolemize;
-    for (const std::string& var : view.ExistentialVariables()) {
-      skolemize[var] =
-          Term::Function("f_" + source.name + "_" + var, view.head.args);
-    }
+    const Substitution skolemize = Skolemize(source.name, view);
     for (const Atom& atom : view.body) {
       // Comparison constraints of a view are not invertible: the source's
       // tuples already satisfy them, and they derive no schema facts.
@@ -51,11 +61,7 @@ StatusOr<BucketResult> BucketsFromInverseRules(
   for (datalog::SourceId id = 0; id < catalog.num_sources(); ++id) {
     const datalog::SourceDescription& source = catalog.source(id);
     const ConjunctiveQuery view = source.view.RenameVariables("_ir");
-    Substitution skolemize;
-    for (const std::string& var : view.ExistentialVariables()) {
-      skolemize[var] =
-          Term::Function("f_" + source.name + "_" + var, view.head.args);
-    }
+    const Substitution skolemize = Skolemize(source.name, view);
     size_t g = 0;
     for (const Atom& goal : query.body) {
       if (datalog::IsComparisonAtom(goal)) continue;

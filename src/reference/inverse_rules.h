@@ -1,5 +1,5 @@
-#ifndef PLANORDER_REFORMULATION_INVERSE_RULES_H_
-#define PLANORDER_REFORMULATION_INVERSE_RULES_H_
+#ifndef PLANORDER_REFERENCE_INVERSE_RULES_H_
+#define PLANORDER_REFERENCE_INVERSE_RULES_H_
 
 #include <vector>
 
@@ -36,4 +36,4 @@ StatusOr<std::vector<std::vector<datalog::Term>>> AnswerWithInverseRules(
 
 }  // namespace planorder::reformulation
 
-#endif  // PLANORDER_REFORMULATION_INVERSE_RULES_H_
+#endif  // PLANORDER_REFERENCE_INVERSE_RULES_H_

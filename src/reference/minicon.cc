@@ -1,4 +1,4 @@
-#include "reformulation/minicon.h"
+#include "reference/minicon.h"
 
 #include <algorithm>
 #include <functional>

@@ -1,5 +1,5 @@
-#ifndef PLANORDER_REFORMULATION_MINICON_H_
-#define PLANORDER_REFORMULATION_MINICON_H_
+#ifndef PLANORDER_REFERENCE_MINICON_H_
+#define PLANORDER_REFERENCE_MINICON_H_
 
 #include <cstdint>
 #include <vector>
@@ -67,4 +67,4 @@ StatusOr<std::vector<QueryPlan>> EnumerateMiniConPlans(
 
 }  // namespace planorder::reformulation
 
-#endif  // PLANORDER_REFORMULATION_MINICON_H_
+#endif  // PLANORDER_REFERENCE_MINICON_H_

@@ -1,4 +1,4 @@
-#include "reformulation/minicon_ordering.h"
+#include "reference/minicon_ordering.h"
 
 namespace planorder::reformulation {
 

@@ -1,10 +1,10 @@
-#ifndef PLANORDER_REFORMULATION_MINICON_ORDERING_H_
-#define PLANORDER_REFORMULATION_MINICON_ORDERING_H_
+#ifndef PLANORDER_REFERENCE_MINICON_ORDERING_H_
+#define PLANORDER_REFERENCE_MINICON_ORDERING_H_
 
 #include <vector>
 
 #include "base/status.h"
-#include "reformulation/minicon.h"
+#include "reference/minicon.h"
 #include "stats/workload.h"
 
 namespace planorder::reformulation {
@@ -36,4 +36,4 @@ StatusOr<std::vector<MiniConPlanStream>> BuildMiniConStreams(
 
 }  // namespace planorder::reformulation
 
-#endif  // PLANORDER_REFORMULATION_MINICON_ORDERING_H_
+#endif  // PLANORDER_REFERENCE_MINICON_ORDERING_H_

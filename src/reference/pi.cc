@@ -1,4 +1,6 @@
-#include "core/pi.h"
+#include "reference/pi.h"
+
+#include "reference/enumerate.h"
 
 namespace planorder::core {
 

@@ -1,5 +1,5 @@
-#ifndef PLANORDER_CORE_PI_H_
-#define PLANORDER_CORE_PI_H_
+#ifndef PLANORDER_REFERENCE_PI_H_
+#define PLANORDER_REFERENCE_PI_H_
 
 #include <memory>
 #include <vector>
@@ -42,4 +42,4 @@ class PiOrderer : public Orderer {
 
 }  // namespace planorder::core
 
-#endif  // PLANORDER_CORE_PI_H_
+#endif  // PLANORDER_REFERENCE_PI_H_

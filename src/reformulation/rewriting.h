@@ -43,11 +43,6 @@ StatusOr<bool> IsSound(const QueryPlan& plan,
                        const datalog::ConjunctiveQuery& query,
                        const datalog::Catalog& catalog);
 
-/// Brute-force reference: all sound plans of the buckets' Cartesian product,
-/// in enumeration order. For tests, examples, and small queries.
-StatusOr<std::vector<QueryPlan>> EnumerateSoundPlans(
-    const datalog::ConjunctiveQuery& query, const datalog::Catalog& catalog);
-
 }  // namespace planorder::reformulation
 
 #endif  // PLANORDER_REFORMULATION_REWRITING_H_

@@ -6,6 +6,7 @@
 
 #include "core/orderer_factory.h"
 #include "core/plan_space.h"
+#include "reference/orderer_factory.h"
 #include "runtime/retry_policy.h"
 #include "sim/oracle.h"
 #include "sim/properties.h"
@@ -68,7 +69,7 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
       // Baseline drain: every other check is differential against it.
       PLANORDER_ASSIGN_OR_RETURN(
           std::unique_ptr<core::Orderer> orderer,
-          core::MakeOrderer(algo, &workload, model->get(), {full}));
+          core::MakeReferenceOrderer(algo, &workload, model->get(), {full}));
       StatusOr<std::vector<core::OrderedPlan>> drained = Drain(*orderer);
       if (!drained.ok()) {
         return Contextualize(drained.status(), "drain", kind, algo);

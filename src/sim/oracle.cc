@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "reference/enumerate.h"
 #include "utility/execution_context.h"
 
 namespace planorder::sim {

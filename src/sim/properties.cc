@@ -26,6 +26,8 @@
 #include "exec/mediator.h"
 #include "exec/source_access.h"
 #include "exec/synthetic_domain.h"
+#include "reference/enumerate.h"
+#include "reference/orderer_factory.h"
 #include "reformulation/executable_order.h"
 #include "reformulation/rewriting.h"
 #include "runtime/clock.h"
@@ -60,8 +62,8 @@ StatusOr<std::vector<core::OrderedPlan>> RunAlgo(
     const core::OrdererSpec& algo) {
   PLANORDER_ASSIGN_OR_RETURN(
       std::unique_ptr<core::Orderer> orderer,
-      core::MakeOrderer(algo, &workload, model,
-                        {core::PlanSpace::FullSpace(workload)}));
+      core::MakeReferenceOrderer(algo, &workload, model,
+                                 {core::PlanSpace::FullSpace(workload)}));
   return Drain(*orderer);
 }
 
@@ -284,9 +286,9 @@ Status CheckRuntimeEquivalence(const Scenario& scenario) {
                              &domain->workload));
     PLANORDER_ASSIGN_OR_RETURN(
         std::unique_ptr<core::Orderer> orderer,
-        core::MakeOrderer({core::OrdererKind::kPi}, &domain->workload,
-                          model.get(),
-                          {core::PlanSpace::FullSpace(domain->workload)}));
+        core::MakeReferenceOrderer(
+            {core::OrdererKind::kPi}, &domain->workload, model.get(),
+            {core::PlanSpace::FullSpace(domain->workload)}));
     return mediator.Run(*orderer, {.max_plans = max_plans}, executor);
   };
 

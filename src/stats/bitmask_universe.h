@@ -12,6 +12,8 @@ namespace planorder::stats {
 /// §11): same semantics as the cell-set CoverageUniverse — weight of a box's
 /// cells not yet covered by any executed box — but organized so the residual
 /// query costs O(covered/uncovered boundary) instead of O(cells in the box).
+/// CoverageUniverse is the test oracle (src/reference/, outside the
+/// production libraries); this class is the one the ordering core runs.
 ///
 /// The ordering core is residual-query bound: the persistent iDrips frontier
 /// performs ~160 evaluations per emission and each evaluation is one or two

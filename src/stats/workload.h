@@ -6,7 +6,6 @@
 
 #include "base/status.h"
 #include "stats/bitmask_universe.h"
-#include "stats/coverage_universe.h"
 #include "stats/source_stats.h"
 
 namespace planorder::stats {
@@ -87,13 +86,9 @@ class Workload {
   /// Domain size N_b of bucket b (for the bound-join output estimate).
   double domain_size(int bucket) const { return domain_sizes_[bucket]; }
 
-  /// A fresh coverage universe over this workload's region weights.
-  CoverageUniverse MakeUniverse() const {
-    return CoverageUniverse(region_weights_);
-  }
-
-  /// The compiled (trie + popcount-table) form of the same universe — what
-  /// the ordering core evaluates against (DESIGN.md §11).
+  /// A fresh coverage universe over this workload's region weights, in the
+  /// compiled (trie + popcount-table) form the ordering core evaluates
+  /// against (DESIGN.md §11).
   BitmaskUniverse MakeBitmaskUniverse() const {
     return BitmaskUniverse(region_weights_);
   }

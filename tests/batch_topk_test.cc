@@ -1,8 +1,8 @@
-#include "core/batch_topk.h"
+#include "reference/batch_topk.h"
 
 #include <gtest/gtest.h>
 
-#include "core/pi.h"
+#include "reference/pi.h"
 #include "test_util.h"
 
 namespace planorder::core {

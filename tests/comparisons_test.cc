@@ -13,8 +13,9 @@
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
 #include "exec/dependent_join.h"
-#include "reformulation/inverse_rules.h"
-#include "reformulation/minicon.h"
+#include "reference/enumerate.h"
+#include "reference/inverse_rules.h"
+#include "reference/minicon.h"
 #include "reformulation/rewriting.h"
 
 namespace planorder {

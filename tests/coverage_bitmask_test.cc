@@ -5,16 +5,17 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "stats/coverage_universe.h"
+#include "reference/coverage_universe.h"
 
 namespace planorder::stats {
 namespace {
 
 // Differential suite: BitmaskUniverse is the compiled form of the coverage
 // universe the ordering core evaluates against (DESIGN.md §11); the cell-set
-// CoverageUniverse stays in the tree as the executable specification. The two
-// must agree on every query — to rounding, since the trie sums residuals with
-// different (but equally deterministic) floating-point grouping.
+// CoverageUniverse stays in src/reference/ as the executable specification.
+// The two must agree on every query — to rounding, since the trie sums
+// residuals with different (but equally deterministic) floating-point
+// grouping.
 constexpr double kTol = 1e-9;
 
 std::vector<double> Uniform(int n) {

@@ -1,4 +1,4 @@
-#include "stats/coverage_universe.h"
+#include "reference/coverage_universe.h"
 
 #include <cmath>
 #include <random>

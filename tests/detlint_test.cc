@@ -202,6 +202,8 @@ TEST(DetlintScopingTest, ChecksRouteByPath) {
   // D2 only in the ordering/emission/answer paths.
   EXPECT_TRUE(CheckAppliesTo(CheckId::kD2, "src/anyk/executor.cc"));
   EXPECT_TRUE(CheckAppliesTo(CheckId::kD2, "src/sim/harness.cc"));
+  EXPECT_TRUE(CheckAppliesTo(CheckId::kD2, "src/reference/pi.cc"));
+  EXPECT_TRUE(CheckAppliesTo(CheckId::kD4, "src/reference/batch_topk.cc"));
   EXPECT_FALSE(CheckAppliesTo(CheckId::kD2, "src/service/session.cc"));
   EXPECT_FALSE(CheckAppliesTo(CheckId::kD2, "tests/mediator_test.cc"));
   // D3 only in the weight fold paths.

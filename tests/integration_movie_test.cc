@@ -19,8 +19,9 @@
 #include "datalog/parser.h"
 #include "exec/dependent_join.h"
 #include "exec/source_access.h"
+#include "reference/inverse_rules.h"
+#include "reference/orderer_factory.h"
 #include "reformulation/bucket.h"
-#include "reformulation/inverse_rules.h"
 #include "reformulation/rewriting.h"
 #include "utility/cost_models.h"
 #include "utility/measures.h"
@@ -184,7 +185,8 @@ TEST_F(MovieIntegrationTest, AllAlgorithmsSameOrderingAndAnswers) {
   for (core::OrdererKind kind :
        {core::OrdererKind::kPi, core::OrdererKind::kStreamer,
         core::OrdererKind::kIDrips}) {
-    auto o = core::MakeOrderer({kind}, &workload_, model->get(), spaces);
+    auto o =
+        core::MakeReferenceOrderer({kind}, &workload_, model->get(), spaces);
     ASSERT_TRUE(o.ok());
     results.push_back(RunPipeline(**o));
   }

@@ -1,10 +1,11 @@
-#include "reformulation/inverse_rules.h"
+#include "reference/inverse_rules.h"
 
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "datalog/parser.h"
+#include "reference/enumerate.h"
 #include "reformulation/rewriting.h"
 
 namespace planorder::reformulation {

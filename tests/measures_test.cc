@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/plan_space.h"
+#include "reference/enumerate.h"
 #include "test_util.h"
 
 namespace planorder::utility {

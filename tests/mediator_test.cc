@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/orderer_factory.h"
-#include "core/pi.h"
 #include "core/streamer.h"
 #include "exec/source_access.h"
 #include "exec/synthetic_domain.h"
+#include "reference/pi.h"
 #include "utility/coverage_model.h"
 
 namespace planorder::exec {

@@ -1,4 +1,4 @@
-#include "reformulation/minicon.h"
+#include "reference/minicon.h"
 
 #include <algorithm>
 #include <limits>
@@ -6,11 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include "core/orderer_factory.h"
 #include "datalog/containment.h"
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
-#include "reformulation/minicon_ordering.h"
+#include "reference/enumerate.h"
+#include "reference/minicon_ordering.h"
+#include "reference/orderer_factory.h"
 #include "test_util.h"
 
 namespace planorder::reformulation {
@@ -288,7 +289,7 @@ TEST(MiniConOrderingTest, StreamsOrderMiniConPlansByCost) {
     auto model =
         test::MustMakeMeasure(utility::MeasureKind::kCost2, &stream.workload);
     ASSERT_TRUE(model->fully_independent());
-    auto orderer = core::MakeOrderer(
+    auto orderer = core::MakeReferenceOrderer(
         {core::OrdererKind::kPi}, &stream.workload, model.get(),
         {core::PlanSpace::FullSpace(stream.workload)});
     ASSERT_TRUE(orderer.ok()) << orderer.status();

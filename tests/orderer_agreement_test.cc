@@ -14,12 +14,14 @@
 #include <gtest/gtest.h>
 
 #include "core/orderer_factory.h"
+#include "reference/orderer_factory.h"
 #include "test_util.h"
 
 namespace planorder {
 namespace {
 
 using core::AbstractionHeuristic;
+using core::MakeReferenceOrderer;
 using core::OrderedPlan;
 using core::OrdererKind;
 using core::PlanSpace;
@@ -77,8 +79,8 @@ TEST_P(OrdererAgreementTest, AllAlgorithmsProduceTheExactOrdering) {
 
   // Reference: naive brute force, full ordering.
   auto ref_model = MustMakeMeasure(c.measure, &w);
-  auto naive = core::MakeOrderer({OrdererKind::kNaive}, &w, ref_model.get(),
-                                 spaces);
+  auto naive = MakeReferenceOrderer({OrdererKind::kNaive}, &w,
+                                    ref_model.get(), spaces);
   ASSERT_TRUE(naive.ok());
   const std::vector<OrderedPlan> reference = Drain(**naive);
   ASSERT_EQ(static_cast<int>(reference.size()), total);
@@ -89,7 +91,7 @@ TEST_P(OrdererAgreementTest, AllAlgorithmsProduceTheExactOrdering) {
   // PI with independence-based recomputation.
   {
     auto model = MustMakeMeasure(c.measure, &w);
-    auto pi = core::MakeOrderer({OrdererKind::kPi}, &w, model.get(), spaces);
+    auto pi = MakeReferenceOrderer({OrdererKind::kPi}, &w, model.get(), spaces);
     ASSERT_TRUE(pi.ok());
     const auto plans = Drain(**pi);
     ExpectSameUtilitySequence(reference, plans, "pi vs naive");
@@ -101,8 +103,8 @@ TEST_P(OrdererAgreementTest, AllAlgorithmsProduceTheExactOrdering) {
        {AbstractionHeuristic::kByCardinality,
         AbstractionHeuristic::kByMaskSimilarity, AbstractionHeuristic::kRandom}) {
     auto model = MustMakeMeasure(c.measure, &w);
-    auto idrips =
-        core::MakeOrderer({OrdererKind::kIDrips, h}, &w, model.get(), spaces);
+    auto idrips = MakeReferenceOrderer({OrdererKind::kIDrips, h}, &w,
+                                       model.get(), spaces);
     ASSERT_TRUE(idrips.ok());
     const auto plans = Drain(**idrips);
     ExpectSameUtilitySequence(reference, plans, "idrips vs naive");
@@ -113,7 +115,7 @@ TEST_P(OrdererAgreementTest, AllAlgorithmsProduceTheExactOrdering) {
   {
     auto model = MustMakeMeasure(c.measure, &w);
     auto streamer =
-        core::MakeOrderer({OrdererKind::kStreamer}, &w, model.get(), spaces);
+        MakeReferenceOrderer({OrdererKind::kStreamer}, &w, model.get(), spaces);
     if (model->diminishing_returns()) {
       ASSERT_TRUE(streamer.ok()) << streamer.status();
       const auto plans = Drain(**streamer);
@@ -179,9 +181,9 @@ TEST(OrdererAgreementTieTest, DefaultMatchesStreamerUpToTieOrder) {
           auto default_model = MustMakeMeasure(Measure::kCoverage, &w);
           auto streamer_model = MustMakeMeasure(Measure::kCoverage, &w);
           auto by_default =
-              core::MakeOrderer({}, &w, default_model.get(), spaces);
-          auto streamer = core::MakeOrderer({OrdererKind::kStreamer}, &w,
-                                            streamer_model.get(), spaces);
+              MakeReferenceOrderer({}, &w, default_model.get(), spaces);
+          auto streamer = MakeReferenceOrderer({OrdererKind::kStreamer}, &w,
+                                               streamer_model.get(), spaces);
           ASSERT_TRUE(by_default.ok()) << by_default.status();
           ASSERT_TRUE(streamer.ok()) << streamer.status();
           const auto a = Drain(**by_default, kPlans);
@@ -217,7 +219,7 @@ TEST(OrdererAgreementEdgeTest, SinglePlanWorkload) {
   const std::vector<PlanSpace> spaces = {PlanSpace::FullSpace(w)};
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
   auto streamer =
-      core::MakeOrderer({OrdererKind::kStreamer}, &w, model.get(), spaces);
+      MakeReferenceOrderer({OrdererKind::kStreamer}, &w, model.get(), spaces);
   ASSERT_TRUE(streamer.ok());
   const auto plans = Drain(**streamer);
   ASSERT_EQ(plans.size(), 1u);
@@ -233,22 +235,22 @@ TEST(OrdererAgreementEdgeTest, MultipleSpacesAgree) {
   ASSERT_GT(spaces.size(), 1u);
 
   auto ref_model = MustMakeMeasure(Measure::kCoverage, &w);
-  auto naive = core::MakeOrderer({OrdererKind::kNaive}, &w, ref_model.get(),
-                                 spaces);
+  auto naive = MakeReferenceOrderer({OrdererKind::kNaive}, &w,
+                                    ref_model.get(), spaces);
   ASSERT_TRUE(naive.ok());
   const auto reference = Drain(**naive);
   EXPECT_EQ(reference.size(), full.NumPlans() - 1);
 
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
   auto streamer =
-      core::MakeOrderer({OrdererKind::kStreamer}, &w, model.get(), spaces);
+      MakeReferenceOrderer({OrdererKind::kStreamer}, &w, model.get(), spaces);
   ASSERT_TRUE(streamer.ok());
   const auto plans = Drain(**streamer);
   ExpectSameUtilitySequence(reference, plans, "streamer multi-space");
 
   auto model2 = MustMakeMeasure(Measure::kCoverage, &w);
   auto idrips =
-      core::MakeOrderer({OrdererKind::kIDrips}, &w, model2.get(), spaces);
+      MakeReferenceOrderer({OrdererKind::kIDrips}, &w, model2.get(), spaces);
   ASSERT_TRUE(idrips.ok());
   ExpectSameUtilitySequence(reference, Drain(**idrips), "idrips multi-space");
 }
@@ -276,7 +278,7 @@ TEST(OrdererDiscardTest, DiscardedPlansDoNotConditionUtilities) {
 
   for (OrdererKind kind :
        {OrdererKind::kPi, OrdererKind::kStreamer, OrdererKind::kIDrips}) {
-    auto made = core::MakeOrderer({kind}, &w, model.get(), spaces);
+    auto made = MakeReferenceOrderer({kind}, &w, model.get(), spaces);
     ASSERT_TRUE(made.ok()) << made.status();
     std::unique_ptr<core::Orderer> orderer = std::move(*made);
     std::vector<double> emitted;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/orderer_factory.h"
+#include "reference/orderer_factory.h"
 #include "test_util.h"
 
 namespace planorder::core {
@@ -24,7 +25,7 @@ TEST(OrdererEdgeTest, NoSpacesMeansImmediateExhaustion) {
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
   for (OrdererKind kind : kEdgeKinds) {
     SCOPED_TRACE(OrdererKindName(kind));
-    auto orderer = MakeOrderer({kind}, &w, model.get(), {});
+    auto orderer = MakeReferenceOrderer({kind}, &w, model.get(), {});
     ASSERT_TRUE(orderer.ok());
     auto next = (*orderer)->Next();
     EXPECT_FALSE(next.ok());
@@ -41,7 +42,8 @@ TEST(OrdererEdgeTest, EmptyBucketSpacesAreSkipped) {
   small.buckets = {{0}, {2}};
   for (OrdererKind kind : kEdgeKinds) {
     SCOPED_TRACE(OrdererKindName(kind));
-    auto orderer = MakeOrderer({kind}, &w, model.get(), {empty, small});
+    auto orderer =
+        MakeReferenceOrderer({kind}, &w, model.get(), {empty, small});
     ASSERT_TRUE(orderer.ok());
     const auto plans = Drain(**orderer);
     ASSERT_EQ(plans.size(), 1u);
@@ -56,7 +58,7 @@ TEST(OrdererEdgeTest, UnknownSourceIdRejected) {
   bad.buckets = {{0, 7}, {0}};
   for (OrdererKind kind : kEdgeKinds) {
     SCOPED_TRACE(OrdererKindName(kind));
-    auto orderer = MakeOrderer({kind}, &w, model.get(), {bad});
+    auto orderer = MakeReferenceOrderer({kind}, &w, model.get(), {bad});
     EXPECT_FALSE(orderer.ok());
     EXPECT_EQ(orderer.status().code(), StatusCode::kInvalidArgument);
   }
@@ -69,7 +71,7 @@ TEST(OrdererEdgeTest, WrongBucketCountRejected) {
   bad.buckets = {{0}, {0}};  // workload has 3 buckets
   for (OrdererKind kind : kEdgeKinds) {
     SCOPED_TRACE(OrdererKindName(kind));
-    EXPECT_FALSE(MakeOrderer({kind}, &w, model.get(), {bad}).ok());
+    EXPECT_FALSE(MakeReferenceOrderer({kind}, &w, model.get(), {bad}).ok());
   }
 }
 
@@ -94,8 +96,8 @@ TEST(OrdererEdgeTest, MassTiesStillEmitEveryPlanOnce) {
     auto model = MustMakeMeasure(measure, &*w);
     for (OrdererKind kind : kEdgeKinds) {
       SCOPED_TRACE(OrdererKindName(kind));
-      auto orderer =
-          MakeOrderer({kind}, &*w, model.get(), {PlanSpace::FullSpace(*w)});
+      auto orderer = MakeReferenceOrderer({kind}, &*w, model.get(),
+                                          {PlanSpace::FullSpace(*w)});
       ASSERT_TRUE(orderer.ok());
       const auto plans = Drain(**orderer);
       ASSERT_EQ(plans.size(), 16u) << test::MeasureName(measure);
@@ -111,8 +113,8 @@ TEST(OrdererEdgeTest, ExhaustionIsSticky) {
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
   for (OrdererKind kind : kEdgeKinds) {
     SCOPED_TRACE(OrdererKindName(kind));
-    auto orderer =
-        MakeOrderer({kind}, &w, model.get(), {PlanSpace::FullSpace(w)});
+    auto orderer = MakeReferenceOrderer({kind}, &w, model.get(),
+                                        {PlanSpace::FullSpace(w)});
     ASSERT_TRUE(orderer.ok());
     EXPECT_EQ(Drain(**orderer).size(), 4u);
     for (int i = 0; i < 3; ++i) {
@@ -128,8 +130,8 @@ TEST(OrdererEdgeTest, DiscardKeepsContextClean) {
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
   for (OrdererKind kind : kEdgeKinds) {
     SCOPED_TRACE(OrdererKindName(kind));
-    auto orderer =
-        MakeOrderer({kind}, &w, model.get(), {PlanSpace::FullSpace(w)});
+    auto orderer = MakeReferenceOrderer({kind}, &w, model.get(),
+                                        {PlanSpace::FullSpace(w)});
     ASSERT_TRUE(orderer.ok());
     // Discard before any Next: harmless no-op.
     (*orderer)->ReportDiscarded();
@@ -154,14 +156,14 @@ TEST(OrdererEdgeTest, PlainIntervalModeStaysExact) {
   for (Measure measure : {Measure::kCoverage, Measure::kMonetary}) {
     SCOPED_TRACE(test::MeasureName(measure));
     auto ref_model = MustMakeMeasure(measure, &w);
-    auto reference =
-        MakeOrderer({OrdererKind::kNaive}, &w, ref_model.get(), spaces);
+    auto reference = MakeReferenceOrderer({OrdererKind::kNaive}, &w,
+                                          ref_model.get(), spaces);
     ASSERT_TRUE(reference.ok());
     const auto expected = Drain(**reference);
     for (OrdererKind kind : {OrdererKind::kStreamer, OrdererKind::kIDrips}) {
       SCOPED_TRACE(OrdererKindName(kind));
       auto model = MustMakeMeasure(measure, &w);
-      auto orderer = MakeOrderer({kind}, &w, model.get(), spaces);
+      auto orderer = MakeReferenceOrderer({kind}, &w, model.get(), spaces);
       ASSERT_TRUE(orderer.ok());
       const auto plans = Drain(**orderer);
       ASSERT_EQ(plans.size(), expected.size());
@@ -177,8 +179,8 @@ TEST(OrdererEdgeTest, SingleBucketWorkloadOrdersSources) {
   auto model = MustMakeMeasure(Measure::kCost2, &w);
   for (OrdererKind kind : kEdgeKinds) {
     SCOPED_TRACE(OrdererKindName(kind));
-    auto orderer =
-        MakeOrderer({kind}, &w, model.get(), {PlanSpace::FullSpace(w)});
+    auto orderer = MakeReferenceOrderer({kind}, &w, model.get(),
+                                        {PlanSpace::FullSpace(w)});
     ASSERT_TRUE(orderer.ok());
     const auto plans = Drain(**orderer);
     ASSERT_EQ(plans.size(), 6u);

@@ -1,7 +1,13 @@
 #include "core/orderer_factory.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "adaptive/adaptive_orderer.h"
+#include "reference/orderer_factory.h"
 #include "test_util.h"
 
 namespace planorder::core {
@@ -57,10 +63,55 @@ TEST(OrdererFactoryTest, ExplicitKindOverridesAuto) {
   const stats::Workload w = UniformAlphaWorkload(3);
   auto model = MustMakeMeasure(Measure::kCoverage, &w);  // auto: iDrips
   for (OrdererKind kind : {OrdererKind::kPi, OrdererKind::kStreamer}) {
-    auto orderer =
-        MakeOrderer({kind}, &w, model.get(), {PlanSpace::FullSpace(w)});
+    auto orderer = MakeReferenceOrderer({kind}, &w, model.get(),
+                                        {PlanSpace::FullSpace(w)});
     ASSERT_TRUE(orderer.ok()) << orderer.status();
     EXPECT_EQ((*orderer)->name(), OrdererKindName(kind));
+  }
+}
+
+TEST(OrdererFactoryTest, ProductionFactoryRejectsReferenceKinds) {
+  const stats::Workload w = UniformAlphaWorkload(3);
+  auto model = MustMakeMeasure(Measure::kAdditive, &w);  // every kind applies
+  for (OrdererKind kind : {OrdererKind::kIDripsRebuild, OrdererKind::kStreamer,
+                           OrdererKind::kPi, OrdererKind::kNaive}) {
+    SCOPED_TRACE(OrdererKindName(kind));
+    EXPECT_TRUE(Applicable(kind, *model));
+    auto orderer =
+        MakeOrderer({kind}, &w, model.get(), {PlanSpace::FullSpace(w)});
+    EXPECT_EQ(orderer.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(OrdererFactoryTest, ReferenceFactoryBuildsEveryKind) {
+  // name() is the algorithm the orderer runs: kAuto resolves to Greedy
+  // under the additive measure, and the rebuild mode is still iDrips.
+  const std::pair<OrdererKind, std::string> cases[] = {
+      {OrdererKind::kAuto, "greedy"},
+      {OrdererKind::kGreedy, "greedy"},
+      {OrdererKind::kIDrips, "idrips"},
+      {OrdererKind::kIDripsRebuild, "idrips"},
+      {OrdererKind::kStreamer, "streamer"},
+      {OrdererKind::kPi, "pi"},
+      {OrdererKind::kNaive, "naive"},
+  };
+  const stats::Workload w = UniformAlphaWorkload(3);
+  std::vector<std::vector<OrderedPlan>> orders;
+  for (const auto& [kind, name] : cases) {
+    SCOPED_TRACE(OrdererKindName(kind));
+    auto model = MustMakeMeasure(Measure::kAdditive, &w);
+    auto orderer = MakeReferenceOrderer({kind}, &w, model.get(),
+                                        {PlanSpace::FullSpace(w)});
+    ASSERT_TRUE(orderer.ok()) << orderer.status();
+    EXPECT_EQ((*orderer)->name(), name);
+    orders.push_back(test::Drain(**orderer));
+  }
+  // All seven are exact: the same utility sequence over the 27 plans.
+  for (const std::vector<OrderedPlan>& order : orders) {
+    ASSERT_EQ(order.size(), 27u);
+    for (size_t i = 0; i < order.size(); ++i) {
+      EXPECT_NEAR(order[i].utility, orders[0][i].utility, 1e-9);
+    }
   }
 }
 
@@ -100,10 +151,40 @@ TEST(OrdererFactoryTest, InapplicableKindsFailPrecondition) {
     SCOPED_TRACE(OrdererKindName(c.kind));
     auto model = MustMakeMeasure(c.measure, &w);
     EXPECT_FALSE(Applicable(c.kind, *model));
-    auto orderer =
-        MakeOrderer({c.kind}, &w, model.get(), {PlanSpace::FullSpace(w)});
+    auto orderer = MakeReferenceOrderer({c.kind}, &w, model.get(),
+                                        {PlanSpace::FullSpace(w)});
     EXPECT_EQ(orderer.status().code(), StatusCode::kFailedPrecondition);
   }
+}
+
+TEST(OrdererFactoryTest, AdaptiveInnerMustBeProduction) {
+  // AdaptiveOrderer builds its inner orderer through MakeOrderer, so a
+  // reference kind fails Create with the factory's status.
+  const stats::Workload w = UniformAlphaWorkload(3);
+  std::vector<std::vector<std::string>> names(3);
+  for (int b = 0; b < 3; ++b) {
+    for (int i = 0; i < w.bucket_size(b); ++i) {
+      names[b].push_back("s" + std::to_string(b) + "_" + std::to_string(i));
+    }
+  }
+  for (OrdererKind kind : {OrdererKind::kIDripsRebuild, OrdererKind::kStreamer,
+                           OrdererKind::kPi, OrdererKind::kNaive}) {
+    SCOPED_TRACE(OrdererKindName(kind));
+    auto model = MustMakeMeasure(Measure::kAdditive, &w);
+    const Status factory =
+        MakeOrderer({kind}, &w, model.get(), {PlanSpace::FullSpace(w)})
+            .status();
+    EXPECT_EQ(factory.code(), StatusCode::kInvalidArgument);
+    adaptive::AdaptiveOptions options;
+    options.inner = kind;
+    auto orderer =
+        adaptive::AdaptiveOrderer::Create(&w, names, nullptr, options);
+    EXPECT_EQ(orderer.status(), factory);
+  }
+  adaptive::AdaptiveOptions options;
+  options.inner = OrdererKind::kAuto;
+  EXPECT_TRUE(
+      adaptive::AdaptiveOrderer::Create(&w, names, nullptr, options).ok());
 }
 
 TEST(OrdererFactoryTest, TooManySubgoalsIsInvalidArgument) {

@@ -19,6 +19,7 @@
 
 #include "core/abstraction.h"
 #include "core/plan_space.h"
+#include "reference/enumerate.h"
 #include "test_util.h"
 #include "utility/execution_context.h"
 

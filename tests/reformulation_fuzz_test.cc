@@ -20,8 +20,9 @@
 
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
-#include "reformulation/inverse_rules.h"
-#include "reformulation/minicon.h"
+#include "reference/enumerate.h"
+#include "reference/inverse_rules.h"
+#include "reference/minicon.h"
 #include "reformulation/rewriting.h"
 #include "test_util.h"
 

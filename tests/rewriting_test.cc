@@ -7,6 +7,7 @@
 #include "datalog/containment.h"
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
+#include "reference/enumerate.h"
 
 namespace planorder::reformulation {
 namespace {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/orderer_factory.h"
 #include "runtime/clock.h"
 #include "sim/harness.h"
 #include "sim/oracle.h"
@@ -61,8 +62,8 @@ TEST(OracleTest, AcceptsCorrectOrderRejectsCorruptions) {
   // Coverage is conditional — the hardest case for the oracle's step-wise
   // recomputation (every emission changes later utilities).
   auto model = test::MustMakeMeasure(test::Measure::kCoverage, &w);
-  auto orderer =
-      core::MakeOrderer({core::OrdererKind::kPi}, &w, model.get(), spaces);
+  auto orderer = core::MakeReferenceOrderer({core::OrdererKind::kPi}, &w,
+                                            model.get(), spaces);
   ASSERT_TRUE(orderer.ok()) << orderer.status();
   auto emissions = Drain(**orderer);
   ASSERT_TRUE(emissions.ok()) << emissions.status();

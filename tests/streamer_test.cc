@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pi.h"
+#include "reference/pi.h"
 #include "test_util.h"
 
 namespace planorder::core {

@@ -13,8 +13,8 @@
 #include "core/greedy.h"
 #include "core/idrips.h"
 #include "core/orderer.h"
-#include "core/pi.h"
 #include "core/streamer.h"
+#include "reference/pi.h"
 #include "utility/cost_models.h"
 #include "utility/coverage_model.h"
 #include "utility/measures.h"

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/coverage_universe.h"
+
 namespace planorder::stats {
 namespace {
 
@@ -130,7 +132,7 @@ TEST(WorkloadGenerateTest, SixtyFourRegionsSupported) {
     }
   }
   // The universe built from it evaluates cleanly.
-  stats::CoverageUniverse universe = w->MakeUniverse();
+  stats::CoverageUniverse universe(w->region_weights());
   std::vector<RegionMask> box;
   for (int b = 0; b < w->num_buckets(); ++b) {
     box.push_back(w->source(b, 0).regions);

@@ -346,8 +346,10 @@ bool CheckAppliesTo(CheckId check, const std::string& relpath) {
       return relpath != "src/runtime/clock.h" &&
              relpath != "src/runtime/clock.cc" && relpath != "src/base/rng.h";
     case CheckId::kD2:
-      // The coverage/bitmask universes feed utility intervals that decide
-      // emission order, so they are ordering paths like src/core proper.
+      // The bitmask universe feeds utility intervals that decide emission
+      // order, so it is an ordering path like src/core proper; so are the
+      // reference orderers and coverage universe of src/reference/, the
+      // oracles the production order is checked against.
       // src/adaptive folds observations into blended statistics that re-rank
       // a live plan stream: hash-order iteration there would surface
       // directly as emission-order nondeterminism.
@@ -357,7 +359,7 @@ bool CheckAppliesTo(CheckId check, const std::string& relpath) {
              StartsWith(relpath, "src/exec/") ||
              StartsWith(relpath, "src/sim/") ||
              StartsWith(relpath, "src/cluster/") ||
-             StartsWith(relpath, "src/stats/coverage_universe") ||
+             StartsWith(relpath, "src/reference/") ||
              StartsWith(relpath, "src/stats/bitmask_universe");
     case CheckId::kD3:
       return StartsWith(relpath, "src/anyk/");
