@@ -107,10 +107,10 @@ Json MetricsJson(const service::ServiceMetricsSnapshot& m) {
                        {"cache_misses", m.cache.misses},
                        {"cache_evictions", m.cache.evictions},
                        {"cache_verifications", m.cache_verifications},
-                       {"latency_p50_ms", m.latency_p50_ms},
-                       {"latency_p95_ms", m.latency_p95_ms},
-                       {"latency_p99_ms", m.latency_p99_ms},
-                       {"latency_max_ms", m.latency_max_ms}});
+                       {"latency_p50_ms", m.latency.Percentile(50.0)},
+                       {"latency_p95_ms", m.latency.Percentile(95.0)},
+                       {"latency_p99_ms", m.latency.Percentile(99.0)},
+                       {"latency_max_ms", m.latency.max_ms()}});
 }
 
 int Main(int argc, char** argv) {
@@ -161,9 +161,9 @@ int Main(int argc, char** argv) {
             << kQueriesPerClient << " queries over " << kVariants
             << " isomorphic variants\n"
             << "  no cache:   " << cold_ms << " ms total, p95 "
-            << cold_metrics.latency_p95_ms << " ms\n"
+            << cold_metrics.latency.Percentile(95.0) << " ms\n"
             << "  with cache: " << warm_ms << " ms total, p95 "
-            << warm_metrics.latency_p95_ms << " ms, "
+            << warm_metrics.latency.Percentile(95.0) << " ms, "
             << warm_metrics.cache.hits << " hits / "
             << warm_metrics.cache.misses << " misses\n"
             << "  aggregate throughput speedup: " << speedup << "x\n";

@@ -43,8 +43,8 @@ int main() {
   auto registry = exec::BuildSourceRegistry(d.catalog, d.source_facts);
   if (!registry.ok()) return Fail(registry.status());
 
-  auto model = utility::BoundJoinCostModel::Create(&d.workload,
-                                                   utility::BoundJoinOptions{});
+  auto model = utility::BoundJoinCostModel::Create(
+      &d.workload, utility::MeasureKind::kCost2);
   if (!model.ok()) return Fail(model.status());
   auto orderer = core::MakeReferenceOrderer(
       {core::OrdererKind::kPi}, &d.workload, model->get(),

@@ -14,7 +14,7 @@
 //      ahead. The demo prints both emission sequences side by side plus the
 //      cache hit counters proving B's fetches were served locally.
 //   3. MergedMetrics() shows the cluster-level aggregation (per-shard
-//      counters summed, latency percentiles recomputed over pooled samples).
+//      counters summed, latency histograms merged bucket by bucket).
 //
 // Build & run:  cmake --build build && ./build/examples/cluster_demo
 
@@ -138,13 +138,14 @@ int main() {
                   ? "yes (cross-session cache re-ranked the plans)"
                   : "no (see utilities above)");
 
-  // 3. Cluster-wide metrics: counters summed across shards, percentiles
-  //    recomputed exactly over the pooled latency samples.
+  // 3. Cluster-wide metrics: counters summed across shards, latency
+  //    histograms merged bucket by bucket.
   const service::ServiceMetricsSnapshot m = cluster_service.MergedMetrics();
   std::printf("merged metrics: %lld sessions completed, %lld source-cache "
-              "hits, latency p50=%.2fms p99=%.2fms over %zu sessions\n",
+              "hits, latency p50=%.2fms p99=%.2fms over %llu sessions\n",
               static_cast<long long>(m.sessions_completed),
               static_cast<long long>(m.runtime.source_cache_hits),
-              m.latency_p50_ms, m.latency_p99_ms, m.latency_count);
+              m.latency.Percentile(50.0), m.latency.Percentile(99.0),
+              static_cast<unsigned long long>(m.latency.count()));
   return 0;
 }

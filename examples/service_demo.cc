@@ -153,8 +153,9 @@ int main() {
   std::printf("  cache:    %lld hits, %lld misses, %zu resident\n",
               static_cast<long long>(m.cache.hits),
               static_cast<long long>(m.cache.misses), m.cache.size);
-  std::printf("  latency:  p50=%.2fms p95=%.2fms max=%.2fms over %zu runs\n",
-              m.latency_p50_ms, m.latency_p95_ms, m.latency_max_ms,
-              m.latency_count);
+  std::printf("  latency:  p50=%.2fms p95=%.2fms max=%.2fms over %llu runs\n",
+              m.latency.Percentile(50.0), m.latency.Percentile(95.0),
+              m.latency.max_ms(),
+              static_cast<unsigned long long>(m.latency.count()));
   return 0;
 }

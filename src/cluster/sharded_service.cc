@@ -77,18 +77,9 @@ std::vector<service::ServiceMetricsSnapshot> ShardedService::PerShardMetrics()
 
 service::ServiceMetricsSnapshot ShardedService::MergedMetrics() const {
   service::ServiceMetricsSnapshot merged;
-  service::LatencyHistogram all;
   for (const std::unique_ptr<service::QueryService>& shard : shards_) {
     merged.Merge(shard->Metrics());
-    all.Merge(shard->latency_histogram());
   }
-  // Exact percentiles over the union of all shards' samples — the one part
-  // of a snapshot that cannot be derived from per-shard snapshots.
-  merged.latency_count = all.count();
-  merged.latency_p50_ms = all.Percentile(50.0);
-  merged.latency_p95_ms = all.Percentile(95.0);
-  merged.latency_p99_ms = all.Percentile(99.0);
-  merged.latency_max_ms = all.max_ms();
   return merged;
 }
 

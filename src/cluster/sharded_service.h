@@ -86,10 +86,10 @@ class ShardedService {
   /// Each shard's own metrics snapshot, in shard order.
   std::vector<service::ServiceMetricsSnapshot> PerShardMetrics() const;
 
-  /// Cluster-wide aggregate: counters summed, queue depths summed, peaks
-  /// maxed, and the latency percentiles recomputed *exactly* over the union
-  /// of every shard's raw samples (LatencyHistogram::Merge) — never by
-  /// averaging per-shard percentiles.
+  /// Cluster-wide aggregate: every shard's snapshot folded with
+  /// ServiceMetricsSnapshot::Merge — counters and queue depths summed, peaks
+  /// maxed, latency histograms merged bucket by bucket (so the percentiles
+  /// are those of the union of the shards' sessions, never averages).
   service::ServiceMetricsSnapshot MergedMetrics() const;
 
   /// The shared source cache, or null when none was configured.

@@ -14,13 +14,10 @@ const std::vector<std::vector<Term>> kNoTuples;
 
 /// Enumerates all substitutions that map `body` into facts, calling `emit`
 /// for each complete match. Interpreted comparison atoms evaluate as filters
-/// (their variables must be bound by the time they are reached; the callers
-/// order bodies to guarantee it). When `delta_position >= 0`, the atom at
-/// that position is matched against `delta` instead of `db` (the semi-naive
-/// restriction); other atoms match `db`.
+/// (their variables must be bound by the time they are reached; the caller
+/// orders the body to guarantee it).
 Status JoinBody(const std::vector<Atom>& body, const Database& db,
-                const Database* delta, int delta_position, size_t index,
-                Substitution& subst,
+                size_t index, Substitution& subst,
                 const std::function<void(const Substitution&)>& emit) {
   if (index == body.size()) {
     emit(subst);
@@ -35,12 +32,9 @@ Status JoinBody(const std::vector<Atom>& body, const Database& db,
     }
     PLANORDER_ASSIGN_OR_RETURN(bool holds, EvaluateComparison(resolved));
     if (!holds) return OkStatus();
-    return JoinBody(body, db, delta, delta_position, index + 1, subst, emit);
+    return JoinBody(body, db, index + 1, subst, emit);
   }
-  const Database& from =
-      (delta != nullptr && static_cast<int>(index) == delta_position) ? *delta
-                                                                      : db;
-  for (const std::vector<Term>& tuple : from.TuplesFor(atom.predicate)) {
+  for (const std::vector<Term>& tuple : db.TuplesFor(atom.predicate)) {
     Substitution attempt = subst;
     bool matched = true;
     if (tuple.size() != atom.args.size()) continue;
@@ -51,8 +45,7 @@ Status JoinBody(const std::vector<Atom>& body, const Database& db,
       }
     }
     if (matched) {
-      PLANORDER_RETURN_IF_ERROR(
-          JoinBody(body, db, delta, delta_position, index + 1, attempt, emit));
+      PLANORDER_RETURN_IF_ERROR(JoinBody(body, db, index + 1, attempt, emit));
     }
   }
   return OkStatus();
@@ -149,90 +142,19 @@ StatusOr<std::vector<std::vector<Term>>> EvaluateQuery(
   Status status = OkStatus();
   const std::vector<Atom> body = OrderBodyForJoin(query.body);
   PLANORDER_RETURN_IF_ERROR(
-      JoinBody(body, db, /*delta=*/nullptr, /*delta_position=*/-1, 0, subst,
-           [&](const Substitution& complete) {
-             Atom head = ApplySubstitution(query.head, complete);
-             if (!head.IsGround()) {
-               status = InternalError("head not ground after safe-rule join: " +
-                                      head.ToString());
-               return;
-             }
-             if (seen.insert(head.args).second) {
-               results.push_back(std::move(head.args));
-             }
-           }));
+      JoinBody(body, db, 0, subst, [&](const Substitution& complete) {
+        Atom head = ApplySubstitution(query.head, complete);
+        if (!head.IsGround()) {
+          status = InternalError("head not ground after safe-rule join: " +
+                                 head.ToString());
+          return;
+        }
+        if (seen.insert(head.args).second) {
+          results.push_back(std::move(head.args));
+        }
+      }));
   PLANORDER_RETURN_IF_ERROR(status);
   return results;
-}
-
-StatusOr<Database> EvaluateProgram(const std::vector<Rule>& rules,
-                                   const Database& edb,
-                                   const EvaluateOptions& options) {
-  for (const Rule& rule : rules) {
-    PLANORDER_RETURN_IF_ERROR(rule.ValidateSafety());
-  }
-  // Normalize rule bodies: relational atoms first (original order), then
-  // comparison filters — so filters are bound when reached and the
-  // semi-naive delta sweep ranges over relational positions only.
-  std::vector<Rule> normalized = rules;
-  std::vector<int> relational_count(normalized.size(), 0);
-  for (size_t r = 0; r < normalized.size(); ++r) {
-    std::vector<Atom> relational, comparisons;
-    for (Atom& atom : normalized[r].body) {
-      if (IsComparisonAtom(atom)) {
-        comparisons.push_back(std::move(atom));
-      } else {
-        relational.push_back(std::move(atom));
-      }
-    }
-    relational_count[r] = static_cast<int>(relational.size());
-    normalized[r].body = std::move(relational);
-    for (Atom& atom : comparisons) normalized[r].body.push_back(std::move(atom));
-  }
-
-  Database db = edb;
-  Database delta = edb;
-  for (int iteration = 0; iteration < options.max_iterations; ++iteration) {
-    Database next_delta;
-    for (size_t r = 0; r < normalized.size(); ++r) {
-      const Rule& rule = normalized[r];
-      // Semi-naive: require at least one body atom to come from the last
-      // round's delta; sweep the delta position over the relational atoms.
-      for (int delta_position = 0; delta_position < relational_count[r];
-           ++delta_position) {
-        Substitution subst;
-        Status status = OkStatus();
-        PLANORDER_RETURN_IF_ERROR(JoinBody(
-            rule.body, db, &delta, delta_position, 0, subst,
-            [&](const Substitution& complete) {
-              Atom head = ApplySubstitution(rule.head, complete);
-              if (!head.IsGround()) {
-                status = InternalError("derived non-ground fact " +
-                                       head.ToString());
-                return;
-              }
-              if (!db.Contains(head)) next_delta.AddFact(head);
-            }));
-        PLANORDER_RETURN_IF_ERROR(status);
-      }
-    }
-    if (next_delta.size() == 0) return db;
-    for (const std::string& pred : next_delta.Predicates()) {
-      for (const std::vector<Term>& tuple : next_delta.TuplesFor(pred)) {
-        db.AddFact(Atom(pred, tuple));
-      }
-    }
-    if (db.size() > options.max_facts) {
-      return Status(StatusCode::kOutOfRange,
-                    "datalog evaluation exceeded max_facts; the program is "
-                    "likely recursive through Skolem terms");
-    }
-    delta = std::move(next_delta);
-  }
-  return Status(StatusCode::kOutOfRange,
-                "datalog evaluation did not reach a fixpoint within "
-                "max_iterations; the program is likely recursive through "
-                "Skolem terms");
 }
 
 }  // namespace planorder::datalog

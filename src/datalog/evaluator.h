@@ -11,8 +11,9 @@
 
 namespace planorder::datalog {
 
-/// A set of ground facts, grouped by predicate. Used both as the extensional
-/// database (source instances) and as the output of program evaluation.
+/// A set of ground facts, grouped by predicate: the extensional database
+/// (source instances), and the output of program evaluation
+/// (reference/evaluate_program.h).
 class Database {
  public:
   /// Adds a ground fact; duplicate insertions are ignored. Returns true if
@@ -45,25 +46,6 @@ class Database {
 /// query is unsafe (a head variable never bound).
 StatusOr<std::vector<std::vector<Term>>> EvaluateQuery(
     const ConjunctiveQuery& query, const Database& db);
-
-/// Options for bottom-up datalog evaluation.
-struct EvaluateOptions {
-  /// Iteration cap: Skolem function terms (from inverse rules) can make a
-  /// genuinely recursive program diverge; evaluation errors out beyond this
-  /// many semi-naive rounds.
-  int max_iterations = 10'000;
-  /// Fact cap, as a second safety net against term-depth blowup.
-  size_t max_facts = 10'000'000;
-};
-
-/// Bottom-up semi-naive evaluation of `rules` over the extensional database
-/// `edb`. Returns a database containing the EDB facts plus everything
-/// derived. Rules may produce facts with Skolem function terms; the paper's
-/// framework (and ours) does not handle recursive plans, so divergent
-/// recursion hits the caps and errors.
-StatusOr<Database> EvaluateProgram(const std::vector<Rule>& rules,
-                                   const Database& edb,
-                                   const EvaluateOptions& options = {});
 
 }  // namespace planorder::datalog
 

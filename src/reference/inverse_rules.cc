@@ -5,6 +5,7 @@
 
 #include "datalog/builtins.h"
 #include "datalog/unify.h"
+#include "reference/evaluate_program.h"
 
 namespace planorder::reformulation {
 

@@ -4,58 +4,60 @@
 #include <cmath>
 
 namespace planorder::service {
+namespace {
+
+constexpr double kTopUs = 4294967296.0;  // 2^32 µs, the first value past range
+
+int BucketOf(double ms) {
+  const double us = ms * 1000.0;
+  if (!(us >= 1.0)) return 0;  // below the floor, zero and NaN included
+  if (us >= kTopUs) return LatencyHistogram::kBuckets - 1;
+  int exponent = 0;
+  // us = mantissa * 2^exponent with mantissa in [0.5, 1): the octave is
+  // exponent - 1 and the linear position inside it (2 * mantissa - 1), both
+  // exact in binary floating point.
+  const double mantissa = std::frexp(us, &exponent);
+  const int sub = static_cast<int>((2.0 * mantissa - 1.0) *
+                                   LatencyHistogram::kSubBuckets);
+  return (exponent - 1) * LatencyHistogram::kSubBuckets + sub;
+}
+
+double UpperEdgeMs(int bucket) {
+  const int octave = bucket / LatencyHistogram::kSubBuckets;
+  const int sub = bucket % LatencyHistogram::kSubBuckets;
+  return std::ldexp(1.0 + double(sub + 1) / LatencyHistogram::kSubBuckets,
+                    octave) /
+         1000.0;
+}
+
+}  // namespace
 
 void LatencyHistogram::Record(double ms) {
-  MutexLock lock(mu_);
-  samples_.push_back(ms);
-  total_ms_ += ms;
+  ++buckets_[size_t(BucketOf(ms))];
+  ++count_;
   if (ms > max_ms_) max_ms_ = ms;
 }
 
-double LatencyHistogram::Percentile(double p) const {
-  MutexLock lock(mu_);
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  // Nearest-rank: the smallest sample with at least p% of the mass at or
-  // below it.
-  const size_t rank = static_cast<size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
-  return sorted[rank == 0 ? 0 : rank - 1];
-}
-
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  // Snapshot first, then fold: never hold both locks at once (a pair of
-  // cross-merging histograms would deadlock under nested locking).
-  std::vector<double> theirs = other.Samples();
-  MutexLock lock(mu_);
-  for (const double ms : theirs) {
-    samples_.push_back(ms);
-    total_ms_ += ms;
-    if (ms > max_ms_) max_ms_ = ms;
+  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  count_ += other.count_;
+  max_ms_ = std::max(max_ms_, other.max_ms_);
+}
+
+double LatencyHistogram::Percentile(double p) const {
+  if (count_ == 0) return 0.0;
+  // Nearest rank: the smallest sample with at least p% of the mass at or
+  // below it.
+  const auto rank = static_cast<uint64_t>(std::clamp(
+      std::ceil(p / 100.0 * double(count_)), 1.0, double(count_)));
+  uint64_t seen = 0;
+  for (int i = 0; i < kBuckets; ++i) {
+    seen += buckets_[size_t(i)];
+    if (seen < rank) continue;
+    if (i == kBuckets - 1) return max_ms_;
+    return std::min(UpperEdgeMs(i), max_ms_);
   }
-}
-
-std::vector<double> LatencyHistogram::Samples() const {
-  MutexLock lock(mu_);
-  return samples_;
-}
-
-size_t LatencyHistogram::count() const {
-  MutexLock lock(mu_);
-  return samples_.size();
-}
-
-double LatencyHistogram::max_ms() const {
-  MutexLock lock(mu_);
   return max_ms_;
-}
-
-double LatencyHistogram::total_ms() const {
-  MutexLock lock(mu_);
-  return total_ms_;
 }
 
 }  // namespace planorder::service

@@ -1,48 +1,53 @@
 #ifndef PLANORDER_SERVICE_METRICS_H_
 #define PLANORDER_SERVICE_METRICS_H_
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
-#include "base/mutex.h"
-#include "base/thread_annotations.h"
 #include "exec/mediator.h"
 #include "reformulation/statistics.h"
 #include "service/reformulation_cache.h"
 
 namespace planorder::service {
 
-/// Reservoir-free latency recorder: keeps every sample (service runs are
-/// bounded to thousands of sessions, not millions) and computes exact
-/// percentiles on demand. Thread-safe.
+/// Fixed-size log-linear latency histogram: 32 buckets per power of two of
+/// microseconds, from 1 µs to 2^32 µs (about 71 min), plus an exact count
+/// and an exact max. A value below 1 µs (zero included) counts in the first
+/// bucket, one at or above 2^32 µs in the last. Its footprint is fixed at
+/// about 8 KiB (1,024 64-bit counters) whatever it records: no heap storage
+/// and no lock, so it is a plain copyable value that callers guard.
+///
+/// Merging adds bucket by bucket, so a merged histogram equals one that
+/// recorded the union of the samples: same buckets, count, max and
+/// percentiles.
 class LatencyHistogram {
  public:
-  void Record(double ms) EXCLUDES(mu_);
+  static constexpr int kSubBuckets = 32;  // per power of two
+  static constexpr int kOctaves = 32;     // 1 µs .. 2^32 µs
+  static constexpr int kBuckets = kSubBuckets * kOctaves;
 
-  /// Exact percentile by nearest-rank over the recorded samples; 0.0 when
-  /// empty. `p` in [0, 100].
-  double Percentile(double p) const EXCLUDES(mu_);
+  void Record(double ms);
 
-  size_t count() const EXCLUDES(mu_);
-  double max_ms() const EXCLUDES(mu_);
-  double total_ms() const EXCLUDES(mu_);
+  /// Folds `other` in: buckets and counts add, the max is the larger.
+  void Merge(const LatencyHistogram& other);
 
-  /// Folds `other`'s samples into this histogram. Because every sample is
-  /// kept, the merged percentiles are *exact* over the union — identical to
-  /// recording all samples into one histogram — which is what shard-level
-  /// aggregation needs (percentiles of per-shard snapshots cannot be merged;
-  /// raw samples can). Safe against concurrent Records on either side;
-  /// `other`'s samples are snapshotted first so the two locks never nest.
-  void Merge(const LatencyHistogram& other) EXCLUDES(mu_);
+  /// Nearest-rank percentile, `p` in [0, 100]; 0.0 when empty. Returns the
+  /// upper edge of the bucket that holds the nearest rank, clamped to the
+  /// exact max (the last bucket has no upper edge, so it returns the max).
+  /// So it is never below the exact nearest-rank value v, and for v at or
+  /// above 1 µs it exceeds v by at most v/32 outside the last bucket; below
+  /// 1 µs it is at most 1.03125 µs.
+  double Percentile(double p) const;
 
-  /// Copy of the raw samples, in record order.
-  std::vector<double> Samples() const EXCLUDES(mu_);
+  uint64_t count() const { return count_; }
+  double max_ms() const { return max_ms_; }
+
+  bool operator==(const LatencyHistogram&) const = default;
 
  private:
-  mutable Mutex mu_;
-  std::vector<double> samples_ GUARDED_BY(mu_);
-  double max_ms_ GUARDED_BY(mu_) = 0.0;
-  double total_ms_ GUARDED_BY(mu_) = 0.0;
+  std::array<uint64_t, kBuckets> buckets_{};
+  uint64_t count_ = 0;
+  double max_ms_ = 0.0;
 };
 
 /// Point-in-time service counters, safe to read while sessions run.
@@ -71,12 +76,8 @@ struct ServiceMetricsSnapshot {
   /// source's scan for one subgoal pattern served from memory.
   reformulation::BindingHashMemo::Stats estimation_memo;
 
-  // End-to-end session latency (admission to Finish), milliseconds.
-  size_t latency_count = 0;
-  double latency_p50_ms = 0.0;
-  double latency_p95_ms = 0.0;
-  double latency_p99_ms = 0.0;
-  double latency_max_ms = 0.0;
+  /// End-to-end session latency (admission to Finish), milliseconds.
+  LatencyHistogram latency;
 
   // Plan-store persistence (ServiceOptions::plan_store).
   /// Reformulations restored from the store at construction (warm start).
@@ -99,13 +100,10 @@ struct ServiceMetricsSnapshot {
   /// Aggregated resilient-runtime accounting of all completed sessions.
   exec::RuntimeAccounting runtime;
 
-  /// Counter-wise sum with `other`: counts add, gauges/peaks take the max,
-  /// cache and runtime accounting merge. Latency *percentiles* are NOT
-  /// merged (percentiles of percentiles are meaningless) — latency_count,
-  /// max and the merged percentiles must be recomputed from the raw
-  /// histograms (LatencyHistogram::Merge); ShardedService::MergedMetrics
-  /// does exactly that. This member only folds the countable fields and
-  /// leaves the latency_* fields untouched.
+  /// Field-wise fold of `other`: counts and queue depths add, peaks take the
+  /// max, and the cache, memo, latency and runtime accounting merge. Every
+  /// field merges exactly, so folding per-shard snapshots gives the cluster
+  /// snapshot.
   void Merge(const ServiceMetricsSnapshot& other) {
     sessions_admitted += other.sessions_admitted;
     sessions_completed += other.sessions_completed;
@@ -130,6 +128,7 @@ struct ServiceMetricsSnapshot {
     estimation_memo.misses += other.estimation_memo.misses;
     estimation_memo.evictions += other.estimation_memo.evictions;
     estimation_memo.bytes += other.estimation_memo.bytes;
+    latency.Merge(other.latency);
     plan_store_entries_loaded += other.plan_store_entries_loaded;
     plan_store_entries_rejected += other.plan_store_entries_rejected;
     plan_store_load_failures += other.plan_store_load_failures;

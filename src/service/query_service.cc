@@ -74,7 +74,7 @@ void QueryService::WarmLoadPlanStore() {
     // cold starts, only the latter is worth counting.
     if (loaded.status().code() != StatusCode::kNotFound) {
       MutexLock lock(mu_);
-      ++plan_store_load_failures_;
+      ++metrics_.plan_store_load_failures;
     }
     return;
   }
@@ -82,7 +82,7 @@ void QueryService::WarmLoadPlanStore() {
     // The store was written against a different catalog; its SourceIds
     // would dereference arbitrary sources here.
     MutexLock lock(mu_);
-    ++plan_store_load_failures_;
+    ++metrics_.plan_store_load_failures;
     return;
   }
   int64_t restored = 0;
@@ -105,8 +105,8 @@ void QueryService::WarmLoadPlanStore() {
     }
   }
   MutexLock lock(mu_);
-  plan_store_entries_loaded_ += restored;
-  plan_store_entries_rejected_ += rejected;
+  metrics_.plan_store_entries_loaded += restored;
+  metrics_.plan_store_entries_rejected += rejected;
 }
 
 Status QueryService::PersistPlanStore() {
@@ -146,63 +146,65 @@ Status QueryService::PersistPlanStore() {
   }
   MutexLock lock(mu_);
   if (saved.ok()) {
-    ++plan_store_saves_;
+    ++metrics_.plan_store_saves;
   } else {
-    ++plan_store_save_failures_;
+    ++metrics_.plan_store_save_failures;
   }
   return saved;
 }
 
 Status QueryService::Admit() {
   MutexLock lock(mu_);
-  if (active_ < options_.max_active_sessions) {
-    ++active_;
-    ++admitted_;
+  if (metrics_.active_sessions < options_.max_active_sessions) {
+    ++metrics_.active_sessions;
+    ++metrics_.sessions_admitted;
     return OkStatus();
   }
-  if (queued_ >= options_.max_queued_admissions ||
+  if (metrics_.queue_depth >= options_.max_queued_admissions ||
       options_.admission_timeout_ms <= 0.0) {
-    ++shed_;
+    ++metrics_.sessions_shed;
     return ResourceExhaustedError(
-        "admission queue full (" + std::to_string(queued_) +
+        "admission queue full (" + std::to_string(metrics_.queue_depth) +
         " waiting on " + std::to_string(options_.max_active_sessions) +
         " slots); load shed, retry later");
   }
-  ++queued_;
-  ++queued_total_;
-  queue_depth_peak_ = std::max(queue_depth_peak_, queued_);
+  ++metrics_.queue_depth;
+  ++metrics_.sessions_queued;
+  metrics_.queue_depth_peak =
+      std::max(metrics_.queue_depth_peak, metrics_.queue_depth);
   const bool got_slot = slot_free_.WaitForMs(
-      lock, options_.admission_timeout_ms,
-      [this]() REQUIRES(mu_) { return active_ < options_.max_active_sessions; });
-  --queued_;
+      lock, options_.admission_timeout_ms, [this]() REQUIRES(mu_) {
+        return metrics_.active_sessions < options_.max_active_sessions;
+      });
+  --metrics_.queue_depth;
   if (!got_slot) {
-    ++shed_;
+    ++metrics_.sessions_shed;
     return ResourceExhaustedError(
         "no admission slot within " +
         std::to_string(options_.admission_timeout_ms) +
         "ms; load shed, retry later");
   }
-  ++active_;
-  ++admitted_;
+  ++metrics_.active_sessions;
+  ++metrics_.sessions_admitted;
   return OkStatus();
 }
 
 void QueryService::Release() {
   {
     MutexLock lock(mu_);
-    --active_;
+    --metrics_.active_sessions;
   }
   slot_free_.NotifyOne();
 }
 
 void QueryService::OnSessionFinished(const exec::MediatorResult& result,
                                      double elapsed_ms) {
-  latency_.Record(elapsed_ms);
   MutexLock lock(mu_);
-  ++completed_;
-  total_answers_ += static_cast<int64_t>(result.total_answers);
-  total_steps_ += static_cast<int64_t>(result.steps.size());
-  runtime_total_.Merge(result.runtime);
+  ++metrics_.sessions_completed;
+  metrics_.latency.Record(elapsed_ms);
+  metrics_.total_answers += static_cast<int64_t>(result.total_answers);
+  metrics_.total_steps += static_cast<int64_t>(result.steps.size());
+  metrics_.runtime.Merge(result.runtime);
 }
 
 StatusOr<QueryService::ReformulationOutcome> QueryService::Reformulate(
@@ -210,7 +212,7 @@ StatusOr<QueryService::ReformulationOutcome> QueryService::Reformulate(
   datalog::CanonicalQuery canonical = datalog::CanonicalizeQuery(query);
   {
     MutexLock lock(mu_);
-    ++canonicalizations_;
+    ++metrics_.canonicalizations;
   }
   std::shared_ptr<const CachedReformulation> entry = cache_.Lookup(canonical);
   if (entry != nullptr) {
@@ -218,8 +220,8 @@ StatusOr<QueryService::ReformulationOutcome> QueryService::Reformulate(
         datalog::AreEquivalent(entry->canonical.query, canonical.query);
     {
       MutexLock lock(mu_);
-      ++cache_verifications_;
-      if (!verified) ++cache_verification_failures_;
+      ++metrics_.cache_verifications;
+      if (!verified) ++metrics_.cache_verification_failures;
     }
     if (verified) return ReformulationOutcome{std::move(entry), true};
     // Key matched a non-equivalent query (should be impossible; counted
@@ -361,32 +363,10 @@ ServiceMetricsSnapshot QueryService::Metrics() const {
   ServiceMetricsSnapshot snapshot;
   {
     MutexLock lock(mu_);
-    snapshot.sessions_admitted = admitted_;
-    snapshot.sessions_completed = completed_;
-    snapshot.sessions_shed = shed_;
-    snapshot.sessions_queued = queued_total_;
-    snapshot.active_sessions = active_;
-    snapshot.queue_depth = queued_;
-    snapshot.queue_depth_peak = queue_depth_peak_;
-    snapshot.canonicalizations = canonicalizations_;
-    snapshot.cache_verifications = cache_verifications_;
-    snapshot.cache_verification_failures = cache_verification_failures_;
-    snapshot.total_answers = total_answers_;
-    snapshot.total_steps = total_steps_;
-    snapshot.plan_store_entries_loaded = plan_store_entries_loaded_;
-    snapshot.plan_store_entries_rejected = plan_store_entries_rejected_;
-    snapshot.plan_store_load_failures = plan_store_load_failures_;
-    snapshot.plan_store_saves = plan_store_saves_;
-    snapshot.plan_store_save_failures = plan_store_save_failures_;
-    snapshot.runtime = runtime_total_;
+    snapshot = metrics_;
   }
   snapshot.cache = cache_.stats();
   snapshot.estimation_memo = estimation_memo_.stats();
-  snapshot.latency_count = latency_.count();
-  snapshot.latency_p50_ms = latency_.Percentile(50.0);
-  snapshot.latency_p95_ms = latency_.Percentile(95.0);
-  snapshot.latency_p99_ms = latency_.Percentile(99.0);
-  snapshot.latency_max_ms = latency_.max_ms();
   return snapshot;
 }
 

@@ -139,11 +139,6 @@ class QueryService {
   /// atomically. kFailedPrecondition when no store is configured.
   Status PersistPlanStore() EXCLUDES(store_mu_);
 
-  /// The raw end-to-end session latency samples — shard aggregation merges
-  /// these to compute exact cross-shard percentiles (percentiles of
-  /// per-shard snapshots cannot be merged; raw samples can).
-  const LatencyHistogram& latency_histogram() const { return latency_; }
-
   const ServiceOptions& options() const { return options_; }
 
  private:
@@ -193,28 +188,13 @@ class QueryService {
   /// Per-source binding hashes of `catalog_` over `source_facts_`, shared by
   /// every reformulation miss (bounded by reformulation::kBindingMemoBytes).
   reformulation::BindingHashMemo estimation_memo_;
-  LatencyHistogram latency_;
 
   mutable Mutex mu_;
   CondVar slot_free_;
-  int active_ GUARDED_BY(mu_) = 0;
-  int queued_ GUARDED_BY(mu_) = 0;
-  int queue_depth_peak_ GUARDED_BY(mu_) = 0;
-  int64_t admitted_ GUARDED_BY(mu_) = 0;
-  int64_t completed_ GUARDED_BY(mu_) = 0;
-  int64_t shed_ GUARDED_BY(mu_) = 0;
-  int64_t queued_total_ GUARDED_BY(mu_) = 0;
-  int64_t canonicalizations_ GUARDED_BY(mu_) = 0;
-  int64_t cache_verifications_ GUARDED_BY(mu_) = 0;
-  int64_t cache_verification_failures_ GUARDED_BY(mu_) = 0;
-  int64_t total_answers_ GUARDED_BY(mu_) = 0;
-  int64_t total_steps_ GUARDED_BY(mu_) = 0;
-  int64_t plan_store_entries_loaded_ GUARDED_BY(mu_) = 0;
-  int64_t plan_store_entries_rejected_ GUARDED_BY(mu_) = 0;
-  int64_t plan_store_load_failures_ GUARDED_BY(mu_) = 0;
-  int64_t plan_store_saves_ GUARDED_BY(mu_) = 0;
-  int64_t plan_store_save_failures_ GUARDED_BY(mu_) = 0;
-  exec::RuntimeAccounting runtime_total_ GUARDED_BY(mu_);
+  /// Every counter of Metrics() but the cache and memo stats, which their
+  /// owners keep. Its `active_sessions` and `queue_depth` are also the
+  /// admission state: the slots held and the admissions waiting for one.
+  ServiceMetricsSnapshot metrics_ GUARDED_BY(mu_);
   /// Serializes whole-store rewrites (Save is atomic per call; this orders
   /// concurrent cold-miss persists).
   Mutex store_mu_;

@@ -44,32 +44,52 @@ double AdditiveCostModel::MonotoneScore(int bucket, int source) const {
 }
 
 StatusOr<std::unique_ptr<BoundJoinCostModel>> BoundJoinCostModel::Create(
-    const stats::Workload* workload, const BoundJoinOptions& options) {
-  if (options.assume_uniform_alpha) {
-    if (options.include_failure || options.use_cache ||
-        options.per_tuple_monetary) {
-      return InvalidArgumentError(
-          "assume_uniform_alpha is only meaningful for the plain measure (2)");
-    }
-    for (int b = 0; b < workload->num_buckets(); ++b) {
-      const double alpha0 = workload->source(b, 0).transmission_cost;
-      for (int i = 1; i < workload->bucket_size(b); ++i) {
-        if (std::abs(workload->source(b, i).transmission_cost - alpha0) >
-            1e-12) {
-          return FailedPreconditionError(
-              "assume_uniform_alpha set but transmission costs vary");
+    const stats::Workload* workload, MeasureKind kind) {
+  switch (kind) {
+    case MeasureKind::kAdditive:
+    case MeasureKind::kCoverage:
+      return InvalidArgumentError(MeasureKindName(kind) +
+                                  " is not a bound-join cost measure");
+    case MeasureKind::kCost2UniformAlpha:
+      for (int b = 0; b < workload->num_buckets(); ++b) {
+        const double alpha0 = workload->source(b, 0).transmission_cost;
+        for (int i = 1; i < workload->bucket_size(b); ++i) {
+          if (std::abs(workload->source(b, i).transmission_cost - alpha0) >
+              1e-12) {
+            return FailedPreconditionError(
+                "cost2-uniform-alpha needs uniform transmission costs, but "
+                "they vary");
+          }
         }
       }
-    }
+      break;
+    case MeasureKind::kCost2:
+    case MeasureKind::kFailureNoCache:
+    case MeasureKind::kFailureCache:
+    case MeasureKind::kMonetary:
+    case MeasureKind::kMonetaryCache:
+      break;
   }
-  return std::make_unique<BoundJoinCostModel>(workload, options);
+  return std::unique_ptr<BoundJoinCostModel>(
+      new BoundJoinCostModel(workload, kind));
 }
 
+BoundJoinCostModel::BoundJoinCostModel(const stats::Workload* workload,
+                                       MeasureKind kind)
+    : UtilityModel(workload),
+      uniform_alpha_(kind == MeasureKind::kCost2UniformAlpha),
+      include_failure_(kind == MeasureKind::kFailureNoCache ||
+                       kind == MeasureKind::kFailureCache),
+      use_cache_(kind == MeasureKind::kFailureCache ||
+                 kind == MeasureKind::kMonetaryCache),
+      per_tuple_monetary_(kind == MeasureKind::kMonetary ||
+                          kind == MeasureKind::kMonetaryCache) {}
+
 std::string BoundJoinCostModel::name() const {
-  std::string n = options_.per_tuple_monetary ? "monetary-per-tuple"
-                                              : "bound-join-cost";
-  if (options_.include_failure) n += "+failure";
-  if (options_.use_cache) n += "+cache";
+  std::string n =
+      per_tuple_monetary_ ? "monetary-per-tuple" : "bound-join-cost";
+  if (include_failure_) n += "+failure";
+  if (use_cache_) n += "+cache";
   return n;
 }
 
@@ -87,18 +107,18 @@ Interval BoundJoinCostModel::Evaluate(NodeSpan nodes,
                : node.cardinality * flowing /
                      Interval::Point(workload().domain_size(static_cast<int>(b)));
     const Interval& price =
-        options_.per_tuple_monetary ? node.fee : node.transmission_cost;
+        per_tuple_monetary_ ? node.fee : node.transmission_cost;
     Interval term = Interval::Point(h) + price * transfer;
-    if (options_.include_failure) {
+    if (include_failure_) {
       term = term / (Interval::Point(1.0) - node.failure_prob);
     }
-    if (options_.use_cache) {
+    if (use_cache_) {
       term = ApplyCache(term, node, ctx);
     }
     cost += term;
     flowing = transfer;
   }
-  if (options_.per_tuple_monetary) {
+  if (per_tuple_monetary_) {
     // `flowing` is the estimated number of output tuples; positive because
     // cardinalities and domain sizes are positive.
     cost = cost / flowing;
@@ -107,7 +127,7 @@ Interval BoundJoinCostModel::Evaluate(NodeSpan nodes,
 }
 
 double BoundJoinCostModel::MonotoneScore(int bucket, int source) const {
-  PLANORDER_CHECK(options_.assume_uniform_alpha);
+  PLANORDER_CHECK(uniform_alpha_);
   (void)bucket;
   // With uniform transmission costs every term of measure (2) decreases when
   // any source's cardinality decreases, so fewer expected tuples is better.
@@ -116,7 +136,7 @@ double BoundJoinCostModel::MonotoneScore(int bucket, int source) const {
 
 bool BoundJoinCostModel::GroupIndependentOf(NodeSpan nodes,
                                             const ConcretePlan& plan) const {
-  if (!options_.use_cache) return true;
+  if (!use_cache_) return true;
   // With caching, executing `plan` zeroes exactly the terms of its own source
   // operations (same source at the same subgoal). Some concrete group plan
   // shares one iff `plan`'s source at some bucket is among the group's
@@ -133,7 +153,7 @@ bool BoundJoinCostModel::GroupIndependentOf(NodeSpan nodes,
 std::optional<ConcretePlan> BoundJoinCostModel::FindIndependentGroupPlan(
     NodeSpan nodes, const std::vector<const ConcretePlan*>& others) const {
   ConcretePlan witness(nodes.size());
-  if (!options_.use_cache) {
+  if (!use_cache_) {
     for (size_t b = 0; b < nodes.size(); ++b) {
       witness[b] = nodes[b]->members[0];
     }

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "base/status.h"
+#include "utility/measures.h"
 #include "utility/model.h"
 
 namespace planorder::utility {
@@ -38,59 +39,49 @@ class AdditiveCostModel : public UtilityModel {
   }
 };
 
-/// Options for the bound-join cost family (measure (2) of Section 3 and its
-/// Section 6 variants).
-struct BoundJoinOptions {
-  /// Divide each term by (1 - f): expected cost when an access fails with
-  /// probability f and is retried (the "cost with probability of source
-  /// failure" measure).
-  bool include_failure = false;
-  /// Zero the cost of source operations whose results are cached by an
-  /// executed plan. Breaks diminishing returns (a later plan can get
-  /// cheaper), so Streamer refuses models with this set.
-  bool use_cache = false;
-  /// Declare that transmission costs are uniform across sources, which makes
-  /// measure (2) fully monotonic (Section 3). Verified against the workload
-  /// at construction. Incompatible with include_failure and use_cache.
-  bool assume_uniform_alpha = false;
-  /// Price items by the monetary fee instead of the transmission cost and
-  /// report average monetary cost per output tuple:
-  /// u(p) = -Cost(p) / NumOutputTuples(p) (the fourth Section 6 measure).
-  bool per_tuple_monetary = false;
-};
-
 /// Cost measure (2) of Section 3 generalized to m subgoals, evaluated
 /// left-to-right with bound joins: the first source ships its n_1 answers;
 /// source b ships the estimated join result n_b · t_{b-1} / N_b of its n_b
-/// tuples with the t_{b-1} bindings flowing in. cost(p) = Σ_b (h + α_b · t_b),
-/// optionally with failure retries, operation caching, and the
-/// monetary-per-tuple transform (see BoundJoinOptions).
+/// tuples with the t_{b-1} bindings flowing in. cost(p) = Σ_b (h + α_b · t_b).
+/// The measure kind picks the Section 6 variant:
+/// - kCost2: measure (2) as stated;
+/// - kCost2UniformAlpha: measure (2) over uniform transmission costs, which
+///   makes it fully monotonic (Section 3);
+/// - kFailureNoCache / kFailureCache: each term divided by (1 - f), the
+///   expected cost when an access fails with probability f and is retried;
+/// - kMonetary / kMonetaryCache: items priced by the monetary fee, and the
+///   cost reported per output tuple, u(p) = -Cost(p) / NumOutputTuples(p).
+/// The *Cache variants zero the cost of source operations an executed plan
+/// cached, which breaks diminishing returns (a later plan can get cheaper),
+/// so Streamer refuses them.
 class BoundJoinCostModel : public UtilityModel {
  public:
-  /// Validates `options` against the workload (e.g. uniform-α claims).
+  /// kInvalidArgument unless `kind` is one of the six bound-join measures;
+  /// kFailedPrecondition for kCost2UniformAlpha over a workload whose
+  /// transmission costs vary within a bucket.
   static StatusOr<std::unique_ptr<BoundJoinCostModel>> Create(
-      const stats::Workload* workload, const BoundJoinOptions& options);
+      const stats::Workload* workload, MeasureKind kind);
 
   std::string name() const override;
   Interval Evaluate(NodeSpan nodes, const ExecutionContext& ctx) const override;
-  bool fully_monotonic() const override {
-    return options_.assume_uniform_alpha;
-  }
+  bool fully_monotonic() const override { return uniform_alpha_; }
   double MonotoneScore(int bucket, int source) const override;
-  bool diminishing_returns() const override { return !options_.use_cache; }
-  bool fully_independent() const override { return !options_.use_cache; }
+  bool diminishing_returns() const override { return !use_cache_; }
+  bool fully_independent() const override { return !use_cache_; }
   bool GroupIndependentOf(NodeSpan nodes,
                           const ConcretePlan& plan) const override;
   std::optional<ConcretePlan> FindIndependentGroupPlan(
       NodeSpan nodes,
       const std::vector<const ConcretePlan*>& others) const override;
 
-  BoundJoinCostModel(const stats::Workload* workload,
-                     const BoundJoinOptions& options)
-      : UtilityModel(workload), options_(options) {}
-
  private:
-  BoundJoinOptions options_;
+  BoundJoinCostModel(const stats::Workload* workload, MeasureKind kind);
+
+  // Read from the kind once, so Evaluate tests flags.
+  const bool uniform_alpha_;
+  const bool include_failure_;
+  const bool use_cache_;
+  const bool per_tuple_monetary_;
 };
 
 }  // namespace planorder::utility

@@ -29,36 +29,16 @@ std::string MeasureKindName(MeasureKind kind) {
 
 StatusOr<std::unique_ptr<UtilityModel>> MakeMeasure(
     MeasureKind kind, const stats::Workload* workload) {
-  BoundJoinOptions options;
-  switch (kind) {
-    case MeasureKind::kAdditive:
-      return std::unique_ptr<UtilityModel>(
-          std::make_unique<AdditiveCostModel>(workload));
-    case MeasureKind::kCoverage:
-      return std::unique_ptr<UtilityModel>(
-          std::make_unique<CoverageModel>(workload));
-    case MeasureKind::kCost2UniformAlpha:
-      options.assume_uniform_alpha = true;
-      break;
-    case MeasureKind::kCost2:
-      break;
-    case MeasureKind::kFailureNoCache:
-      options.include_failure = true;
-      break;
-    case MeasureKind::kFailureCache:
-      options.include_failure = true;
-      options.use_cache = true;
-      break;
-    case MeasureKind::kMonetary:
-      options.per_tuple_monetary = true;
-      break;
-    case MeasureKind::kMonetaryCache:
-      options.per_tuple_monetary = true;
-      options.use_cache = true;
-      break;
+  if (kind == MeasureKind::kAdditive) {
+    return std::unique_ptr<UtilityModel>(
+        std::make_unique<AdditiveCostModel>(workload));
+  }
+  if (kind == MeasureKind::kCoverage) {
+    return std::unique_ptr<UtilityModel>(
+        std::make_unique<CoverageModel>(workload));
   }
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<BoundJoinCostModel> model,
-                             BoundJoinCostModel::Create(workload, options));
+                             BoundJoinCostModel::Create(workload, kind));
   return std::unique_ptr<UtilityModel>(std::move(model));
 }
 

@@ -5,11 +5,13 @@
 #include "cluster/sharded_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adaptive/plan_store.h"
@@ -143,20 +145,73 @@ TEST(ShardedServiceTest, MergedMetricsPoolCountersAndLatencySamples) {
       service.PerShardMetrics();
   const service::ServiceMetricsSnapshot merged = service.MergedMetrics();
   int64_t completed = 0;
-  size_t latency_count = 0;
+  uint64_t latency_count = 0;
   double latency_max = 0.0;
+  service::LatencyHistogram latency;
   for (const auto& m : per_shard) {
     completed += m.sessions_completed;
-    latency_count += m.latency_count;
-    if (m.latency_max_ms > latency_max) latency_max = m.latency_max_ms;
+    latency_count += m.latency.count();
+    if (m.latency.max_ms() > latency_max) latency_max = m.latency.max_ms();
+    latency.Merge(m.latency);
   }
   EXPECT_EQ(merged.sessions_completed, completed);
   EXPECT_EQ(merged.sessions_completed, 4);
-  // Percentiles recomputed over the pooled raw samples, not averaged.
-  EXPECT_EQ(merged.latency_count, latency_count);
-  EXPECT_DOUBLE_EQ(merged.latency_max_ms, latency_max);
-  EXPECT_LE(merged.latency_p50_ms, merged.latency_p99_ms);
-  EXPECT_LE(merged.latency_p99_ms, merged.latency_max_ms);
+  // The shards' histograms merged bucket by bucket, not their percentiles
+  // averaged.
+  EXPECT_EQ(merged.latency, latency);
+  EXPECT_EQ(merged.latency.count(), latency_count);
+  EXPECT_EQ(merged.latency.count(), 4u);
+  EXPECT_DOUBLE_EQ(merged.latency.max_ms(), latency_max);
+  EXPECT_LE(merged.latency.Percentile(50.0), merged.latency.Percentile(99.0));
+  EXPECT_LE(merged.latency.Percentile(99.0), merged.latency.max_ms());
+}
+
+/// MergedMetrics() reads every shard while sessions finish on other threads.
+/// Each shard records a session's completion and its latency under one lock,
+/// so every merged snapshot counts them alike, the count never falls, and it
+/// ends at the number of sessions run.
+TEST(ShardedServiceTest, MergedMetricsWhileSessionsFinish) {
+  Domain domain = MakeDomain();
+  const exec::SyntheticDomain& d = *domain.synthetic;
+  ClusterOptions options;
+  options.num_shards = 2;
+  ShardedService service(&d.catalog, &d.source_facts, options);
+
+  datalog::ConjunctiveQuery rotated = d.query;
+  if (rotated.head.args.size() > 1) {
+    std::rotate(rotated.head.args.begin(), rotated.head.args.begin() + 1,
+                rotated.head.args.end());
+  }
+  constexpr int kClients = 4;
+  constexpr int kSessionsPerClient = 8;
+  exec::Mediator::RunLimits limits;
+  limits.max_plans = 1;
+  std::atomic<int> failures{0};
+  std::atomic<int> running{kClients};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kSessionsPerClient; ++i) {
+        const datalog::ConjunctiveQuery& query =
+            (c + i) % 2 == 0 ? d.query : rotated;
+        if (!service.RunQuery(query, limits).ok()) ++failures;
+      }
+      --running;
+    });
+  }
+  uint64_t last = 0;
+  while (running.load() > 0) {
+    const service::ServiceMetricsSnapshot m = service.MergedMetrics();
+    EXPECT_EQ(m.latency.count(), uint64_t(m.sessions_completed));
+    EXPECT_GE(m.latency.count(), last);
+    last = m.latency.count();
+  }
+  for (std::thread& client : clients) client.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  const service::ServiceMetricsSnapshot merged = service.MergedMetrics();
+  EXPECT_EQ(merged.sessions_completed, kClients * kSessionsPerClient);
+  EXPECT_EQ(merged.latency.count(), uint64_t(kClients * kSessionsPerClient));
 }
 
 /// The tentpole semantics: a fresh session against a warm cross-session

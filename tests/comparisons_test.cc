@@ -14,6 +14,7 @@
 #include "datalog/parser.h"
 #include "exec/dependent_join.h"
 #include "reference/enumerate.h"
+#include "reference/evaluate_program.h"
 #include "reference/inverse_rules.h"
 #include "reference/minicon.h"
 #include "reformulation/rewriting.h"

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <random>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -89,7 +90,7 @@ TEST(BoundJoinCostModelTest, MatchesPaperFormulaTwoBuckets) {
   auto w =
       stats::Workload::FromParts(buckets, {{1.0}, {1.0}}, 5.0, {200.0, 200.0});
   ASSERT_TRUE(w.ok());
-  auto model = BoundJoinCostModel::Create(&*w, BoundJoinOptions{});
+  auto model = BoundJoinCostModel::Create(&*w, MeasureKind::kCost2);
   ASSERT_TRUE(model.ok());
   ExecutionContext ctx(&*w);
   // term0 = 5 + 0.5*40 = 25; transfer1 = 100*40/200 = 20;
@@ -107,9 +108,7 @@ TEST(BoundJoinCostModelTest, FailureDividesTermsByOneMinusF) {
   buckets[0] = {s};
   auto w = stats::Workload::FromParts(buckets, {{1.0}}, 5.0, {100.0});
   ASSERT_TRUE(w.ok());
-  BoundJoinOptions options;
-  options.include_failure = true;
-  auto model = BoundJoinCostModel::Create(&*w, options);
+  auto model = BoundJoinCostModel::Create(&*w, MeasureKind::kFailureNoCache);
   ASSERT_TRUE(model.ok());
   ExecutionContext ctx(&*w);
   // (5 + 10) / (1 - 0.5) = 30.
@@ -118,9 +117,7 @@ TEST(BoundJoinCostModelTest, FailureDividesTermsByOneMinusF) {
 
 TEST(BoundJoinCostModelTest, CachingZeroesExecutedOperations) {
   stats::Workload w = MakeWorkload(5);
-  BoundJoinOptions options;
-  options.use_cache = true;
-  auto model = BoundJoinCostModel::Create(&w, options);
+  auto model = BoundJoinCostModel::Create(&w, MeasureKind::kFailureCache);
   ASSERT_TRUE(model.ok());
   ExecutionContext ctx(&w);
   const double before = (*model)->EvaluateConcrete({1, 2, 3}, ctx);
@@ -140,9 +137,7 @@ TEST(BoundJoinCostModelTest, CachingZeroesExecutedOperations) {
 
 TEST(BoundJoinCostModelTest, CachingBreaksDiminishingReturnsFlag) {
   stats::Workload w = MakeWorkload(6);
-  BoundJoinOptions options;
-  options.use_cache = true;
-  auto model = BoundJoinCostModel::Create(&w, options);
+  auto model = BoundJoinCostModel::Create(&w, MeasureKind::kFailureCache);
   ASSERT_TRUE(model.ok());
   EXPECT_FALSE((*model)->diminishing_returns());
   EXPECT_FALSE((*model)->Independent({0, 1, 2}, {0, 3, 4}));  // share (0,0)
@@ -151,12 +146,15 @@ TEST(BoundJoinCostModelTest, CachingBreaksDiminishingReturnsFlag) {
 
 TEST(BoundJoinCostModelTest, UniformAlphaValidation) {
   stats::Workload varying = MakeWorkload(7, 0.05, 1.0);
-  BoundJoinOptions options;
-  options.assume_uniform_alpha = true;
-  EXPECT_FALSE(BoundJoinCostModel::Create(&varying, options).ok());
+  EXPECT_EQ(BoundJoinCostModel::Create(&varying,
+                                       MeasureKind::kCost2UniformAlpha)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 
   stats::Workload uniform = MakeWorkload(7, 0.3, 0.3);
-  auto model = BoundJoinCostModel::Create(&uniform, options);
+  auto model =
+      BoundJoinCostModel::Create(&uniform, MeasureKind::kCost2UniformAlpha);
   ASSERT_TRUE(model.ok()) << model.status();
   EXPECT_TRUE((*model)->fully_monotonic());
   // Smaller cardinality scores higher.
@@ -179,9 +177,7 @@ TEST(MonetaryModelTest, DividesByOutputTuples) {
   auto w =
       stats::Workload::FromParts(buckets, {{1.0}, {1.0}}, 5.0, {200.0, 200.0});
   ASSERT_TRUE(w.ok());
-  BoundJoinOptions options;
-  options.per_tuple_monetary = true;
-  auto model = BoundJoinCostModel::Create(&*w, options);
+  auto model = BoundJoinCostModel::Create(&*w, MeasureKind::kMonetary);
   ASSERT_TRUE(model.ok());
   ExecutionContext ctx(&*w);
   // cost = (5+0.5*40) + (5+0.2*20) = 34; output tuples = 20; 34/20 = 1.7.
@@ -192,16 +188,29 @@ TEST(ModelNamesTest, DescribeOptions) {
   stats::Workload w = MakeWorkload(8);
   AdditiveCostModel additive(&w);
   EXPECT_EQ(additive.name(), "additive-cost");
-  BoundJoinOptions options;
-  options.include_failure = true;
-  options.use_cache = true;
-  auto model = BoundJoinCostModel::Create(&w, options);
-  ASSERT_TRUE(model.ok());
-  EXPECT_EQ((*model)->name(), "bound-join-cost+failure+cache");
-  options.per_tuple_monetary = true;
-  auto monetary = BoundJoinCostModel::Create(&w, options);
-  ASSERT_TRUE(monetary.ok());
-  EXPECT_EQ((*monetary)->name(), "monetary-per-tuple+failure+cache");
+  const std::pair<MeasureKind, const char*> expected[] = {
+      {MeasureKind::kCost2UniformAlpha, "bound-join-cost"},
+      {MeasureKind::kCost2, "bound-join-cost"},
+      {MeasureKind::kFailureNoCache, "bound-join-cost+failure"},
+      {MeasureKind::kFailureCache, "bound-join-cost+failure+cache"},
+      {MeasureKind::kMonetary, "monetary-per-tuple"},
+      {MeasureKind::kMonetaryCache, "monetary-per-tuple+cache"},
+  };
+  stats::Workload uniform = MakeWorkload(8, 0.3, 0.3);
+  for (const auto& [kind, name] : expected) {
+    auto model = BoundJoinCostModel::Create(&uniform, kind);
+    ASSERT_TRUE(model.ok()) << MeasureKindName(kind);
+    EXPECT_EQ((*model)->name(), name);
+  }
+}
+
+TEST(BoundJoinCostModelTest, RejectsKindsOutsideTheFamily) {
+  stats::Workload w = MakeWorkload(8);
+  for (MeasureKind kind : {MeasureKind::kAdditive, MeasureKind::kCoverage}) {
+    EXPECT_EQ(BoundJoinCostModel::Create(&w, kind).status().code(),
+              StatusCode::kInvalidArgument)
+        << MeasureKindName(kind);
+  }
 }
 
 /// The contract abstract evaluation must satisfy (Section 5.1): the interval
@@ -213,18 +222,14 @@ TEST_P(CostEnclosureTest, AbstractIntervalsEncloseAllMembers) {
   stats::Workload w = MakeWorkload(GetParam());
   std::vector<std::unique_ptr<UtilityModel>> models;
   models.push_back(std::make_unique<AdditiveCostModel>(&w));
-  for (bool failure : {false, true}) {
-    for (bool cache : {false, true}) {
-      for (bool monetary : {false, true}) {
-        BoundJoinOptions options;
-        options.include_failure = failure;
-        options.use_cache = cache;
-        options.per_tuple_monetary = monetary;
-        auto model = BoundJoinCostModel::Create(&w, options);
-        ASSERT_TRUE(model.ok());
-        models.push_back(std::move(*model));
-      }
-    }
+  // kCost2UniformAlpha evaluates as kCost2 and needs a uniform-α workload.
+  for (MeasureKind kind :
+       {MeasureKind::kCost2, MeasureKind::kFailureNoCache,
+        MeasureKind::kFailureCache, MeasureKind::kMonetary,
+        MeasureKind::kMonetaryCache}) {
+    auto model = BoundJoinCostModel::Create(&w, kind);
+    ASSERT_TRUE(model.ok()) << MeasureKindName(kind);
+    models.push_back(std::move(*model));
   }
 
   const PlanSpace space = PlanSpace::FullSpace(w);

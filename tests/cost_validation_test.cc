@@ -47,8 +47,8 @@ TEST_P(CostValidationTest, ModeledCostTracksMeasuredAccessCost) {
   ASSERT_TRUE(built.ok()) << built.status();
   SourceRegistry& registry = *built;
 
-  auto model = utility::BoundJoinCostModel::Create(&d.workload,
-                                                   utility::BoundJoinOptions{});
+  auto model = utility::BoundJoinCostModel::Create(
+      &d.workload, utility::MeasureKind::kCost2);
   ASSERT_TRUE(model.ok());
   utility::ExecutionContext ctx(&d.workload);
   const double h = d.workload.access_overhead();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "datalog/parser.h"
+#include "reference/evaluate_program.h"
 
 namespace planorder::datalog {
 namespace {

@@ -69,9 +69,8 @@ TEST_P(GreedyAgreementTest, MatchesBruteForceOnUniformAlphaMeasure2) {
   auto w = stats::Workload::Generate(options);
   ASSERT_TRUE(w.ok());
 
-  utility::BoundJoinOptions bj;
-  bj.assume_uniform_alpha = true;
-  auto model = utility::BoundJoinCostModel::Create(&*w, bj);
+  auto model = utility::BoundJoinCostModel::Create(
+      &*w, utility::MeasureKind::kCost2UniformAlpha);
   ASSERT_TRUE(model.ok());
   EXPECT_TRUE((*model)->fully_monotonic());
 

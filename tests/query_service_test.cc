@@ -94,7 +94,7 @@ TEST(QueryServiceTest, RunsAQueryEndToEnd) {
   EXPECT_EQ(metrics.cache.misses, 1);
   EXPECT_EQ(metrics.cache.hits, 0);
   EXPECT_EQ(metrics.active_sessions, 0);
-  EXPECT_EQ(metrics.latency_count, 1u);
+  EXPECT_EQ(metrics.latency.count(), 1u);
 }
 
 TEST(QueryServiceTest, CacheHitMatchesColdRunExactly) {
